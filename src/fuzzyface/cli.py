@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .fileio import (
     save_model,
 )
 from .fuzzymath import DEFAULT_KERNELS
-from .scoring import MatchReport, ScoringConfig, compare
+from .scoring import MatchReport, ScoringConfig, compare, score_pairs
 from .silhouette import AlphaMode
 from .synthbench import PopulationConfig, generate_population, report_from_scores
 
@@ -154,8 +155,7 @@ def _cmd_calibrate(args) -> int:
         raise ValueError(f"{args.manifest}: no genuine pairs to calibrate from")
     config = _config_from_args(args, None)
     state = CalibrationState()
-    for pair in genuine:  # manifest order matters: updates are order-dependent
-        report = compare(load_face(pair.a), load_face(pair.b), config)
+    for report in _score_manifest(genuine, config):  # in manifest order: updates depend on it
         state.update(CalibrationSample(report.feature_score, report.alpha))
     if not state.initialized:
         raise ValueError("every genuine pair was degenerate; cannot calibrate")
@@ -176,16 +176,16 @@ def _cmd_evaluate(args) -> int:
         kernel=model.kernel,
         resolution_scale=args.raster,
     )
-    scored = []
-    for pair in pairs:
-        report = compare(load_face(pair.a), load_face(pair.b), config)
-        scored.append((pair.a.name, pair.b.name, pair.label, report.similarity))
+    scored = [
+        (pair.a.name, pair.b.name, pair.label, report.similarity)
+        for pair, report in zip(pairs, _score_manifest(pairs, config))
+    ]
     genuine = [s for _, _, label, s in scored if label == "genuine"]
     impostor = [s for _, _, label, s in scored if label == "impostor"]
     report = report_from_scores(genuine, impostor, args.threshold)
     atomic_write_text(args.output, dump_json(report.to_dict()))
     if args.csv:
-        _write_scores_csv(scored, args.csv)
+        atomic_write_text(args.csv, _scores_csv(scored))
     print(
         f"evaluated {len(scored)} pair(s): auc={report.auc:.4f} "
         f"accuracy@{args.threshold:g}={report.accuracy_at_threshold:.4f} -> {args.output}",
@@ -194,12 +194,26 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _write_scores_csv(scored, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["a", "b", "label", "similarity"])
-        for a, b, label, similarity in scored:
-            writer.writerow([a, b, label, repr(similarity)])
+def _score_manifest(pairs, config: ScoringConfig) -> list[MatchReport]:
+    """Score manifest pairs in order, loading each distinct face file once."""
+    index: dict[Path, int] = {}
+    faces = []
+    for pair in pairs:
+        for path in (pair.a, pair.b):
+            if path not in index:
+                index[path] = len(faces)
+                faces.append(load_face(path))
+    return score_pairs(faces, [(index[pair.a], index[pair.b]) for pair in pairs], config)
+
+
+def _scores_csv(scored) -> str:
+    """Per-pair scores as CSV text; csv's \r\n row ends are kept as they are."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["a", "b", "label", "similarity"])
+    for a, b, label, similarity in scored:
+        writer.writerow([a, b, label, repr(similarity)])
+    return buffer.getvalue()
 
 
 def _cmd_synth(args) -> int:

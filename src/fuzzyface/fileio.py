@@ -8,14 +8,15 @@ document reproduces the exact values.
 from __future__ import annotations
 
 import json
+import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import CalibrationState
 from .features import FaceInput
-from .fuzzymath import MembershipKernel, kernel_from_dict, kernel_to_dict
+from .fuzzymath import BellKernel, MembershipKernel, kernel_from_dict, kernel_to_dict
 from .silhouette import AlphaMode
 
 FACE_FILE_VERSION = 1
@@ -34,10 +35,17 @@ def dump_json(data) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` verbatim (no newline translation) to ``path`` in one rename.
+
+    The temporary file is created with mode 0o666, so the kernel applies
+    the umask as it does for a plain ``open``; ``mkstemp`` would leave
+    every output at 0o600.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -188,25 +196,55 @@ class CalibratedModel:
         }
 
 
+def _model_number(path, doc: dict, key: str) -> float:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise FaceFileError(f"{path}: field '{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _model_count(path, doc: dict, key: str, minimum: int) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise FaceFileError(f"{path}: field '{key}' must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def load_model(path) -> CalibratedModel:
+    """Read and validate a calibrated model, as finalized from a calibration state.
+
+    Requires 0 <= k1 <= k <= k2 <= 1 with k the bracket midpoint, at
+    least one accepted sample, and a kernel whose membership stays in
+    [0, 1] over the entropy domain [0, 1].
+    """
     doc = _load_document(path)
     for key in ("k", "k1", "k2", "n", "skipped", "alpha_mode", "kernel"):
         if key not in doc:
             raise FaceFileError(f"{path}: missing field '{key}'")
+    k, k1, k2 = (_model_number(path, doc, key) for key in ("k", "k1", "k2"))
+    if not (0.0 <= k1 <= k <= k2 <= 1.0):
+        raise FaceFileError(f"{path}: fields 'k1', 'k', 'k2' must satisfy 0 <= k1 <= k <= k2 <= 1, "
+                            f"got {k1!r}, {k!r}, {k2!r}")
+    if k != (k1 + k2) / 2.0:
+        raise FaceFileError(f"{path}: field 'k' must be the midpoint of k1 and k2, got {k!r}")
+    n = _model_count(path, doc, "n", 1)
+    skipped = _model_count(path, doc, "skipped", 0)
     try:
         model = CalibratedModel(
-            k=float(doc["k"]),
-            k1=float(doc["k1"]),
-            k2=float(doc["k2"]),
-            n=int(doc["n"]),
-            skipped=int(doc["skipped"]),
+            k=k,
+            k1=k1,
+            k2=k2,
+            n=n,
+            skipped=skipped,
             alpha_mode=AlphaMode(doc["alpha_mode"]),
             kernel=kernel_from_dict(doc["kernel"]),
         )
     except ValueError as exc:
         raise FaceFileError(f"{path}: {exc}") from None
-    if not (0.0 <= model.k <= 1.0):
-        raise FaceFileError(f"{path}: field 'k' must lie in [0, 1], got {model.k!r}")
+    # the bell stays in [0, 1] only on [0, 2r], so it must cover all of [0, 1]
+    if isinstance(model.kernel, BellKernel) and model.kernel.r < 0.5:
+        raise FaceFileError(f"{path}: bell kernel peak 'r' must be >= 0.5, got {model.kernel.r!r}")
     return model
 
 

@@ -7,22 +7,32 @@ feature score, rasterize the outlines into the overlap score, and blend
 the two with the mixing weight k:
 
     similarity = 100 * (feature_score * k + alpha * (1 - k))
+
+All scoring runs through score_pairs, which splits the pipeline into a
+per-face prepare step (rescale onto the pair's canvas, measure the
+features, rasterize the outline) and a per-pair score step, so a face
+shared by many pairs on one canvas is prepared once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from statistics import fmean
 
-from .features import FaceInput, FeaturePair, extract_features, pair_features
+from .features import FaceInput, FeaturePair, FeatureVector, extract_features, pair_features
 from .fuzzymath import BellKernel, MembershipKernel, eval_membership, kernel_to_dict, shannon_entropy
 from .silhouette import (
     AlphaMode,
+    BinaryMask,
+    Canvas,
     alpha_from_masks,
     default_resolution_scale,
-    normalize_pair,
+    normalize_pair,  # no longer called here; perfbench/run.py --trace 1 wraps this name
+    pair_canvas,
     rasterize,
+    rescale_face,
 )
 
 
@@ -150,35 +160,61 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     result does not depend on image size. Deterministic for fixed inputs
     and config.
     """
+    return score_pairs([face_a, face_b], [(0, 1)], config)[0]
+
+
+def score_pairs(
+    faces: Sequence[FaceInput],
+    pairs: Iterable[tuple[int, int]],
+    config: ScoringConfig | None = None,
+) -> list[MatchReport]:
+    """Score each ``(i, j)`` pair of indices into ``faces``, in the given order.
+
+    Each report equals ``compare(faces[i], faces[j], config)`` bit for
+    bit. A face is prepared (rescaled, measured, rasterized) at most once
+    per canvas size and raster scale, so scoring every pair of N faces
+    that share one canvas rasterizes N times rather than twice per pair.
+    Prepared faces live only for this call.
+    """
     if config is None:
         config = ScoringConfig()
+    # keyed by index: FaceInput holds a dict and cannot be hashed
+    prepared: dict[tuple[int, int, int, int], tuple[FeatureVector, BinaryMask]] = {}
 
-    canvas, norm_a, norm_b = normalize_pair(face_a, face_b)
-    pairs = pair_features(extract_features(norm_a), extract_features(norm_b))
+    def prepare(index: int, canvas: Canvas, scale: int) -> tuple[FeatureVector, BinaryMask]:
+        key = (index, canvas.width, canvas.height, scale)
+        if key not in prepared:
+            face = rescale_face(faces[index], canvas.width, canvas.height)
+            prepared[key] = (extract_features(face), rasterize(face.outline, canvas, scale))
+        return prepared[key]
 
-    rows = []
-    for pair in pairs:
-        entropy, membership = feature_membership(pair, config.kernel)
-        rows.append(FeatureRow(pair.name, pair.a, pair.b, entropy, membership))
-    feature_score = mean_membership([row.membership for row in rows])
+    reports = []
+    for i, j in pairs:
+        face_a, face_b = faces[i], faces[j]
+        canvas = pair_canvas(face_a, face_b)
+        scale = config.resolution_scale
+        if scale is None:
+            scale = default_resolution_scale(canvas)
+        features_a, mask_a = prepare(i, canvas, scale)
+        features_b, mask_b = prepare(j, canvas, scale)
 
-    scale = config.resolution_scale
-    if scale is None:
-        scale = default_resolution_scale(canvas)
-    mask_a = rasterize(norm_a.outline, canvas, scale)
-    mask_b = rasterize(norm_b.outline, canvas, scale)
-    alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
+        rows = []
+        for pair in pair_features(features_a, features_b):
+            entropy, membership = feature_membership(pair, config.kernel)
+            rows.append(FeatureRow(pair.name, pair.a, pair.b, entropy, membership))
+        feature_score = mean_membership([row.membership for row in rows])
+        alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
 
-    similarity = similarity_score(feature_score, alpha, config.k)
-    return MatchReport(
-        a_id=face_a.id,
-        b_id=face_b.id,
-        features=tuple(rows),
-        feature_score=feature_score,
-        alpha=alpha,
-        k=config.k,
-        similarity=similarity,
-        alpha_mode=config.alpha_mode,
-        kernel=config.kernel,
-        resolution_scale=scale,
-    )
+        reports.append(MatchReport(
+            a_id=face_a.id,
+            b_id=face_b.id,
+            features=tuple(rows),
+            feature_score=feature_score,
+            alpha=alpha,
+            k=config.k,
+            similarity=similarity_score(feature_score, alpha, config.k),
+            alpha_mode=config.alpha_mode,
+            kernel=config.kernel,
+            resolution_scale=scale,
+        ))
+    return reports

@@ -3,7 +3,9 @@
 Two faces are first brought onto a shared canvas (the componentwise max
 of their image sizes, each input stretched per axis). Outlines are then
 filled into binary masks by even-odd counting at pixel centers, and the
-overlap score is read off the masks.
+overlap score is read off the masks. A mask stores only the window of
+rows and columns its outline spans, plus that window's offset; every
+pixel outside the window is outside the outline.
 """
 
 from __future__ import annotations
@@ -55,32 +57,63 @@ class Canvas:
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
-    """Boolean raster of one outline; True marks pixels inside."""
+    """Boolean raster of one outline, cropped to the window it spans.
+
+    ``bits[r, c]`` is pixel ``(offset[0] + r, offset[1] + c)`` of the full
+    mask, which is ``frame`` = (rows, columns) pixels: the canvas times
+    ``scale``. Every full-mask pixel outside the window is False. The
+    window may be empty when the outline covers no pixel center.
+    ``frame`` defaults to the window's own shape.
+    """
 
     bits: np.ndarray
     scale: int = 1
+    offset: tuple[int, int] = (0, 0)
+    frame: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         bits = np.asarray(self.bits, dtype=bool)
-        if bits.ndim != 2 or bits.shape[0] < 1 or bits.shape[1] < 1:
-            raise ValueError(f"mask bits must be a non-empty 2D array, got shape {bits.shape}")
+        if bits.ndim != 2:
+            raise ValueError(f"mask bits must be a 2D array, got shape {bits.shape}")
+        frame = bits.shape if self.frame is None else tuple(self.frame)
+        row, col = self.offset
+        if not (0 <= row and 0 <= col and row + bits.shape[0] <= frame[0]
+                and col + bits.shape[1] <= frame[1]):
+            raise ValueError(
+                f"mask window {bits.shape} at {self.offset} does not fit the frame {frame}"
+            )
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "offset", (int(row), int(col)))
+        object.__setattr__(self, "frame", (int(frame[0]), int(frame[1])))
 
     @property
     def width(self) -> int:
-        return self.bits.shape[1]
+        return self.frame[1]
 
     @property
     def height(self) -> int:
-        return self.bits.shape[0]
+        return self.frame[0]
 
     @property
     def area(self) -> int:
         return int(np.count_nonzero(self.bits))
 
 
-def _rescaled(face: FaceInput, sx: float, sy: float, width: int, height: int) -> FaceInput:
+def pair_canvas(face_a: FaceInput, face_b: FaceInput) -> Canvas:
+    """The canvas two faces share: the componentwise max of their sizes."""
+    width = max(face_a.image_width, face_b.image_width)
+    height = max(face_a.image_height, face_b.image_height)
+    scale_a = (width / face_a.image_width, height / face_a.image_height)
+    scale_b = (width / face_b.image_width, height / face_b.image_height)
+    return Canvas(width, height, scale_a, scale_b)
+
+
+def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
+    """The face stretched per axis onto a width x height canvas."""
+    sx = width / face.image_width
+    sy = height / face.image_height
+
     def scale_point(pt: Point) -> Point:
         # clamp away float dust so edge coordinates stay inside the canvas
         x = min(max(pt[0] * sx, 0.0), float(width))
@@ -104,13 +137,9 @@ def normalize_pair(face_a: FaceInput, face_b: FaceInput) -> tuple[Canvas, FaceIn
     the larger one is untouched. No further alignment is applied: the
     shared canvas coordinates are the common frame.
     """
-    width = max(face_a.image_width, face_b.image_width)
-    height = max(face_a.image_height, face_b.image_height)
-    scale_a = (width / face_a.image_width, height / face_a.image_height)
-    scale_b = (width / face_b.image_width, height / face_b.image_height)
-    canvas = Canvas(width, height, scale_a, scale_b)
-    norm_a = _rescaled(face_a, scale_a[0], scale_a[1], width, height)
-    norm_b = _rescaled(face_b, scale_b[0], scale_b[1], width, height)
+    canvas = pair_canvas(face_a, face_b)
+    norm_a = rescale_face(face_a, canvas.width, canvas.height)
+    norm_b = rescale_face(face_b, canvas.width, canvas.height)
     return canvas, norm_a, norm_b
 
 
@@ -126,7 +155,9 @@ def rasterize(
 
     A pixel is inside iff its center is inside the polygon under the
     even-odd rule; ``resolution_scale`` multiplies the canvas resolution
-    (mask is width*s by height*s pixels). Deterministic for fixed input.
+    (the full mask is width*s by height*s pixels). Only the rows and
+    columns the outline spans are filled and stored; see BinaryMask.
+    Deterministic for fixed input.
     """
     if resolution_scale is None:
         scale = default_resolution_scale(canvas)
@@ -150,9 +181,14 @@ def rasterize(
     x1, y1 = pts[:, 0], pts[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
 
+    # Rows whose centers can fall in [min y, max y), padded by one so the
+    # float edges of this estimate never drop a row the test below keeps.
+    first = min(max(math.floor(y1.min() * scale - 0.5), 0), hpx)
+    last = min(max(math.ceil(y1.max() * scale - 0.5) + 1, first), hpx)
+
     # row centers in canvas units; an edge crosses a row iff min_y <= yc < max_y
     # (half-open, so a vertex shared by two edges is counted exactly once)
-    yc = (np.arange(hpx, dtype=float) + 0.5) / scale
+    yc = (np.arange(first, last, dtype=float) + 0.5) / scale
     ylo = np.minimum(y1, y2)[:, None]
     yhi = np.maximum(y1, y2)[:, None]
     crossing = (ylo <= yc[None, :]) & (yc[None, :] < yhi)
@@ -163,69 +199,57 @@ def rasterize(
         xc = x1[:, None] + t * (x2 - x1)[:, None]
 
     edge_idx, row_idx = np.nonzero(crossing)
+    frame = (hpx, wpx)
+    if row_idx.size == 0:
+        return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
     xs = xc[edge_idx, row_idx]
     # first pixel whose center lies at or right of the crossing
     col = np.ceil(xs * scale - 0.5).astype(np.int64)
     np.clip(col, 0, wpx, out=col)
 
+    # Every row has an even number of crossings, so pixels left of the
+    # first crossing column or at or right of the last are outside.
+    row0, row1 = int(row_idx.min()), int(row_idx.max()) + 1
+    col0, col1 = int(col.min()), int(col.max())
+
     # parity of crossings left of each center decides inside/outside
-    delta = np.zeros((hpx, wpx + 1), dtype=np.int32)
-    np.add.at(delta, (row_idx, col), 1)
-    bits = (np.cumsum(delta, axis=1)[:, :wpx] & 1).astype(bool)
-    return BinaryMask(bits, scale)
-
-
-def _check_same_shape(a: BinaryMask, b: BinaryMask) -> None:
-    if a.bits.shape != b.bits.shape:
-        raise ValueError(f"mask dimensions differ: {a.bits.shape} vs {b.bits.shape}")
-
-
-def mask_subtract(a: BinaryMask, b: BinaryMask) -> BinaryMask:
-    """Set difference a minus b."""
-    _check_same_shape(a, b)
-    return BinaryMask(a.bits & ~b.bits, a.scale)
-
-
-def mask_intersect(a: BinaryMask, b: BinaryMask) -> BinaryMask:
-    _check_same_shape(a, b)
-    return BinaryMask(a.bits & b.bits, a.scale)
-
-
-def mask_union(a: BinaryMask, b: BinaryMask) -> BinaryMask:
-    _check_same_shape(a, b)
-    return BinaryMask(a.bits | b.bits, a.scale)
+    delta = np.zeros((row1 - row0, col1 - col0 + 1), dtype=np.int32)
+    np.add.at(delta, (row_idx - row0, col - col0), 1)
+    bits = (np.cumsum(delta, axis=1)[:, : col1 - col0] & 1).astype(bool)
+    return BinaryMask(bits, scale, (first + row0, col0), frame)
 
 
 def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.COMPLEMENT) -> float:
-    """Overlap score of two equally sized masks, in [0, 1]."""
-    _check_same_shape(a, b)
+    """Overlap score of two masks on one canvas and scale, in [0, 1].
+
+    Only the overlap of the two windows is counted: the leftovers of
+    LITERAL mode are each area minus the intersection.
+    """
+    if a.frame != b.frame or a.scale != b.scale:
+        raise ValueError(
+            f"masks are on different canvases: {a.frame} at scale {a.scale} "
+            f"vs {b.frame} at scale {b.scale}"
+        )
     area_a = a.area
     area_b = b.area
     if area_a == 0 or area_b == 0:
         raise ValueError("mask has zero area; outline did not cover any pixel center")
+    (ra, ca), (rb, cb) = a.offset, b.offset
+    row0, col0 = max(ra, rb), max(ca, cb)
+    row1 = min(ra + a.bits.shape[0], rb + b.bits.shape[0])
+    col1 = min(ca + a.bits.shape[1], cb + b.bits.shape[1])
+    inter = 0
+    if row0 < row1 and col0 < col1:
+        inter = int(np.count_nonzero(
+            a.bits[row0 - ra:row1 - ra, col0 - ca:col1 - ca]
+            & b.bits[row0 - rb:row1 - rb, col0 - cb:col1 - cb]
+        ))
     if mode is AlphaMode.LITERAL:
-        leftover_a = int(np.count_nonzero(a.bits & ~b.bits))
-        if leftover_a != 0:
-            return leftover_a / area_a
-        leftover_b = int(np.count_nonzero(b.bits & ~a.bits))
-        if leftover_b != 0:
-            return leftover_b / area_b
+        if area_a != inter:
+            return (area_a - inter) / area_a
+        if area_b != inter:
+            return (area_b - inter) / area_b
         return 1.0
     if mode is AlphaMode.COMPLEMENT:
-        inter = int(np.count_nonzero(a.bits & b.bits))
-        union = area_a + area_b - inter
-        return inter / union
+        return inter / (area_a + area_b - inter)
     raise ValueError(f"unknown alpha mode {mode!r}")
-
-
-def compute_alpha(
-    face_a: FaceInput,
-    face_b: FaceInput,
-    mode: AlphaMode = AlphaMode.COMPLEMENT,
-    resolution_scale: int | None = None,
-) -> float:
-    """Normalize two faces, rasterize their outlines, and score the overlap."""
-    canvas, norm_a, norm_b = normalize_pair(face_a, face_b)
-    mask_a = rasterize(norm_a.outline, canvas, resolution_scale)
-    mask_b = rasterize(norm_b.outline, canvas, resolution_scale)
-    return alpha_from_masks(mask_a, mask_b, mode)

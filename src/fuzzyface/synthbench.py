@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import REQUIRED_LANDMARKS, FaceInput, extract_features
-from .scoring import ScoringConfig, compare
+from .scoring import ScoringConfig, score_pairs
+from .scoring import compare  # not called here; perfbench/run.py --trace 1 wraps this name
 
 _TEMPLATE_WIDTH = 512
 _TEMPLATE_HEIGHT = 512
@@ -289,16 +290,15 @@ def evaluate(
     """
     if config is None:
         config = ScoringConfig()
+    pairs = [(i, j) for i in range(len(population)) for j in range(i + 1, len(population))]
+    reports = score_pairs([labeled.face for labeled in population], pairs, config)
     genuine = []
     impostor = []
-    for i in range(len(population)):
-        for j in range(i + 1, len(population)):
-            a, b = population[i], population[j]
-            score = compare(a.face, b.face, config).similarity
-            if a.identity == b.identity:
-                genuine.append(score)
-            else:
-                impostor.append(score)
+    for (i, j), report in zip(pairs, reports):
+        if population[i].identity == population[j].identity:
+            genuine.append(report.similarity)
+        else:
+            impostor.append(report.similarity)
     if not genuine:
         raise ValueError("population yields no genuine pairs (need an identity with 2+ captures)")
     if not impostor:

@@ -103,36 +103,58 @@ def test_criterion_3_membership_closed_forms():
 
 
 def test_criterion_4_alpha_oracle():
-    """Overlap scores match exact pixel counts; mask algebra partitions exactly."""
+    """Overlap scores match exact pixel counts; window overlaps count exactly."""
     def square_face(face_id, lo, hi):
         outline = ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
         return make_face(face_id, width=20, height=20,
                          landmarks=standard_landmarks(20, 20), outline=outline)
 
+    def alpha(face_a, face_b, mode, scale=None):
+        config = ff.ScoringConfig(alpha_mode=mode, resolution_scale=scale)
+        return ff.compare(face_a, face_b, config).alpha
+
     outer = square_face("a", 5.0, 15.0)
     inner = square_face("b", 6.0, 14.0)
     # scale 26 puts the 20 px canvas at 520 raster pixels
-    got_complement = ff.compute_alpha(outer, inner, ff.AlphaMode.COMPLEMENT, 26)
-    got_literal = ff.compute_alpha(outer, inner, ff.AlphaMode.LITERAL, 26)
+    got_complement = alpha(outer, inner, ff.AlphaMode.COMPLEMENT, 26)
+    got_literal = alpha(outer, inner, ff.AlphaMode.LITERAL, 26)
     assert got_complement == pytest.approx(0.64, abs=0.01)
     assert got_literal == pytest.approx(0.36, abs=0.01)
 
-    assert ff.compute_alpha(outer, outer, ff.AlphaMode.COMPLEMENT) == 1.0
-    assert ff.compute_alpha(outer, outer, ff.AlphaMode.LITERAL) == 1.0
+    assert alpha(outer, outer, ff.AlphaMode.COMPLEMENT) == 1.0
+    assert alpha(outer, outer, ff.AlphaMode.LITERAL) == 1.0
 
     left = square_face("a", 1.0, 8.0)
     right = square_face("b", 12.0, 19.0)
-    assert ff.compute_alpha(left, right, ff.AlphaMode.COMPLEMENT) == 0.0
-    assert ff.compute_alpha(left, right, ff.AlphaMode.LITERAL) == 1.0
+    assert alpha(left, right, ff.AlphaMode.COMPLEMENT) == 0.0
+    assert alpha(left, right, ff.AlphaMode.LITERAL) == 1.0
 
+    # masks at random offsets in one frame, scored against full-frame set algebra
     rng = np.random.default_rng(2718)
+    checked = 0
     for _ in range(200):
-        h, w = rng.integers(1, 40, size=2)
-        a = ff.BinaryMask(rng.random((h, w)) < rng.random())
-        b = ff.BinaryMask(rng.random((h, w)) < rng.random())
-        assert ff.mask_subtract(a, b).area + ff.mask_intersect(a, b).area == a.area
+        frame = tuple(int(v) for v in rng.integers(1, 40, size=2))
+        masks, full = [], []
+        for _ in range(2):
+            h, w = (int(rng.integers(1, n + 1)) for n in frame)
+            row, col = int(rng.integers(0, frame[0] - h + 1)), int(rng.integers(0, frame[1] - w + 1))
+            bits = rng.random((h, w)) < rng.random()
+            masks.append(ff.BinaryMask(bits, offset=(row, col), frame=frame))
+            pasted = np.zeros(frame, dtype=bool)
+            pasted[row:row + h, col:col + w] = bits
+            full.append(pasted)
+        (a, b), (fa, fb) = masks, full
+        if a.area == 0 or b.area == 0:
+            continue
+        inter = int(np.count_nonzero(fa & fb))
+        leftover_a = int(np.count_nonzero(fa & ~fb))
+        assert leftover_a + inter == a.area
+        assert ff.alpha_from_masks(a, b) == inter / int(np.count_nonzero(fa | fb))
+        if leftover_a:
+            assert ff.alpha_from_masks(a, b, ff.AlphaMode.LITERAL) == leftover_a / a.area
+        checked += 1
     print(f"\ncriterion 4 PASS: complement {got_complement}, literal {got_literal}, "
-          "mask partition exact on 200 random pairs")
+          f"window overlaps exact on {checked} random pairs")
 
 
 def test_criterion_5_size_invariance():

@@ -1,6 +1,8 @@
 """File formats: faces, manifests, models, and their failure messages."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -20,6 +22,12 @@ from fuzzyface import (
     save_manifest,
     save_model,
 )
+from fuzzyface.fileio import atomic_write_text
+
+VALID_MODEL = {
+    "k": 0.95, "k1": 0.9, "k2": 1.0, "n": 3, "skipped": 1,
+    "alpha_mode": "complement", "kernel": {"type": "bell", "r": 1.0},
+}
 
 
 class TestFaceFiles:
@@ -173,9 +181,55 @@ class TestModels:
 
     def test_bad_mode(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({
-            "k": 0.9, "k1": 0.9, "k2": 0.99, "n": 1, "skipped": 0,
-            "alpha_mode": "jaccard", "kernel": {"type": "bell", "r": 1.0},
-        }))
-        with pytest.raises(FaceFileError):
+        path.write_text(json.dumps(dict(VALID_MODEL, alpha_mode="jaccard")))
+        with pytest.raises(FaceFileError, match="jaccard"):
             load_model(path)
+
+    def test_valid_model_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(VALID_MODEL))
+        assert load_model(path).k == 0.95
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("k1", float("nan"), "'k1' must be a finite number"),
+        ("k2", float("inf"), "'k2' must be a finite number"),
+        ("k", "0.95", "'k' must be a finite number"),
+        ("k1", True, "'k1' must be a finite number"),
+        ("k1", -0.1, "0 <= k1 <= k <= k2 <= 1"),
+        ("k2", 1.1, "0 <= k1 <= k <= k2 <= 1"),
+        ("k", 0.96, "midpoint"),
+        ("n", -3, "'n' must be an integer >= 1"),
+        ("n", 0, "'n' must be an integer >= 1"),
+        ("n", 4.0, "'n' must be an integer >= 1"),
+        ("n", True, "'n' must be an integer >= 1"),
+        ("skipped", True, "'skipped' must be an integer >= 0"),
+        ("skipped", -1, "'skipped' must be an integer >= 0"),
+        ("kernel", {"type": "bell", "r": 0.3}, "must be >= 0.5"),
+    ])
+    def test_invalid_field_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        path.write_text(json.dumps(dict(VALID_MODEL, **{field: value})))
+        with pytest.raises(FaceFileError, match=message):
+            load_model(path)
+
+    def test_k_not_between_k1_and_k2(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(VALID_MODEL, k=0.5, k1=0.6, k2=0.4)))
+        with pytest.raises(FaceFileError, match="0 <= k1 <= k <= k2 <= 1"):
+            load_model(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+
+    def test_text_is_written_verbatim(self, tmp_path):
+        atomic_write_text(tmp_path / "out.csv", "a,b\r\n1,2\r\n")
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\r\n1,2\r\n"

@@ -4,7 +4,10 @@ import json
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fuzzyface.scoring
 from conftest import make_face, raster_scale_for, scaled_face, standard_landmarks
 from fuzzyface import (
     AlphaMode,
@@ -12,13 +15,20 @@ from fuzzyface import (
     FeaturePair,
     FeatureRow,
     MatchReport,
+    PopulationConfig,
     ScoringConfig,
     TriangleKernel,
     compare,
     feature_membership,
+    generate_population,
     mean_membership,
+    score_pairs,
     similarity_score,
 )
+from fuzzyface.fileio import dump_json
+from fuzzyface.silhouette import rescale_face
+
+IMAGE_SIZES = ((512, 512), (256, 384), (768, 512), (384, 768), (100, 140))
 
 # frozen against the 50-digit oracle in test_fuzzymath
 H_1_3 = 0.8112781244591328
@@ -165,6 +175,49 @@ class TestCompare:
         assert doc["kernel"] == {"type": "bell", "r": 1.0}
         assert len(doc["features"]) == 6
         assert doc["similarity"] == report.similarity
+
+
+class TestScorePairs:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        sizes=st.lists(st.sampled_from(IMAGE_SIZES), min_size=6, max_size=6),
+        mode=st.sampled_from(list(AlphaMode)),
+        resolution_scale=st.sampled_from([None, 1, 2]),
+    )
+    def test_equals_per_pair_compare(self, seed, sizes, mode, resolution_scale):
+        population = generate_population(
+            PopulationConfig(identity_count=2, captures_per_identity=3, capture_sigma=3.0, seed=seed)
+        )
+        faces = [rescale_face(lf.face, w, h) for lf, (w, h) in zip(population, sizes)]
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)] + [(5, 0), (3, 1), (2, 2)]
+        config = ScoringConfig(k=0.7, alpha_mode=mode, resolution_scale=resolution_scale)
+        reports = score_pairs(faces, pairs, config)
+        assert len(reports) == len(pairs)
+        for (i, j), report in zip(pairs, reports):
+            expected = compare(faces[i], faces[j], config)
+            assert report == expected
+            assert dump_json(report.to_dict()) == dump_json(expected.to_dict())
+
+    def test_each_face_rasterized_once_per_canvas(self, monkeypatch):
+        calls = []
+        original = fuzzyface.scoring.rasterize
+
+        def counted(outline, canvas, scale):
+            calls.append((canvas.width, canvas.height, scale))
+            return original(outline, canvas, scale)
+
+        monkeypatch.setattr(fuzzyface.scoring, "rasterize", counted)
+        small = [make_face(f"s{i}", width=100, height=100) for i in range(3)]
+        big = make_face("big", width=200, height=150)
+        faces = small + [big]
+        pairs = [(0, 1), (0, 2), (1, 2), (2, 1), (0, 3), (1, 3)]
+        score_pairs(faces, pairs, ScoringConfig())
+        # three faces on the 100 px canvas, then faces 0, 1 and 3 on the 200x150 one
+        assert calls == [(100, 100, 6)] * 3 + [(200, 150, 3)] * 3
+
+    def test_empty_pair_list(self):
+        assert score_pairs([make_face()], [], ScoringConfig()) == []
 
 
 class TestValidation:

@@ -1,22 +1,58 @@
 """Canvas normalization, rasterization against area oracles, and overlap modes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_face, scaled_face, standard_landmarks
 from fuzzyface import (
     AlphaMode,
     BinaryMask,
     Canvas,
+    ScoringConfig,
     alpha_from_masks,
-    compute_alpha,
+    compare,
     default_resolution_scale,
-    mask_intersect,
-    mask_subtract,
-    mask_union,
     normalize_pair,
     rasterize,
 )
+from fuzzyface.geometry import polygon_is_simple
+
+
+def reference_fill(outline, canvas, scale):
+    """Even-odd fill of the whole canvas at pixel centers: the uncropped oracle."""
+    pts = np.asarray(outline, dtype=float)
+    wpx, hpx = canvas.width * scale, canvas.height * scale
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    yc = (np.arange(hpx, dtype=float) + 0.5) / scale
+    ylo = np.minimum(y1, y2)[:, None]
+    yhi = np.maximum(y1, y2)[:, None]
+    crossing = (ylo <= yc[None, :]) & (yc[None, :] < yhi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (yc[None, :] - y1[:, None]) / (y2 - y1)[:, None]
+        xc = x1[:, None] + t * (x2 - x1)[:, None]
+    edge_idx, row_idx = np.nonzero(crossing)
+    col = np.ceil(xc[edge_idx, row_idx] * scale - 0.5).astype(np.int64)
+    np.clip(col, 0, wpx, out=col)
+    delta = np.zeros((hpx, wpx + 1), dtype=np.int32)
+    np.add.at(delta, (row_idx, col), 1)
+    return (np.cumsum(delta, axis=1)[:, :wpx] & 1).astype(bool)
+
+
+def pasted(mask):
+    """The full-frame mask: the window pasted at its offset over False."""
+    full = np.zeros(mask.frame, dtype=bool)
+    row, col = mask.offset
+    full[row:row + mask.bits.shape[0], col:col + mask.bits.shape[1]] = mask.bits
+    return full
+
+
+def alpha_of(face_a, face_b, mode=AlphaMode.COMPLEMENT, scale=None):
+    return compare(face_a, face_b, ScoringConfig(alpha_mode=mode, resolution_scale=scale)).alpha
 
 
 def shoelace_area(points):
@@ -140,79 +176,140 @@ class TestRasterize:
         with pytest.raises(ValueError):
             mask.bits[0, 0] = True
 
+    def test_window_is_cropped_to_the_outline(self):
+        mask = rasterize(square(2, 8), Canvas(10, 10), 3)
+        assert mask.frame == (30, 30) and (mask.width, mask.height) == (30, 30)
+        assert mask.offset == (6, 6) and mask.bits.shape == (18, 18)
+        assert mask.bits.all()
+
+    def test_outline_off_canvas_gives_empty_window(self):
+        outline = ((12.0, 1.0), (15.0, 1.0), (15.0, 4.0))
+        mask = rasterize(outline, Canvas(10, 10), 2)
+        assert mask.area == 0 and mask.bits.size == 0
+        assert not reference_fill(outline, Canvas(10, 10), 2).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vertices=st.integers(5, 24),
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 64),
+        height=st.integers(1, 64),
+        scale=st.integers(1, 8),
+    )
+    def test_cropped_equals_full_canvas_fill(self, vertices, seed, width, height, scale):
+        # star-shaped around a centre: sorted angles with gaps under pi keep it simple
+        rng = np.random.default_rng(seed)
+        angles = 2 * math.pi * (np.arange(vertices) + rng.uniform(0.1, 0.9, vertices)) / vertices
+        radii = rng.uniform(0.05, 0.7, vertices) * max(width, height)
+        centre = rng.uniform(-0.2, 1.2, 2) * (width, height)
+        outline = np.column_stack((centre[0] + radii * np.cos(angles),
+                                   centre[1] + radii * np.sin(angles)))
+        assert polygon_is_simple(outline)
+        canvas = Canvas(width, height)
+        mask = rasterize(outline, canvas, scale)
+        assert mask.frame == (height * scale, width * scale) and mask.scale == scale
+        assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
+
 
 class TestMaskOps:
-    def make(self, bits):
-        return BinaryMask(np.array(bits, dtype=bool))
+    """alpha_from_masks reads intersection, leftovers and union off window overlaps."""
+
+    def make(self, bits, offset=(0, 0), frame=None):
+        return BinaryMask(np.array(bits, dtype=bool), offset=offset, frame=frame)
 
     def test_subtract_halves(self):
+        # full minus its left half leaves half of the full mask
         full = self.make(np.ones((4, 4)))
-        left = self.make([[1, 1, 0, 0]] * 4)
-        result = mask_subtract(full, left)
-        assert result.area == 8
-        assert not result.bits[:, :2].any() and result.bits[:, 2:].all()
+        left = self.make(np.ones((4, 2)), frame=(4, 4))
+        assert alpha_from_masks(full, left, AlphaMode.LITERAL) == 8 / 16
+        assert alpha_from_masks(left, full, AlphaMode.LITERAL) == 8 / 16
+        assert alpha_from_masks(full, left) == 8 / 16
 
     def test_self_subtraction_empty(self):
         m = self.make(np.eye(5))
-        assert mask_subtract(m, m).area == 0
+        assert alpha_from_masks(m, m, AlphaMode.LITERAL) == 1.0
+        assert alpha_from_masks(m, m, AlphaMode.COMPLEMENT) == 1.0
 
-    def test_subtract_empty_is_identity(self):
-        m = self.make(np.eye(5))
-        empty = self.make(np.zeros((5, 5)))
-        assert np.array_equal(mask_subtract(m, empty).bits, m.bits)
+    def test_disjoint_windows_leave_each_mask_whole(self):
+        a = self.make(np.eye(3), offset=(0, 0), frame=(8, 8))
+        b = self.make(np.ones((2, 2)), offset=(5, 6), frame=(8, 8))
+        assert alpha_from_masks(a, b, AlphaMode.LITERAL) == 1.0
+        assert alpha_from_masks(b, a, AlphaMode.LITERAL) == 1.0
+        assert alpha_from_masks(a, b, AlphaMode.COMPLEMENT) == 0.0
 
     def test_partition_identity_random(self):
+        # leftover = area - intersection, checked against full-frame set algebra
         rng = np.random.default_rng(99)
-        for _ in range(50):
-            h, w = rng.integers(1, 30, size=2)
-            a = self.make(rng.random((h, w)) < rng.random())
-            b = self.make(rng.random((h, w)) < rng.random())
-            assert mask_subtract(a, b).area + mask_intersect(a, b).area == a.area
-            assert mask_union(a, b).area == a.area + b.area - mask_intersect(a, b).area
+        for _ in range(200):
+            frame = tuple(int(v) for v in rng.integers(1, 30, size=2))
+            masks = []
+            for _ in range(2):
+                h, w = (int(rng.integers(1, n + 1)) for n in frame)
+                offset = (int(rng.integers(0, frame[0] - h + 1)), int(rng.integers(0, frame[1] - w + 1)))
+                masks.append(self.make(rng.random((h, w)) < rng.random(), offset, frame))
+            a, b = masks
+            if a.area == 0 or b.area == 0:
+                continue
+            fa, fb = pasted(a), pasted(b)
+            inter = int(np.count_nonzero(fa & fb))
+            union = int(np.count_nonzero(fa | fb))
+            left_a = int(np.count_nonzero(fa & ~fb))
+            left_b = int(np.count_nonzero(fb & ~fa))
+            assert left_a + inter == a.area and union == a.area + b.area - inter
+            assert alpha_from_masks(a, b) == inter / union
+            literal = left_a / a.area if left_a else (left_b / b.area if left_b else 1.0)
+            assert alpha_from_masks(a, b, AlphaMode.LITERAL) == literal
 
     def test_dimension_mismatch(self):
         a = self.make(np.ones((4, 4)))
         b = self.make(np.ones((4, 5)))
-        with pytest.raises(ValueError, match="dimensions differ"):
-            mask_subtract(a, b)
+        with pytest.raises(ValueError, match="different canvases"):
+            alpha_from_masks(a, b)
+        c = BinaryMask(np.ones((4, 4), dtype=bool), scale=2)
+        with pytest.raises(ValueError, match="different canvases"):
+            alpha_from_masks(a, c)
+
+    def test_window_must_fit_frame(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            self.make(np.ones((3, 3)), offset=(2, 0), frame=(4, 4))
 
 
 class TestAlpha:
     def test_concentric_squares(self):
         outer = square_face("a", 5, 15)
         inner = square_face("b", 6, 14)
-        assert compute_alpha(outer, inner, AlphaMode.COMPLEMENT, 26) == pytest.approx(0.64, abs=0.01)
-        assert compute_alpha(outer, inner, AlphaMode.LITERAL, 26) == pytest.approx(0.36, abs=0.01)
+        assert alpha_of(outer, inner, AlphaMode.COMPLEMENT, 26) == pytest.approx(0.64, abs=0.01)
+        assert alpha_of(outer, inner, AlphaMode.LITERAL, 26) == pytest.approx(0.36, abs=0.01)
 
     def test_identical_outlines(self):
         face = square_face("a", 5, 15)
-        assert compute_alpha(face, face, AlphaMode.COMPLEMENT) == 1.0
-        assert compute_alpha(face, face, AlphaMode.LITERAL) == 1.0
+        assert alpha_of(face, face, AlphaMode.COMPLEMENT) == 1.0
+        assert alpha_of(face, face, AlphaMode.LITERAL) == 1.0
 
     def test_disjoint_squares(self):
         a = square_face("a", 1, 8)
         b = square_face("b", 12, 19)
-        assert compute_alpha(a, b, AlphaMode.COMPLEMENT) == 0.0
-        assert compute_alpha(a, b, AlphaMode.LITERAL) == 1.0
+        assert alpha_of(a, b, AlphaMode.COMPLEMENT) == 0.0
+        assert alpha_of(a, b, AlphaMode.LITERAL) == 1.0
 
     def test_literal_branch_order(self):
         # first mask inside the second: the first leftover is empty, so the
         # second subtraction supplies the score against its own mask's area
         outer = square_face("a", 5, 15)
         inner = square_face("b", 6, 14)
-        assert compute_alpha(inner, outer, AlphaMode.LITERAL, 1) == pytest.approx(36 / 100)
+        assert alpha_of(inner, outer, AlphaMode.LITERAL, 1) == pytest.approx(36 / 100)
 
     def test_literal_is_order_sensitive(self):
         a = square_face("a", 5, 15)       # area 100
         b = square_face("b", 9, 17)       # area 64, partial overlap
-        forward = compute_alpha(a, b, AlphaMode.LITERAL, 8)
-        backward = compute_alpha(b, a, AlphaMode.LITERAL, 8)
+        forward = alpha_of(a, b, AlphaMode.LITERAL, 8)
+        backward = alpha_of(b, a, AlphaMode.LITERAL, 8)
         assert forward != backward
 
     def test_complement_is_symmetric(self):
         a = square_face("a", 5, 15)
         b = square_face("b", 9, 17)
-        assert compute_alpha(a, b) == compute_alpha(b, a)
+        assert alpha_of(a, b) == alpha_of(b, a)
 
     def test_alpha_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -221,29 +318,32 @@ class TestAlpha:
             a = square_face("a", lo1, lo1 + rng.uniform(2, 10))
             b = square_face("b", lo2, lo2 + rng.uniform(2, 10))
             for mode in AlphaMode:
-                assert 0.0 <= compute_alpha(a, b, mode, 8) <= 1.0
+                assert 0.0 <= alpha_of(a, b, mode, 8) <= 1.0
 
     def test_zero_area_mask(self):
         # a sliver that misses every pixel centre at scale 1
         sliver = ((0.1, 0.1), (0.2, 0.1), (0.15, 0.2))
-        face = make_face("a", width=20, height=20, outline=sliver)
-        other = square_face("b", 5, 15)
+        canvas = Canvas(20, 20)
+        other = rasterize(square(5.0, 15.0), canvas, 1)
         with pytest.raises(ValueError, match="zero area"):
-            compute_alpha(face, other, AlphaMode.COMPLEMENT, 1)
+            alpha_from_masks(rasterize(sliver, canvas, 1), other)
+        face = make_face("a", width=20, height=20, outline=sliver)
+        with pytest.raises(ValueError, match="zero area"):
+            alpha_of(face, square_face("b", 5, 15), AlphaMode.COMPLEMENT, 1)
 
     def test_raster_convergence(self):
         a = square_face("a", 5.3, 14.8)
         b = square_face("b", 6.1, 13.6)
         for scale in (8, 16, 32):
-            alpha_s = compute_alpha(a, b, AlphaMode.COMPLEMENT, scale)
-            alpha_2s = compute_alpha(a, b, AlphaMode.COMPLEMENT, 2 * scale)
+            alpha_s = alpha_of(a, b, AlphaMode.COMPLEMENT, scale)
+            alpha_2s = alpha_of(a, b, AlphaMode.COMPLEMENT, 2 * scale)
             assert abs(alpha_s - alpha_2s) <= 0.02
 
     def test_scale_invariance_one_input(self):
         a = square_face("a", 5.3, 14.8)
         b = square_face("b", 6.1, 13.6)
-        base = compute_alpha(a, b, AlphaMode.COMPLEMENT)
-        doubled = compute_alpha(a, scaled_face(b, 2), AlphaMode.COMPLEMENT)
+        base = alpha_of(a, b, AlphaMode.COMPLEMENT)
+        doubled = alpha_of(a, scaled_face(b, 2), AlphaMode.COMPLEMENT)
         assert abs(base - doubled) <= 0.01
 
     def test_unknown_mode(self):
