@@ -36,6 +36,8 @@ def _check_point(label: str, pt, width: int, height: int) -> Point:
         x, y = float(pt[0]), float(pt[1])
     except (TypeError, ValueError, IndexError):
         raise ValueError(f"{label} is not a 2D point: {pt!r}") from None
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{label} has a non-finite coordinate: {pt!r}") from None
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{label} has a non-finite coordinate: {pt!r}")
     if not (0.0 <= x <= width and 0.0 <= y <= height):
@@ -43,6 +45,12 @@ def _check_point(label: str, pt, width: int, height: int) -> Point:
             f"{label} is outside the image bounds [0, {width}] x [0, {height}]: ({x}, {y})"
         )
     return (x, y)
+
+
+class _CheckedOutline(tuple):
+    """An outline that passed every FaceInput check; only FaceInput creates one."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,9 @@ class FaceInput:
     repeated at the end, and it must be a simple (non-self-intersecting)
     polygon. All coordinates must be finite and inside the image.
     Unknown landmark names are kept but ignored by the canonical
-    features.
+    features. The stored outline is a tuple that ``rasterize`` knows to
+    be checked already, so a face's outline is tested for
+    self-intersection once.
     """
 
     id: str
@@ -90,7 +100,7 @@ class FaceInput:
             raise ValueError("outline is self-intersecting")
 
         object.__setattr__(self, "landmarks", landmarks)
-        object.__setattr__(self, "outline", outline)
+        object.__setattr__(self, "outline", _CheckedOutline(outline))
 
 
 FeatureFn = Callable[[Mapping[str, Point]], float]

@@ -8,15 +8,15 @@ document reproduces the exact values.
 from __future__ import annotations
 
 import json
-import math
 import os
 import secrets
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import CalibrationState
 from .features import FaceInput
-from .fuzzymath import BellKernel, MembershipKernel, kernel_from_dict, kernel_to_dict
+from .fuzzymath import MembershipKernel, check_entropy_kernel, kernel_from_dict, kernel_to_dict
 from .silhouette import AlphaMode
 
 FACE_FILE_VERSION = 1
@@ -73,6 +73,22 @@ def _check_version(path, doc: dict, expected: int) -> None:
         raise FaceFileError(f"{path}: unsupported version {version!r} (expected {expected})")
 
 
+# json.loads gives exactly these types for numbers; a JSON boolean is a bool
+_NUMBER_TYPES = (int, float)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    # the bound refuses NaN, the infinities and ints too large for a float
+    return type(value) in _NUMBER_TYPES and abs(value) <= sys.float_info.max
+
+
+def _is_point(value) -> bool:
+    """A JSON array of two numbers; FaceInput checks that they are finite."""
+    return type(value) is list and len(value) == 2 \
+        and type(value[0]) in _NUMBER_TYPES and type(value[1]) in _NUMBER_TYPES
+
+
 def face_to_dict(face: FaceInput) -> dict:
     return {
         "version": FACE_FILE_VERSION,
@@ -97,6 +113,17 @@ def load_face(path) -> FaceInput:
         raise FaceFileError(f"{path}: field 'landmarks' must be an object")
     if not isinstance(doc["outline"], list):
         raise FaceFileError(f"{path}: field 'outline' must be a list")
+    # FaceInput would take any pair-like value; a file must hold plain numbers
+    for name, point in doc["landmarks"].items():
+        if not _is_point(point):
+            raise FaceFileError(
+                f"{path}: landmark '{name}' must be an array of two numbers, got {point!r}"
+            )
+    for i, point in enumerate(doc["outline"]):
+        if not _is_point(point):
+            raise FaceFileError(
+                f"{path}: outline vertex {i} must be an array of two numbers, got {point!r}"
+            )
     try:
         return FaceInput(
             id=doc["id"],
@@ -198,8 +225,7 @@ class CalibratedModel:
 
 def _model_number(path, doc: dict, key: str) -> float:
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    if not _is_finite_number(value):
         raise FaceFileError(f"{path}: field '{key}' must be a finite number, got {value!r}")
     return float(value)
 
@@ -215,8 +241,8 @@ def load_model(path) -> CalibratedModel:
     """Read and validate a calibrated model, as finalized from a calibration state.
 
     Requires 0 <= k1 <= k <= k2 <= 1 with k the bracket midpoint, at
-    least one accepted sample, and a kernel whose membership stays in
-    [0, 1] over the entropy domain [0, 1].
+    least one accepted sample, and a kernel with numeric parameters
+    whose membership stays in [0, 1] over the entropy domain [0, 1].
     """
     doc = _load_document(path)
     for key in ("k", "k1", "k2", "n", "skipped", "alpha_mode", "kernel"):
@@ -230,6 +256,12 @@ def load_model(path) -> CalibratedModel:
         raise FaceFileError(f"{path}: field 'k' must be the midpoint of k1 and k2, got {k!r}")
     n = _model_count(path, doc, "n", 1)
     skipped = _model_count(path, doc, "skipped", 0)
+    if isinstance(doc["kernel"], dict):
+        for key, value in doc["kernel"].items():
+            if key != "type" and not _is_finite_number(value):
+                raise FaceFileError(
+                    f"{path}: kernel field '{key}' must be a finite number, got {value!r}"
+                )
     try:
         model = CalibratedModel(
             k=k,
@@ -240,11 +272,9 @@ def load_model(path) -> CalibratedModel:
             alpha_mode=AlphaMode(doc["alpha_mode"]),
             kernel=kernel_from_dict(doc["kernel"]),
         )
+        check_entropy_kernel(model.kernel)
     except ValueError as exc:
         raise FaceFileError(f"{path}: {exc}") from None
-    # the bell stays in [0, 1] only on [0, 2r], so it must cover all of [0, 1]
-    if isinstance(model.kernel, BellKernel) and model.kernel.r < 0.5:
-        raise FaceFileError(f"{path}: bell kernel peak 'r' must be >= 0.5, got {model.kernel.r!r}")
     return model
 
 

@@ -141,6 +141,13 @@ def eval_membership(kernel: MembershipKernel, x: float) -> float:
     return kernel.evaluate(xf)
 
 
+def check_entropy_kernel(kernel: MembershipKernel) -> None:
+    """Raise unless the kernel's membership stays in [0, 1] over the entropy range [0, 1]."""
+    # the bell stays in [0, 1] only on [0, 2r], so it must cover all of [0, 1]
+    if isinstance(kernel, BellKernel) and kernel.r < 0.5:
+        raise ValueError(f"bell kernel peak 'r' must be >= 0.5, got {kernel.r!r}")
+
+
 def kernel_to_dict(kernel: MembershipKernel) -> dict:
     if isinstance(kernel, BellKernel):
         return {"type": "bell", "r": kernel.r}

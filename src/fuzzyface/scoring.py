@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 from statistics import fmean
 
 from .features import FaceInput, FeaturePair, FeatureVector, extract_features, pair_features
-from .fuzzymath import BellKernel, MembershipKernel, eval_membership, kernel_to_dict, shannon_entropy
+from .fuzzymath import (
+    BellKernel,
+    MembershipKernel,
+    check_entropy_kernel,
+    eval_membership,
+    kernel_to_dict,
+    shannon_entropy,
+)
 from .silhouette import (
     AlphaMode,
     BinaryMask,
@@ -41,6 +48,8 @@ class ScoringConfig:
     """Pipeline knobs: mixing weight, overlap mode, kernel, raster density.
 
     ``resolution_scale`` of None picks the default for the pair's canvas.
+    The kernel must keep its membership in [0, 1] over the entropy range
+    [0, 1], so a bell kernel needs r >= 0.5.
     """
 
     k: float = 0.5
@@ -53,6 +62,7 @@ class ScoringConfig:
             raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
+        check_entropy_kernel(self.kernel)
         rs = self.resolution_scale
         if rs is not None and (not isinstance(rs, int) or isinstance(rs, bool) or rs < 1):
             raise ValueError(f"resolution_scale must be a positive integer or None, got {rs!r}")

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .features import FaceInput
+from .features import FaceInput, _CheckedOutline
 from .geometry import Point, polygon_is_simple
 
 # the default raster keeps the longer canvas side at least this many pixels
@@ -95,7 +96,7 @@ class BinaryMask:
     def height(self) -> int:
         return self.frame[0]
 
-    @property
+    @cached_property
     def area(self) -> int:
         return int(np.count_nonzero(self.bits))
 
@@ -110,7 +111,14 @@ def pair_canvas(face_a: FaceInput, face_b: FaceInput) -> Canvas:
 
 
 def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
-    """The face stretched per axis onto a width x height canvas."""
+    """The face stretched per axis onto a width x height canvas.
+
+    The face itself when the canvas is its own size: every factor is
+    1.0 and the clamp cannot move a point of a valid face. Any other
+    size builds a new FaceInput, which checks the result in full.
+    """
+    if (width, height) == (face.image_width, face.image_height):
+        return face
     sx = width / face.image_width
     sy = height / face.image_height
 
@@ -157,7 +165,9 @@ def rasterize(
     even-odd rule; ``resolution_scale`` multiplies the canvas resolution
     (the full mask is width*s by height*s pixels). Only the rows and
     columns the outline spans are filled and stored; see BinaryMask.
-    Deterministic for fixed input.
+    The self-intersection test is skipped only for a FaceInput's own
+    outline, which passed it when the face was built. Deterministic for
+    fixed input.
     """
     if resolution_scale is None:
         scale = default_resolution_scale(canvas)
@@ -172,7 +182,7 @@ def rasterize(
         raise ValueError("outline needs at least 3 vertices")
     if not np.all(np.isfinite(pts)):
         raise ValueError("outline has non-finite coordinates")
-    if not polygon_is_simple(pts):
+    if type(outline) is not _CheckedOutline and not polygon_is_simple(pts):
         raise ValueError("outline is self-intersecting")
 
     wpx = canvas.width * scale
@@ -212,10 +222,14 @@ def rasterize(
     row0, row1 = int(row_idx.min()), int(row_idx.max()) + 1
     col0, col1 = int(col.min()), int(col.max())
 
-    # parity of crossings left of each center decides inside/outside
-    delta = np.zeros((row1 - row0, col1 - col0 + 1), dtype=np.int32)
-    np.add.at(delta, (row_idx - row0, col - col0), 1)
-    bits = (np.cumsum(delta, axis=1)[:, : col1 - col0] & 1).astype(bool)
+    # Parity of crossings left of each center decides inside/outside. One
+    # running sum over the flattened window carries each row's total into
+    # the next row, but that total is even, so the parity is unchanged;
+    # uint8 wraps at 256, which is even too.
+    rows, cols = row1 - row0, col1 - col0 + 1
+    crossings = np.bincount((row_idx - row0) * cols + (col - col0), minlength=rows * cols)
+    parity = np.cumsum(crossings.astype(np.uint8), dtype=np.uint8) & 1
+    bits = parity.view(bool).reshape(rows, cols)[:, :-1]
     return BinaryMask(bits, scale, (first + row0, col0), frame)
 
 

@@ -55,6 +55,12 @@ class TestFaceInput:
         with pytest.raises(ValueError, match="non-finite"):
             make_face(landmarks=landmarks)
 
+    def test_int_too_large_for_a_float(self):
+        landmarks = standard_landmarks()
+        landmarks["chin"] = (10**400, 50.0)
+        with pytest.raises(ValueError, match="landmark 'chin' has a non-finite"):
+            make_face(landmarks=landmarks)
+
     def test_bad_dimensions(self):
         with pytest.raises(ValueError, match="image width"):
             make_face(width=0)

@@ -89,6 +89,30 @@ class TestFaceFiles:
         with pytest.raises(FaceFileError, match="outline"):
             load_face(path)
 
+    @pytest.mark.parametrize("field, key, value, message", [
+        ("landmarks", "chin", "99", "landmark 'chin' must be an array of two"),
+        ("landmarks", "chin", [True, 30], "landmark 'chin' must be an array of two"),
+        ("landmarks", "chin", [25, 30, 7], "landmark 'chin' must be an array of two"),
+        ("landmarks", "chin", [10**400, 30], "landmark 'chin' has a non-finite coordinate"),
+        ("outline", 1, [90, "10"], "outline vertex 1 must be an array of two"),
+    ])
+    def test_malformed_point_rejected(self, tmp_path, field, key, value, message):
+        # unchecked, FaceInput would read "99" as (9.0, 9.0) and true as 1.0,
+        # and drop a third coordinate
+        doc = face_to_dict(make_face())
+        doc[field][key] = value
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FaceFileError, match=message):
+            load_face(path)
+
+    def test_integer_coordinates_load(self, tmp_path):
+        doc = face_to_dict(make_face())
+        doc["landmarks"]["chin"] = [50, 85]
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(doc))
+        assert load_face(path).landmarks["chin"] == (50.0, 85.0)
+
     def test_missing_field(self, tmp_path):
         doc = face_to_dict(make_face())
         del doc["image"]
@@ -205,6 +229,9 @@ class TestModels:
         ("skipped", True, "'skipped' must be an integer >= 0"),
         ("skipped", -1, "'skipped' must be an integer >= 0"),
         ("kernel", {"type": "bell", "r": 0.3}, "must be >= 0.5"),
+        ("kernel", {"type": "bell", "r": "0.7"}, "kernel field 'r' must be a finite number"),
+        ("kernel", {"type": "bell", "r": True}, "kernel field 'r' must be a finite number"),
+        ("k", 10**400, "'k' must be a finite number"),
     ])
     def test_invalid_field_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "model.json"

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzyface.features
 import fuzzyface.scoring
+import fuzzyface.silhouette
 from conftest import make_face, raster_scale_for, scaled_face, standard_landmarks
 from fuzzyface import (
     AlphaMode,
@@ -216,6 +218,17 @@ class TestScorePairs:
         # three faces on the 100 px canvas, then faces 0, 1 and 3 on the 200x150 one
         assert calls == [(100, 100, 6)] * 3 + [(200, 150, 3)] * 3
 
+    def test_same_size_faces_are_not_rechecked(self, monkeypatch):
+        faces = [make_face(f"s{i}", width=100, height=100) for i in range(3)]
+        calls = []
+        for module in (fuzzyface.features, fuzzyface.silhouette):
+            original = module.polygon_is_simple
+            monkeypatch.setattr(module, "polygon_is_simple",
+                                lambda pts, original=original: calls.append(1) or original(pts))
+        score_pairs(faces, [(0, 1), (0, 2), (1, 2)], ScoringConfig())
+        # each outline was checked when its FaceInput was built, before the counting
+        assert calls == []
+
     def test_empty_pair_list(self):
         assert score_pairs([make_face()], [], ScoringConfig()) == []
 
@@ -228,6 +241,14 @@ class TestValidation:
     def test_config_bad_mode(self):
         with pytest.raises(ValueError, match="alpha_mode"):
             ScoringConfig(alpha_mode="complement")
+
+    def test_config_rejects_bell_outside_the_entropy_range(self):
+        # r = 0.3 dips below 0 at entropy 1: compare would fail on every pair
+        with pytest.raises(ValueError, match=r"bell kernel peak 'r' must be >= 0.5, got 0.3"):
+            ScoringConfig(kernel=BellKernel(r=0.3))
+        # r = 0.5 is the edge: membership falls to exactly 0 at entropy 1
+        face = make_face()
+        assert compare(face, face, ScoringConfig(kernel=BellKernel(r=0.5))).feature_score == 0.0
 
     def test_config_bad_scale(self):
         with pytest.raises(ValueError, match="resolution_scale"):

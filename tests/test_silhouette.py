@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_face, scaled_face, standard_landmarks
@@ -19,7 +19,9 @@ from fuzzyface import (
     normalize_pair,
     rasterize,
 )
+from fuzzyface import silhouette
 from fuzzyface.geometry import polygon_is_simple
+from fuzzyface.silhouette import rescale_face
 
 
 def reference_fill(outline, canvas, scale):
@@ -110,6 +112,11 @@ class TestNormalizePair:
         assert canvas2.scale_b == (1.0, 1.0)
         assert na2 == na and nb2 == nb
 
+    def test_same_size_rescale_is_the_face_itself(self):
+        face = make_face("a", width=300, height=200)
+        assert rescale_face(face, face.image_width, face.image_height) is face
+        assert rescale_face(face, 300, 400) is not face
+
     def test_canvas_validation(self):
         with pytest.raises(ValueError, match="canvas width"):
             Canvas(0, 10)
@@ -161,6 +168,22 @@ class TestRasterize:
         with pytest.raises(ValueError, match="self-intersecting"):
             rasterize(bowtie, Canvas(10, 10), 1)
 
+    def test_self_intersecting_list_outline(self):
+        bowtie = [(0.0, 0.0), (8.0, 8.0), (8.0, 0.0), (0.0, 8.0)]
+        with pytest.raises(ValueError, match="self-intersecting"):
+            rasterize(bowtie, Canvas(10, 10), 1)
+
+    def test_only_a_face_outline_skips_the_simplicity_check(self, monkeypatch):
+        face = make_face(width=20, height=20, outline=square(2.0, 8.0))
+        calls = []
+        monkeypatch.setattr(silhouette, "polygon_is_simple",
+                            lambda pts: calls.append(1) or polygon_is_simple(pts))
+        from_face = rasterize(face.outline, Canvas(20, 20), 2)
+        assert calls == []
+        copied = rasterize(tuple(face.outline), Canvas(20, 20), 2)
+        assert calls == [1]
+        assert np.array_equal(from_face.bits, copied.bits) and from_face.offset == copied.offset
+
     def test_bad_scale(self):
         with pytest.raises(ValueError, match="resolution_scale"):
             rasterize(square(2, 8), Canvas(10, 10), 0)
@@ -192,11 +215,15 @@ class TestRasterize:
     @given(
         vertices=st.integers(5, 24),
         seed=st.integers(0, 2**32 - 1),
-        width=st.integers(1, 64),
-        height=st.integers(1, 64),
-        scale=st.integers(1, 8),
+        size=st.one_of(
+            st.tuples(st.integers(1, 64), st.integers(1, 64), st.integers(1, 8)),
+            # canvases past 256 px, kept to scale 3 so the full-canvas oracle stays small
+            st.tuples(st.integers(257, 320), st.integers(257, 320), st.integers(1, 3)),
+        ),
     )
-    def test_cropped_equals_full_canvas_fill(self, vertices, seed, width, height, scale):
+    @example(vertices=24, seed=3, size=(300, 280, 3))
+    def test_cropped_equals_full_canvas_fill(self, vertices, seed, size):
+        width, height, scale = size
         # star-shaped around a centre: sorted angles with gaps under pi keep it simple
         rng = np.random.default_rng(seed)
         angles = 2 * math.pi * (np.arange(vertices) + rng.uniform(0.1, 0.9, vertices)) / vertices
