@@ -160,14 +160,21 @@ def load_manifest(path) -> list[ManifestPair]:
     if "pairs" not in doc or not isinstance(doc["pairs"], list):
         raise FaceFileError(f"{path}: missing or malformed field 'pairs'")
     base = Path(path).parent
+    joined: dict[str, Path] = {}  # pairs naming one file share one Path
+
+    def resolve(name) -> Path:
+        # a name that is not a string fails in the join, before it is
+        # hashed (a list cannot be)
+        if type(name) is not str or name not in joined:
+            joined[name] = base / name
+        return joined[name]
+
     pairs = []
     for i, entry in enumerate(doc["pairs"]):
         if not isinstance(entry, dict) or not {"a", "b", "label"} <= set(entry):
             raise FaceFileError(f"{path}: pair {i} must have fields 'a', 'b' and 'label'")
         try:
-            pairs.append(
-                ManifestPair(base / entry["a"], base / entry["b"], entry["label"])
-            )
+            pairs.append(ManifestPair(resolve(entry["a"]), resolve(entry["b"]), entry["label"]))
         except (ValueError, TypeError) as exc:
             raise FaceFileError(f"{path}: pair {i}: {exc}") from None
     return pairs

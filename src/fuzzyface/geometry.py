@@ -30,33 +30,31 @@ def polygon_is_simple(points: Sequence[Point]) -> bool:
     n = len(pts)
     if n < 3:
         return False
+    ends = np.concatenate((pts[1:], pts[:1]))  # edge i runs pts[i] -> ends[i] = pts[i + 1]
+    if np.any((pts[:, 0] == ends[:, 0]) & (pts[:, 1] == ends[:, 1])):
+        return False
+    if n == 3:  # every pair of edges is adjacent
+        return True
 
     ax, ay = pts[:, 0], pts[:, 1]
-    bx, by = np.roll(ax, -1), np.roll(ay, -1)  # edge i runs (ax,ay)[i] -> (bx,by)[i]
-    if np.any((ax == bx) & (ay == by)):
+    ex = (ends[:, 0] - ax)[:, None]
+    ey = (ends[:, 1] - ay)[:, None]
+    # cross[i, v] = cross(edge_i, vertex_v - start_i). Edge j's end is
+    # vertex j + 1, so its two cross products against edge i are
+    # cross[i, j] and cross[i, j + 1].
+    cross = ex * (ay - ay[:, None]) - ey * (ax - ax[:, None])
+
+    # Proper crossing: each edge has the other's ends strictly on opposite
+    # sides. An adjacent pair always has a zero factor (or NaN) here.
+    straddle = cross * np.concatenate((cross[:, 1:], cross[:, :1]), axis=1) < 0
+    if np.any(straddle & straddle.T):
         return False
 
-    ex = (bx - ax)[:, None]
-    ey = (by - ay)[:, None]
-    # cross(edge_i, p - start_i) for p = start_j and p = end_j
-    d1 = ex * (ay[None, :] - ay[:, None]) - ey * (ax[None, :] - ax[:, None])
-    d2 = ex * (by[None, :] - ay[:, None]) - ey * (bx[None, :] - ax[:, None])
-
-    proper = (d1 * d2 < 0) & (d1.T * d2.T < 0)
-
-    # collinear or endpoint contact: a zero cross product plus a bounding-box hit
-    minx = np.minimum(ax, bx)[:, None]
-    maxx = np.maximum(ax, bx)[:, None]
-    miny = np.minimum(ay, by)[:, None]
-    maxy = np.maximum(ay, by)[:, None]
-    t1 = (d1 == 0) & (ax[None, :] >= minx) & (ax[None, :] <= maxx) \
-        & (ay[None, :] >= miny) & (ay[None, :] <= maxy)
-    t2 = (d2 == 0) & (bx[None, :] >= minx) & (bx[None, :] <= maxx) \
-        & (by[None, :] >= miny) & (by[None, :] <= maxy)
-
-    hits = proper | t1 | t2 | t1.T | t2.T
-
-    idx = np.arange(n)
-    sep = (idx[None, :] - idx[:, None]) % n
-    nonadjacent = (sep >= 2) & (sep <= n - 2)
-    return not bool(np.any(hits & nonadjacent))
+    # Collinear or endpoint contact: a vertex other than the edge's own
+    # two ends with a zero cross product, inside the edge's closed box.
+    edge, vertex = np.nonzero(cross == 0)
+    keep = (vertex - edge) % n >= 2
+    edge, vertex = edge[keep], vertex[keep]
+    start, end, point = pts[edge], ends[edge], pts[vertex]
+    inside = (point >= np.minimum(start, end)) & (point <= np.maximum(start, end))
+    return not bool(np.any(inside[:, 0] & inside[:, 1]))

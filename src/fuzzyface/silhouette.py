@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .features import FaceInput, _CheckedOutline
-from .geometry import Point, polygon_is_simple
+from .geometry import polygon_is_simple
 
 # the default raster keeps the longer canvas side at least this many pixels
 RASTER_TARGET = 512
@@ -121,19 +121,20 @@ def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
         return face
     sx = width / face.image_width
     sy = height / face.image_height
-
-    def scale_point(pt: Point) -> Point:
-        # clamp away float dust so edge coordinates stay inside the canvas
-        x = min(max(pt[0] * sx, 0.0), float(width))
-        y = min(max(pt[1] * sy, 0.0), float(height))
-        return (x, y)
-
+    points = np.array([*face.landmarks.values(), *face.outline]) * (sx, sy)
+    # Clamp away float dust so edge coordinates stay inside the canvas.
+    # where() gives exactly what min(max(v, 0.0), size) gives per point,
+    # signed zeros included; np.maximum may return 0.0 for -0.0.
+    size = np.array([width, height], dtype=float)
+    points = np.where(points < 0.0, 0.0, points)
+    points = np.where(points > size, size, points).tolist()
+    count = len(face.landmarks)
     return FaceInput(
         id=face.id,
         image_width=width,
         image_height=height,
-        landmarks={name: scale_point(pt) for name, pt in face.landmarks.items()},
-        outline=tuple(scale_point(pt) for pt in face.outline),
+        landmarks=dict(zip(face.landmarks, points[:count])),
+        outline=points[count:],
     )
 
 
@@ -188,8 +189,10 @@ def rasterize(
     wpx = canvas.width * scale
     hpx = canvas.height * scale
 
+    # edge i runs from vertex i to vertex i + 1, the last one back to vertex 0
+    ends = np.concatenate((pts[1:], pts[:1]))
     x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    x2, y2 = ends[:, 0], ends[:, 1]
 
     # Rows whose centers can fall in [min y, max y), padded by one so the
     # float edges of this estimate never drop a row the test below keeps.
@@ -197,39 +200,42 @@ def rasterize(
     last = min(max(math.ceil(y1.max() * scale - 0.5) + 1, first), hpx)
 
     # row centers in canvas units; an edge crosses a row iff min_y <= yc < max_y
-    # (half-open, so a vertex shared by two edges is counted exactly once)
+    # (half-open, so a vertex shared by two edges is counted exactly once).
+    # yc ascends, so each edge crosses one run of rows, [lo, hi): the same
+    # comparisons, made by binary search.
     yc = (np.arange(first, last, dtype=float) + 0.5) / scale
-    ylo = np.minimum(y1, y2)[:, None]
-    yhi = np.maximum(y1, y2)[:, None]
-    crossing = (ylo <= yc[None, :]) & (yc[None, :] < yhi)
-
-    dy = (y2 - y1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (yc[None, :] - y1[:, None]) / dy
-        xc = x1[:, None] + t * (x2 - x1)[:, None]
-
-    edge_idx, row_idx = np.nonzero(crossing)
+    lo = np.searchsorted(yc, np.minimum(y1, y2))
+    counts = np.searchsorted(yc, np.maximum(y1, y2)) - lo
+    edge_idx = np.repeat(np.arange(len(pts)), counts)
+    # crossing k of edge e is on row lo[e] + (k - number of crossings before e)
+    row_idx = np.arange(edge_idx.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     frame = (hpx, wpx)
     if row_idx.size == 0:
         return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
-    xs = xc[edge_idx, row_idx]
+    # a crossing edge has ylo < yhi, so the division is safe
+    x1e, y1e = x1[edge_idx], y1[edge_idx]
+    t = (yc[row_idx] - y1e) / (y2[edge_idx] - y1e)
+    xs = x1e + t * (x2[edge_idx] - x1e)
     # first pixel whose center lies at or right of the crossing
     col = np.ceil(xs * scale - 0.5).astype(np.int64)
-    np.clip(col, 0, wpx, out=col)
+    np.minimum(np.maximum(col, 0, out=col), wpx, out=col)  # np.clip, without its wrapper's cost
 
     # Every row has an even number of crossings, so pixels left of the
     # first crossing column or at or right of the last are outside.
     row0, row1 = int(row_idx.min()), int(row_idx.max()) + 1
     col0, col1 = int(col.min()), int(col.max())
 
-    # Parity of crossings left of each center decides inside/outside. One
-    # running sum over the flattened window carries each row's total into
-    # the next row, but that total is even, so the parity is unchanged;
-    # uint8 wraps at 256, which is even too.
-    rows, cols = row1 - row0, col1 - col0 + 1
-    crossings = np.bincount((row_idx - row0) * cols + (col - col0), minlength=rows * cols)
-    parity = np.cumsum(crossings.astype(np.uint8), dtype=np.uint8) & 1
-    bits = parity.view(bool).reshape(rows, cols)[:, :-1]
+    # Inside/outside flips at each crossing, so the flattened window is
+    # runs of False and True between the sorted crossing positions. A
+    # crossing at column col1 lands on the next row's first pixel, which
+    # is where the run it ends would stop anyway, since a row's crossing
+    # count is even; two crossings at one position make an empty run.
+    rows, cols = row1 - row0, col1 - col0
+    flips = np.sort((row_idx - row0) * cols + (col - col0))
+    stops = np.concatenate(([0], flips, [rows * cols]))
+    inside = np.zeros(stops.size - 1, dtype=bool)
+    inside[1::2] = True
+    bits = inside.repeat(stops[1:] - stops[:-1]).reshape(rows, cols)
     return BinaryMask(bits, scale, (first + row0, col0), frame)
 
 

@@ -139,6 +139,7 @@ class TestManifests:
         pairs = load_manifest(tmp_path / "manifest.json")
         assert len(pairs) == 2
         assert pairs[0].a == tmp_path / "a.json"
+        assert pairs[1].a is pairs[0].a  # each distinct name is joined once
         assert pairs[0].label == "genuine"
         assert pairs[1].label == "impostor"
 
@@ -160,6 +161,16 @@ class TestManifests:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"version": 1, "pairs": [{"a": "x.json"}]}))
         with pytest.raises(FaceFileError, match="pair 0"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("name", [5, ["x.json"], None, {"f": 1}])
+    def test_face_name_not_a_string(self, tmp_path, name):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"version": 1, "pairs": [
+            {"a": "x.json", "b": "y.json", "label": "genuine"},
+            {"a": name, "b": "x.json", "label": "genuine"},
+        ]}))
+        with pytest.raises(FaceFileError, match="pair 1"):
             load_manifest(path)
 
     def test_version_check(self, tmp_path):

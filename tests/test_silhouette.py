@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_face, scaled_face, standard_landmarks
@@ -117,6 +117,24 @@ class TestNormalizePair:
         assert rescale_face(face, face.image_width, face.image_height) is face
         assert rescale_face(face, 300, 400) is not face
 
+    def test_rescale_matches_the_per_point_clamp(self):
+        # 7 * (29 / 7) is 29.000000000000004, so the far edge is clamped;
+        # a -0.0 coordinate keeps its sign, as min(max(-0.0, 0.0), w) does
+        outline = ((-0.0, 0.0), (7.0, 0.0), (7.0, 7.0), (0.0, 7.0))
+        face = make_face("a", width=7, height=7, outline=outline)
+        for width, height in ((29, 29), (29, 7), (14, 29), (9, 11)):
+            sx, sy = width / 7, height / 7
+
+            def point(pt):
+                return (min(max(pt[0] * sx, 0.0), float(width)),
+                        min(max(pt[1] * sy, 0.0), float(height)))
+
+            stretched = rescale_face(face, width, height)
+            assert repr(stretched.outline) == repr(tuple(point(pt) for pt in outline))
+            assert repr(stretched.landmarks) == repr(
+                {name: point(pt) for name, pt in face.landmarks.items()})
+        assert rescale_face(face, 29, 29).outline[1] == (29.0, 0.0)
+
     def test_canvas_validation(self):
         with pytest.raises(ValueError, match="canvas width"):
             Canvas(0, 10)
@@ -222,6 +240,7 @@ class TestRasterize:
         ),
     )
     @example(vertices=24, seed=3, size=(300, 280, 3))
+    @example(vertices=16, seed=11, size=(48, 40, 6))
     def test_cropped_equals_full_canvas_fill(self, vertices, seed, size):
         width, height, scale = size
         # star-shaped around a centre: sorted angles with gaps under pi keep it simple
@@ -235,6 +254,40 @@ class TestRasterize:
         canvas = Canvas(width, height)
         mask = rasterize(outline, canvas, scale)
         assert mask.frame == (height * scale, width * scale) and mask.scale == scale
+        assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(vertices=st.integers(4, 16), seed=st.integers(0, 2**32 - 1),
+           width=st.integers(4, 24), scale=st.integers(1, 4))
+    def test_grid_snapped_outlines_match_full_canvas_fill(self, vertices, seed, width, scale):
+        # vertices on pixel centres and pixel edges: horizontal edges on a
+        # row centre, vertical edges on a column centre, crossings exactly
+        # on a centre
+        rng = np.random.default_rng(seed)
+        angles = 2 * math.pi * (np.arange(vertices) + rng.uniform(0.1, 0.9, vertices)) / vertices
+        radii = rng.uniform(0.1, 0.6, vertices) * width
+        outline = width / 2 + np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+        outline = np.round(outline * 2 * scale) / (2 * scale)
+        assume(polygon_is_simple(outline))
+        canvas = Canvas(width, width)
+        mask = rasterize(outline, canvas, scale)
+        assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
+
+    @pytest.mark.parametrize("outline, canvas, scale", [
+        # rectilinear L with every vertex on a pixel centre
+        (((1.5, 1.5), (8.5, 1.5), (8.5, 4.5), (4.5, 4.5), (4.5, 8.5), (1.5, 8.5)),
+         Canvas(10, 10), 1),
+        (((1.5, 1.5), (8.5, 1.5), (8.5, 4.5), (4.5, 4.5), (4.5, 8.5), (1.5, 8.5)),
+         Canvas(10, 10), 2),
+        # a spike narrower than a pixel: both of its crossings in one column
+        (((1.0, 1.0), (9.0, 1.0), (9.0, 3.0), (5.4, 3.0), (5.3, 9.0), (5.2, 3.0), (1.0, 3.0)),
+         Canvas(10, 10), 1),
+        # a sliver whose every crossing is in one column: a window with no columns
+        (((5.1, 1.0), (5.4, 9.0), (5.3, 1.0)), Canvas(10, 10), 1),
+    ])
+    def test_edge_outlines_match_full_canvas_fill(self, outline, canvas, scale):
+        mask = rasterize(outline, canvas, scale)
         assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
 
 
