@@ -12,7 +12,7 @@ import io
 import sys
 from pathlib import Path
 
-from .calibration import CalibrationSample, CalibrationState
+from .calibration import CalibrationSample, calibrate
 from .fileio import (
     CalibratedModel,
     atomic_write_text,
@@ -24,10 +24,10 @@ from .fileio import (
     save_manifest,
     save_model,
 )
-from .fuzzymath import DEFAULT_KERNELS
+from .fuzzymath import DEFAULT_KERNELS, kernel_to_dict
 from .scoring import MatchReport, ScoringConfig, compare, score_pairs
 from .silhouette import AlphaMode
-from .synthbench import PopulationConfig, generate_population, report_from_scores
+from .synthbench import PopulationConfig, generate_population, labeled_pairs, report_from_scores
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,20 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Face similarity scoring from landmark files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = ScoringConfig()  # the help text quotes its defaults
 
-    def add_scoring_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--alpha-mode",
-            choices=[m.value for m in AlphaMode],
-            default=None,
-            help="overlap score mode (default: complement, or the model's)",
-        )
-        p.add_argument(
-            "--kernel",
-            choices=sorted(DEFAULT_KERNELS),
-            default=None,
-            help="membership kernel (default: bell, or the model's)",
-        )
+    def add_raster_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--raster",
             type=int,
@@ -58,11 +47,29 @@ def build_parser() -> argparse.ArgumentParser:
             help="raster resolution multiplier (default: sized to the canvas)",
         )
 
+    def add_scoring_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--alpha-mode",
+            choices=[m.value for m in AlphaMode],
+            default=None,
+            help=f"overlap score mode (default: {defaults.alpha_mode.value}, or the model's)",
+        )
+        p.add_argument(
+            "--kernel",
+            choices=sorted(DEFAULT_KERNELS),
+            default=None,
+            help=f"membership kernel (default: {kernel_to_dict(defaults.kernel)['type']}, "
+                 "or the model's)",
+        )
+        add_raster_flag(p)
+
     p_compare = sub.add_parser("compare", help="score two face files")
     p_compare.add_argument("a", help="first face file")
     p_compare.add_argument("b", help="second face file")
     group = p_compare.add_mutually_exclusive_group()
-    group.add_argument("--k", type=float, default=None, help="mixing weight in [0, 1] (default 0.5)")
+    group.add_argument(
+        "--k", type=float, default=None, help=f"mixing weight in [0, 1] (default {defaults.k})"
+    )
     group.add_argument("--model", default=None, help="calibrated model file supplying k")
     add_scoring_flags(p_compare)
     fmt = p_compare.add_mutually_exclusive_group()
@@ -82,13 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--threshold", type=float, required=True, help="accept threshold in [0, 100]")
     p_eval.add_argument("-o", "--output", required=True, help="report file to write")
     p_eval.add_argument("--csv", default=None, help="also write per-pair scores as CSV")
-    p_eval.add_argument(
-        "--raster",
-        type=int,
-        metavar="N",
-        default=None,
-        help="raster resolution multiplier (default: sized to the canvas)",
-    )
+    add_raster_flag(p_eval)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_synth = sub.add_parser("synth", help="write a synthetic population and manifest")
@@ -105,15 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args, model: CalibratedModel | None) -> ScoringConfig:
-    if model is not None:
-        k = model.k
-        alpha_mode = AlphaMode(args.alpha_mode) if args.alpha_mode else model.alpha_mode
-        kernel = DEFAULT_KERNELS[args.kernel] if args.kernel else model.kernel
-    else:
-        k = args.k if getattr(args, "k", None) is not None else 0.5
-        alpha_mode = AlphaMode(args.alpha_mode) if args.alpha_mode else AlphaMode.COMPLEMENT
-        kernel = DEFAULT_KERNELS[args.kernel] if args.kernel else DEFAULT_KERNELS["bell"]
-    return ScoringConfig(k=k, alpha_mode=alpha_mode, kernel=kernel, resolution_scale=args.raster)
+    """The model's scoring context, or ScoringConfig's defaults, with the flags given applied."""
+    settings = {} if model is None else {
+        "k": model.k, "alpha_mode": model.alpha_mode, "kernel": model.kernel
+    }
+    flags = vars(args)
+    if flags.get("k") is not None:
+        settings["k"] = flags["k"]
+    if flags.get("alpha_mode"):
+        settings["alpha_mode"] = AlphaMode(flags["alpha_mode"])
+    if flags.get("kernel"):
+        settings["kernel"] = DEFAULT_KERNELS[flags["kernel"]]
+    return ScoringConfig(**settings, resolution_scale=args.raster)
 
 
 def _report_text(report: MatchReport) -> str:
@@ -154,9 +158,9 @@ def _cmd_calibrate(args) -> int:
     if not genuine:
         raise ValueError(f"{args.manifest}: no genuine pairs to calibrate from")
     config = _config_from_args(args, None)
-    state = CalibrationState()
-    for report in _score_manifest(genuine, config):  # in manifest order: updates depend on it
-        state.update(CalibrationSample(report.feature_score, report.alpha))
+    # in manifest order: updates depend on it
+    state = calibrate(CalibrationSample(r.feature_score, r.alpha)
+                      for r in _score_manifest(genuine, config))
     if not state.initialized:
         raise ValueError("every genuine pair was degenerate; cannot calibrate")
     if state.skipped:
@@ -169,13 +173,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     pairs = load_manifest(args.manifest)
-    model = load_model(args.model)
-    config = ScoringConfig(
-        k=model.k,
-        alpha_mode=model.alpha_mode,
-        kernel=model.kernel,
-        resolution_scale=args.raster,
-    )
+    config = _config_from_args(args, load_model(args.model))
     scored = [
         (pair.a.name, pair.b.name, pair.label, report.similarity)
         for pair, report in zip(pairs, _score_manifest(pairs, config))
@@ -228,14 +226,10 @@ def _cmd_synth(args) -> int:
     population = generate_population(config)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    for labeled in population:
-        save_face(labeled.face, outdir / f"{labeled.face.id}.json")
-    entries = []
-    for i in range(len(population)):
-        for j in range(i + 1, len(population)):
-            a, b = population[i], population[j]
-            label = "genuine" if a.identity == b.identity else "impostor"
-            entries.append((f"{a.face.id}.json", f"{b.face.id}.json", label))
+    names = [f"{labeled.face.id}.json" for labeled in population]
+    for labeled, name in zip(population, names):
+        save_face(labeled.face, outdir / name)
+    entries = [(names[i], names[j], label) for i, j, label in labeled_pairs(population)]
     save_manifest(entries, outdir / "manifest.json")
     print(
         f"wrote {len(population)} face(s) and {len(entries)} pair(s) to {outdir}",

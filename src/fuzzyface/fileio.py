@@ -54,13 +54,14 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _load_document(path) -> dict:
+    """Read a JSON document as UTF-8 (RFC 8259); every failure names the file."""
     try:
-        text = Path(path).read_text()
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FaceFileError(f"{path}: cannot read file ({exc})") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # the digit limit; RecursionError, arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
         raise FaceFileError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise FaceFileError(f"{path}: top-level value must be an object")
@@ -220,11 +221,7 @@ class CalibratedModel:
 
     def to_dict(self) -> dict:
         return {
-            "k": self.k,
-            "k1": self.k1,
-            "k2": self.k2,
-            "n": self.n,
-            "skipped": self.skipped,
+            **vars(self),
             "alpha_mode": self.alpha_mode.value,
             "kernel": kernel_to_dict(self.kernel),
         }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 def shannon_entropy(values: Sequence[float]) -> float:
@@ -125,7 +125,8 @@ class TrapezoidKernel:
 
 MembershipKernel = BellKernel | TriangleKernel | TrapezoidKernel
 
-# selectable pipeline kernels; bell is the scoring default
+# kernels by name: the CLI's choices and the type tags of saved kernels;
+# bell is the scoring default
 DEFAULT_KERNELS: dict[str, MembershipKernel] = {
     "bell": BellKernel(),
     "triangle": TriangleKernel(),
@@ -149,28 +150,29 @@ def check_entropy_kernel(kernel: MembershipKernel) -> None:
 
 
 def kernel_to_dict(kernel: MembershipKernel) -> dict:
-    if isinstance(kernel, BellKernel):
-        return {"type": "bell", "r": kernel.r}
-    if isinstance(kernel, TriangleKernel):
-        return {"type": "triangle", "p": kernel.p, "r": kernel.r, "q": kernel.q}
-    if isinstance(kernel, TrapezoidKernel):
-        return {"type": "trapezoid", "p": kernel.p, "s": kernel.s, "t": kernel.t, "q": kernel.q}
+    """The kernel's type name from DEFAULT_KERNELS plus each of that type's fields."""
+    for name, default in DEFAULT_KERNELS.items():
+        if isinstance(kernel, type(default)):
+            return {"type": name, **{f.name: getattr(kernel, f.name) for f in fields(default)}}
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
 def kernel_from_dict(data: dict) -> MembershipKernel:
+    """Inverse of kernel_to_dict; every field of the type must be given, and no other."""
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError(f"kernel description must be a dict with a 'type', got {data!r}")
     kind = data["type"]
+    # a non-string type (say a list) cannot be a key, and names no kernel
+    default = DEFAULT_KERNELS.get(kind) if isinstance(kind, str) else None
+    if default is None:
+        raise ValueError(f"unknown kernel type {kind!r}")
+    names = [f.name for f in fields(default)]
+    unknown = [key for key in data if key != "type" and key not in names]
+    if unknown:
+        raise ValueError(
+            f"unknown field(s) for kernel type {kind!r}: {', '.join(map(repr, unknown))}"
+        )
     try:
-        if kind == "bell":
-            return BellKernel(r=float(data["r"]))
-        if kind == "triangle":
-            return TriangleKernel(p=float(data["p"]), r=float(data["r"]), q=float(data["q"]))
-        if kind == "trapezoid":
-            return TrapezoidKernel(
-                p=float(data["p"]), s=float(data["s"]), t=float(data["t"]), q=float(data["q"])
-            )
+        return type(default)(**{name: float(data[name]) for name in names})
     except KeyError as exc:
         raise ValueError(f"kernel description missing field {exc}") from None
-    raise ValueError(f"unknown kernel type {kind!r}")

@@ -205,16 +205,10 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
+            **vars(self),
             "genuine_scores": list(self.genuine_scores),
             "impostor_scores": list(self.impostor_scores),
-            "genuine_mean": self.genuine_mean,
-            "genuine_stddev": self.genuine_stddev,
-            "impostor_mean": self.impostor_mean,
-            "impostor_stddev": self.impostor_stddev,
             "roc_points": [list(p) for p in self.roc_points],
-            "auc": self.auc,
-            "threshold": self.threshold,
-            "accuracy_at_threshold": self.accuracy_at_threshold,
         }
 
 
@@ -278,6 +272,15 @@ def report_from_scores(genuine_scores, impostor_scores, threshold: float) -> Eva
     )
 
 
+def labeled_pairs(population: list[LabeledFace]) -> list[tuple[int, int, str]]:
+    """Every index pair i < j in row order, "genuine" for one identity, else "impostor"."""
+    return [
+        (i, j, "genuine" if population[i].identity == population[j].identity else "impostor")
+        for i in range(len(population))
+        for j in range(i + 1, len(population))
+    ]
+
+
 def evaluate(
     population: list[LabeledFace],
     config: ScoringConfig | None = None,
@@ -285,20 +288,18 @@ def evaluate(
 ) -> EvalReport:
     """Score every pair in the population and report verification quality.
 
-    Same-identity pairs are genuine, cross-identity pairs impostor; the
-    population must contain at least one of each.
+    Pairs are labeled by labeled_pairs; the population must yield at
+    least one genuine and one impostor pair.
     """
     if config is None:
         config = ScoringConfig()
-    pairs = [(i, j) for i in range(len(population)) for j in range(i + 1, len(population))]
-    reports = score_pairs([labeled.face for labeled in population], pairs, config)
-    genuine = []
-    impostor = []
-    for (i, j), report in zip(pairs, reports):
-        if population[i].identity == population[j].identity:
-            genuine.append(report.similarity)
-        else:
-            impostor.append(report.similarity)
+    pairs = labeled_pairs(population)
+    reports = score_pairs(
+        [labeled.face for labeled in population], [(i, j) for i, j, _ in pairs], config
+    )
+    scored = list(zip(pairs, reports))
+    genuine = [r.similarity for (_, _, label), r in scored if label == "genuine"]
+    impostor = [r.similarity for (_, _, label), r in scored if label == "impostor"]
     if not genuine:
         raise ValueError("population yields no genuine pairs (need an identity with 2+ captures)")
     if not impostor:

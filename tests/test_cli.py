@@ -1,6 +1,8 @@
 """The batch command line surface: subcommands, exit codes, determinism."""
 
+import csv
 import json
+import os
 import subprocess
 import sys
 from statistics import fmean
@@ -8,7 +10,18 @@ from statistics import fmean
 import pytest
 
 from conftest import make_face
-from fuzzyface import load_model, save_face
+from fuzzyface import (
+    DEFAULT_KERNELS,
+    AlphaMode,
+    CalibrationSample,
+    ScoringConfig,
+    calibrate,
+    load_face,
+    load_manifest,
+    load_model,
+    save_face,
+    score_pairs,
+)
 from fuzzyface.cli import main
 
 
@@ -33,6 +46,20 @@ def synth_dir(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     return out
+
+
+def run_module(*argv, env=None):
+    return subprocess.run([sys.executable, "-m", "fuzzyface.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def score_manifest(manifest, config, label=None):
+    """Reports for the manifest's pairs (those with ``label`` only, if given), in order."""
+    pairs = [p for p in load_manifest(manifest) if label in (None, p.label)]
+    paths = sorted({path for pair in pairs for path in (pair.a, pair.b)})
+    index = {path: i for i, path in enumerate(paths)}
+    faces = [load_face(path) for path in paths]
+    return score_pairs(faces, [(index[p.a], index[p.b]) for p in pairs], config)
 
 
 class TestCompare:
@@ -89,6 +116,21 @@ class TestCompare:
         assert doc["k"] == model.k
         assert doc["alpha_mode"] == model.alpha_mode.value
 
+    def test_model_with_kernel_flag(self, capsys, synth_dir, tmp_path):
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "calibrate", str(synth_dir / "manifest.json"), "-o", str(model_path))
+        model = load_model(model_path)
+        code, out, _ = run_cli(
+            capsys, "compare",
+            str(synth_dir / "id000_c00.json"), str(synth_dir / "id001_c01.json"),
+            "--model", str(model_path), "--kernel", "trapezoid",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["k"] == model.k
+        assert doc["alpha_mode"] == model.alpha_mode.value
+        assert doc["kernel"]["type"] == "trapezoid"
+
     def test_k_and_model_are_exclusive(self, capsys, face_file):
         with pytest.raises(SystemExit) as exc:
             main(["compare", str(face_file), str(face_file), "--k", "0.5", "--model", "m.json"])
@@ -103,6 +145,25 @@ class TestCompare:
         assert code == 1
         assert "chin" in err
         assert out == ""
+
+    def test_unparsable_face_exits_one(self, tmp_path, face_file):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000)  # nested past the parser's recursion limit
+        result = run_module("compare", str(bad), str(face_file))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {bad}: ")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_utf8_face_under_ascii_locale(self, tmp_path, face_file):
+        doc = json.loads(face_file.read_text())
+        doc["id"] = "caf\u00e9"
+        path = tmp_path / "cafe.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        result = run_module("compare", str(path), str(face_file), env=env)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["a"] == "caf\u00e9"
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -131,6 +192,21 @@ class TestCalibrate:
         code, _, err = run_cli(capsys, "calibrate", str(manifest), "-o", str(tmp_path / "m.json"))
         assert code == 1
         assert "no genuine pairs" in err
+
+    def test_kernel_mode_and_raster_flags(self, capsys, synth_dir, tmp_path):
+        manifest = synth_dir / "manifest.json"
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "calibrate", str(manifest), "-o", str(model_path),
+                             "--kernel", "trapezoid", "--alpha-mode", "literal", "--raster", "2")
+        assert code == 0
+        model = load_model(model_path)
+        assert model.kernel == DEFAULT_KERNELS["trapezoid"]
+        assert model.alpha_mode is AlphaMode.LITERAL
+        config = ScoringConfig(kernel=model.kernel, alpha_mode=model.alpha_mode,
+                               resolution_scale=2)
+        state = calibrate(CalibrationSample(r.feature_score, r.alpha)
+                          for r in score_manifest(manifest, config, "genuine"))
+        assert (model.k1, model.k2, model.n) == (state.k1, state.k2, state.n)
 
     def test_manifest_order_sensitivity(self, capsys, synth_dir, tmp_path):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
@@ -171,6 +247,31 @@ class TestEvaluate:
         assert lines[0] == "a,b,label,similarity"
         assert len(lines) == 7
 
+    def test_raster_flag(self, capsys, synth_dir, tmp_path):
+        manifest = synth_dir / "manifest.json"
+        model_path = tmp_path / "model.json"
+        csv_path = tmp_path / "scores.csv"
+        run_cli(capsys, "calibrate", str(manifest), "-o", str(model_path))
+        code, _, _ = run_cli(
+            capsys, "evaluate", str(manifest), "--model", str(model_path), "--threshold", "95",
+            "-o", str(tmp_path / "report.json"), "--csv", str(csv_path), "--raster", "2",
+        )
+        assert code == 0
+        model = load_model(model_path)
+        config = ScoringConfig(k=model.k, alpha_mode=model.alpha_mode, kernel=model.kernel,
+                               resolution_scale=2)
+        with open(csv_path, newline="") as handle:
+            scores = [float(row["similarity"]) for row in csv.DictReader(handle)]
+        assert scores == [r.similarity for r in score_manifest(manifest, config)]
+
+    @pytest.mark.parametrize("flag", [["--kernel", "bell"], ["--alpha-mode", "literal"],
+                                      ["--k", "0.5"]])
+    def test_scoring_flags_not_offered(self, capsys, synth_dir, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", str(synth_dir / "manifest.json"), "--model", "m.json",
+                  "--threshold", "90", "-o", str(tmp_path / "r.json"), *flag])
+        assert exc.value.code == 2
+
     def test_missing_model_flag(self, capsys, synth_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", str(synth_dir / "manifest.json"),
@@ -202,10 +303,6 @@ class TestSynth:
             assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_module_entry_point(self, tmp_path, face_file):
-        result = subprocess.run(
-            [sys.executable, "-m", "fuzzyface.cli",
-             "compare", str(face_file), str(face_file), "--k", "1"],
-            capture_output=True, text=True,
-        )
+        result = run_module("compare", str(face_file), str(face_file), "--k", "1")
         assert result.returncode == 0
         assert json.loads(result.stdout)["similarity"] == 100.0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 
 import pytest
@@ -243,6 +244,8 @@ class TestModels:
         ("kernel", {"type": "bell", "r": "0.7"}, "kernel field 'r' must be a finite number"),
         ("kernel", {"type": "bell", "r": True}, "kernel field 'r' must be a finite number"),
         ("k", 10**400, "'k' must be a finite number"),
+        ("kernel", {"type": "bell", "p": 0.0, "r": 1.0, "q": 2.0},
+         "unknown field\\(s\\) for kernel type 'bell': 'p', 'q'"),
     ])
     def test_invalid_field_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "model.json"
@@ -256,6 +259,23 @@ class TestModels:
         path.write_text(json.dumps(dict(VALID_MODEL, k=0.5, k1=0.6, k2=0.4)))
         with pytest.raises(FaceFileError, match="0 <= k1 <= k <= k2 <= 1"):
             load_model(path)
+
+
+class TestUnparsableDocuments:
+    """Every parse failure is a FaceFileError naming the file, whichever loader reads it."""
+
+    @pytest.mark.parametrize("loader", [load_face, load_manifest, load_model])
+    @pytest.mark.parametrize("content, detail", [
+        (b"\xff\xfe{\x00}\x00", "can't decode byte 0xff"),  # UTF-16 with its byte order mark
+        (b'{"version": ' + b"1" * 5000 + b"}", "digits"),  # past int's digit limit
+        (b"[" * 200000, "recursion"),
+    ], ids=["utf16", "digit_limit", "deep_nesting"])
+    def test_named_face_file_error(self, tmp_path, loader, content, detail):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(FaceFileError, match=f"^{re.escape(str(path))}: not valid JSON") as exc:
+            loader(path)
+        assert detail in str(exc.value)
 
 
 class TestAtomicWrite:
