@@ -2,8 +2,9 @@
 
 A face is ingested as named 2D landmarks plus a closed outline polygon,
 both in pixel coordinates of the source image (x right, y down). The
-feature extractor turns one face into an ordered vector of distances;
-two vectors zip into the two-element sets the scoring entropy runs on.
+feature extractor turns one face into an ordered vector of positive
+distances. Scoring zips two faces' vectors, which share the canonical
+order, into the two-element sets its entropy runs on.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ REQUIRED_LANDMARKS: tuple[str, ...] = (
     "brow_right_outer",
     "chin",
 )
+
+# longest image side a face may declare; keeps every size and scale factor a plain float
+MAX_IMAGE_SIDE = 2 ** 16
 
 
 def _check_point(label: str, pt, width: int, height: int) -> Point:
@@ -59,7 +63,8 @@ class FaceInput:
 
     The outline is implicitly closed; its first vertex must not be
     repeated at the end, and it must be a simple (non-self-intersecting)
-    polygon. All coordinates must be finite and inside the image.
+    polygon. All coordinates must be finite and inside the image, whose
+    sides are at most MAX_IMAGE_SIDE pixels.
     Unknown landmark names are kept but ignored by the canonical
     features. The stored outline is a tuple that ``rasterize`` knows to
     be checked already, so a face's outline is tested for
@@ -78,6 +83,8 @@ class FaceInput:
         for label, value in (("image width", self.image_width), ("image height", self.image_height)):
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{label} must be a positive integer, got {value!r}")
+            if value > MAX_IMAGE_SIDE:
+                raise ValueError(f"{label} must be at most {MAX_IMAGE_SIDE}")  # value may be huge
 
         landmarks = {}
         for name, pt in dict(self.landmarks).items():
@@ -148,30 +155,6 @@ class FeatureVector:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.items)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(value for _, value in self.items)
-
-
-@dataclass(frozen=True)
-class FeaturePair:
-    """One named feature measured on both faces of a comparison."""
-
-    name: str
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        for side, value in (("a", self.a), ("b", self.b)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"feature '{self.name}' side {side} must be a positive real, got {value!r}"
-                )
-
 
 def extract_features(
     face: FaceInput,
@@ -194,14 +177,3 @@ def extract_features(
     if not items:
         raise ValueError("feature list is empty")
     return FeatureVector(tuple(items))
-
-
-def pair_features(fva: FeatureVector, fvb: FeatureVector) -> list[FeaturePair]:
-    """Zip two feature vectors by name, preserving their shared order."""
-    if not fva.items or not fvb.items:
-        raise ValueError("cannot pair empty feature vectors")
-    if fva.names != fvb.names:
-        raise ValueError(
-            f"feature name mismatch: {list(fva.names)} vs {list(fvb.names)}"
-        )
-    return [FeaturePair(name, a, b) for (name, a), (_, b) in zip(fva.items, fvb.items)]

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from statistics import fmean
 
-from .features import FaceInput, FeaturePair, FeatureVector, extract_features, pair_features
+from .features import FaceInput, FeatureVector, extract_features
 from .fuzzymath import (
     BellKernel,
     MembershipKernel,
@@ -58,7 +58,8 @@ class ScoringConfig:
     resolution_scale: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and 0.0 <= self.k <= 1.0):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, float)) \
+                or not (math.isfinite(self.k) and 0.0 <= self.k <= 1.0):
             raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
@@ -129,29 +130,10 @@ class MatchReport:
         }
 
 
-def feature_membership(pair: FeaturePair, kernel: MembershipKernel) -> tuple[float, float]:
-    """Entropy of the pair's two values and its kernel membership."""
-    entropy = shannon_entropy((pair.a, pair.b))
+def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[float, float]:
+    """Entropy of one feature's two measurements and its kernel membership."""
+    entropy = shannon_entropy((a, b))
     return entropy, eval_membership(kernel, entropy)
-
-
-def mean_membership(memberships) -> float:
-    """Arithmetic mean of membership values, each required to be in [0, 1]."""
-    values = [float(v) for v in memberships]
-    if not values:
-        raise ValueError("cannot average an empty membership list")
-    for v in values:
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"membership outside [0, 1]: {v!r}")
-    return fmean(values)
-
-
-def similarity_score(feature_score: float, alpha: float, k: float) -> float:
-    """Blend the two terms into the 0..100 similarity."""
-    for label, value in (("feature_score", feature_score), ("alpha", alpha), ("k", k)):
-        if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-            raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
-    return 100.0 * (feature_score * k + alpha * (1.0 - k))
 
 
 def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None = None) -> MatchReport:
@@ -200,13 +182,16 @@ def score_pairs(
         features_a, mask_a = prepare(i, canvas, scale)
         features_b, mask_b = prepare(j, canvas, scale)
 
+        # Both vectors come from extract_features over CANONICAL_FEATURES, so
+        # their names align and FeatureVector has checked every value positive.
         rows = []
-        for pair in pair_features(features_a, features_b):
-            entropy, membership = feature_membership(pair, config.kernel)
-            rows.append(FeatureRow(pair.name, pair.a, pair.b, entropy, membership))
-        feature_score = mean_membership([row.membership for row in rows])
+        for (name, a), (_, b) in zip(features_a.items, features_b.items):
+            entropy, membership = feature_membership(a, b, config.kernel)
+            rows.append(FeatureRow(name, a, b, entropy, membership))
+        feature_score = fmean(row.membership for row in rows)
         alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
 
+        # MatchReport checks every range and recomputes both derived terms
         reports.append(MatchReport(
             a_id=face_a.id,
             b_id=face_b.id,
@@ -214,7 +199,7 @@ def score_pairs(
             feature_score=feature_score,
             alpha=alpha,
             k=config.k,
-            similarity=similarity_score(feature_score, alpha, config.k),
+            similarity=100.0 * (feature_score * config.k + alpha * (1.0 - config.k)),
             alpha_mode=config.alpha_mode,
             kernel=config.kernel,
             resolution_scale=scale,

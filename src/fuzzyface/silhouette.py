@@ -23,6 +23,9 @@ from .geometry import polygon_is_simple
 # the default raster keeps the longer canvas side at least this many pixels
 RASTER_TARGET = 512
 
+# most pixels a full mask (canvas times scale, squared) may have
+MAX_RASTER_PIXELS = 2 ** 26
+
 
 class AlphaMode(str, Enum):
     """How the overlap score is read from the two masks.
@@ -40,20 +43,15 @@ class AlphaMode(str, Enum):
 
 @dataclass(frozen=True)
 class Canvas:
-    """Shared pixel frame for a pair, with the per-input scale factors."""
+    """Shared frame of a pair, width x height pixels; see pair_canvas."""
 
     width: int
     height: int
-    scale_a: tuple[float, float] = (1.0, 1.0)
-    scale_b: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
         for label, value in (("canvas width", self.width), ("canvas height", self.height)):
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{label} must be a positive integer, got {value!r}")
-        for sx, sy in (self.scale_a, self.scale_b):
-            if not (sx > 0 and sy > 0):
-                raise ValueError("scale factors must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +103,7 @@ def pair_canvas(face_a: FaceInput, face_b: FaceInput) -> Canvas:
     """The canvas two faces share: the componentwise max of their sizes."""
     width = max(face_a.image_width, face_b.image_width)
     height = max(face_a.image_height, face_b.image_height)
-    scale_a = (width / face_a.image_width, height / face_a.image_height)
-    scale_b = (width / face_b.image_width, height / face_b.image_height)
-    return Canvas(width, height, scale_a, scale_b)
+    return Canvas(width, height)
 
 
 def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
@@ -166,6 +162,7 @@ def rasterize(
     even-odd rule; ``resolution_scale`` multiplies the canvas resolution
     (the full mask is width*s by height*s pixels). Only the rows and
     columns the outline spans are filled and stored; see BinaryMask.
+    A full mask of more than MAX_RASTER_PIXELS pixels is refused.
     The self-intersection test is skipped only for a FaceInput's own
     outline, which passed it when the face was built. Deterministic for
     fixed input.
@@ -177,6 +174,11 @@ def rasterize(
                 or resolution_scale < 1:
             raise ValueError(f"resolution_scale must be a positive integer, got {resolution_scale!r}")
         scale = resolution_scale
+    wpx = canvas.width * scale
+    hpx = canvas.height * scale
+    if wpx * hpx > MAX_RASTER_PIXELS:
+        raise ValueError(f"raster frame {wpx} x {hpx} (the canvas at scale {scale}) exceeds "
+                         f"{MAX_RASTER_PIXELS} pixels")
 
     pts = np.asarray(outline, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -185,9 +187,6 @@ def rasterize(
         raise ValueError("outline has non-finite coordinates")
     if type(outline) is not _CheckedOutline and not polygon_is_simple(pts):
         raise ValueError("outline is self-intersecting")
-
-    wpx = canvas.width * scale
-    hpx = canvas.height * scale
 
     # edge i runs from vertex i to vertex i + 1, the last one back to vertex 0
     ends = np.concatenate((pts[1:], pts[:1]))

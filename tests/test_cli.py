@@ -155,6 +155,28 @@ class TestCompare:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("side", [2**31, 2**63, 10**400])
+    def test_oversized_image_exits_one(self, tmp_path, face_file, side):
+        doc = json.loads(face_file.read_text())
+        doc["image"]["width"] = side
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        for argv in ((big, face_file), (big, big)):
+            result = run_module("compare", *map(str, argv))
+            assert result.returncode == 1
+            assert result.stderr.startswith(f"error: {big}: image width must be at most 65536")
+            assert "Traceback" not in result.stderr
+            assert result.stdout == ""
+
+    def test_oversized_raster_exits_one(self, synth_dir):
+        # two 512 px faces at scale 17 make a frame of 8704**2 > 2**26 pixels
+        faces = (synth_dir / "id000_c00.json", synth_dir / "id000_c01.json")
+        result = run_module("compare", "--raster", "17", *map(str, faces))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: raster frame 8704 x 8704")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     def test_utf8_face_under_ascii_locale(self, tmp_path, face_file):
         doc = json.loads(face_file.read_text())
         doc["id"] = "caf\u00e9"

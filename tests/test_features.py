@@ -9,10 +9,9 @@ from fuzzyface import (
     CANONICAL_FEATURES,
     REQUIRED_LANDMARKS,
     FaceInput,
-    FeaturePair,
     FeatureVector,
+    compare,
     extract_features,
-    pair_features,
 )
 
 CANONICAL_ORDER = (
@@ -67,6 +66,16 @@ class TestFaceInput:
         with pytest.raises(ValueError, match="image height"):
             make_face(height=-5)
 
+    @pytest.mark.parametrize("side", [2**16 + 1, 2**31, 2**63, 10**400])
+    def test_oversized_image(self, side):
+        with pytest.raises(ValueError, match="image width must be at most 65536"):
+            FaceInput("f", side, 100, standard_landmarks(), ((10, 10), (90, 10), (90, 90)))
+        with pytest.raises(ValueError, match="image height must be at most 65536"):
+            FaceInput("f", 100, side, standard_landmarks(), ((10, 10), (90, 10), (90, 90)))
+
+    def test_largest_image(self):
+        assert make_face(width=2**16, height=2**16).image_width == 2**16
+
     def test_outline_too_short(self):
         with pytest.raises(ValueError, match="at least 3 vertices"):
             make_face(outline=((10.0, 10.0), (90.0, 90.0)))
@@ -118,8 +127,8 @@ class TestExtractFeatures:
 
     def test_canonical_order(self):
         fv = extract_features(make_face())
-        assert fv.names == CANONICAL_ORDER
-        assert all(v > 0 for v in fv.values)
+        assert tuple(name for name, _ in fv.items) == CANONICAL_ORDER
+        assert all(v > 0 for _, v in fv.items)
 
     def test_zero_feature_rejected(self):
         landmarks = standard_landmarks()
@@ -170,7 +179,7 @@ class TestExtractFeatures:
             ("eye_to_chin", lambda lm: math.dist(lm["eye_left"], lm["chin"])),
         )
         fv = extract_features(make_face(), features)
-        assert fv.names[-1] == "eye_to_chin"
+        assert fv.items[-1][0] == "eye_to_chin"
         assert len(fv.items) == 7
 
     def test_custom_feature_missing_landmark(self):
@@ -180,43 +189,35 @@ class TestExtractFeatures:
 
 
 class TestPairFeatures:
+    """How compare pairs the two faces' features into its report rows."""
+
     def test_zip_by_name(self):
-        fva = FeatureVector((("interocular", 60.0),))
-        fvb = FeatureVector((("interocular", 66.0),))
-        pairs = pair_features(fva, fvb)
-        assert pairs == [FeaturePair("interocular", 60.0, 66.0)]
+        landmarks = standard_landmarks()
+        landmarks["eye_right"] = (landmarks["eye_left"][0] + 33.0, landmarks["eye_left"][1])
+        report = compare(make_face("a"), make_face("b", landmarks=landmarks))
+        row = report.features[0]
+        assert (row.name, row.a, row.b) == ("interocular", 30.0, 33.0)
 
     def test_identity_pairs(self):
-        fv = extract_features(make_face())
-        pairs = pair_features(fv, fv)
-        assert all(p.a == p.b for p in pairs)
+        face = make_face()
+        assert all(row.a == row.b for row in compare(face, face).features)
 
     def test_six_features_in_order(self):
         f1 = make_face("a")
         f2 = make_face("b", width=120, height=120)
-        pairs = pair_features(extract_features(f1), extract_features(f2))
-        assert [p.name for p in pairs] == list(CANONICAL_ORDER)
+        assert tuple(row.name for row in compare(f1, f2).features) == CANONICAL_ORDER
 
     def test_swap_symmetry(self):
-        fva = extract_features(make_face("a"))
-        fvb = extract_features(make_face("b", width=140, height=140))
-        forward = pair_features(fva, fvb)
-        backward = pair_features(fvb, fva)
+        fa = make_face("a")
+        fb = make_face("b", width=140, height=140)
+        forward = compare(fa, fb).features
+        backward = compare(fb, fa).features
+        assert len(forward) == len(backward) == 6
         for fwd, bwd in zip(forward, backward):
             assert (fwd.name, fwd.a, fwd.b) == (bwd.name, bwd.b, bwd.a)
 
-    def test_name_mismatch(self):
-        fva = FeatureVector((("interocular", 60.0),))
-        fvb = FeatureVector((("mouth_width", 40.0),))
-        with pytest.raises(ValueError, match="mismatch"):
-            pair_features(fva, fvb)
-
-    def test_empty_vectors(self):
-        with pytest.raises(ValueError, match="empty"):
-            pair_features(FeatureVector(()), FeatureVector(()))
-
     def test_pair_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            FeaturePair("interocular", 0.0, 5.0)
+            FeatureVector((("interocular", 0.0),))
         with pytest.raises(ValueError, match="positive"):
-            FeaturePair("interocular", 5.0, -1.0)
+            FeatureVector((("interocular", 60.0), ("mouth_width", -1.0)))

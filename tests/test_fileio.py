@@ -82,6 +82,15 @@ class TestFaceFiles:
         with pytest.raises(FaceFileError, match="not valid JSON"):
             load_face(path)
 
+    @pytest.mark.parametrize("side", [2**31, 2**63, 10**400])
+    def test_oversized_image(self, tmp_path, side):
+        doc = face_to_dict(make_face())
+        doc["image"]["width"] = side
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FaceFileError, match=f"^{re.escape(str(path))}: image width must be at most"):
+            load_face(path)
+
     def test_malformed_polygon(self, tmp_path):
         doc = face_to_dict(make_face())
         doc["outline"] = [[10.0, 10.0], [90.0, 90.0]]

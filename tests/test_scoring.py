@@ -12,9 +12,9 @@ import fuzzyface.scoring
 import fuzzyface.silhouette
 from conftest import make_face, raster_scale_for, scaled_face, standard_landmarks
 from fuzzyface import (
+    DEFAULT_KERNELS,
     AlphaMode,
     BellKernel,
-    FeaturePair,
     FeatureRow,
     MatchReport,
     PopulationConfig,
@@ -23,9 +23,7 @@ from fuzzyface import (
     compare,
     feature_membership,
     generate_population,
-    mean_membership,
     score_pairs,
-    similarity_score,
 )
 from fuzzyface.fileio import dump_json
 from fuzzyface.silhouette import rescale_face
@@ -41,60 +39,103 @@ MU_60_66 = 0.9999946448759936
 
 class TestFeatureMembership:
     def test_equal_pair(self):
-        entropy, membership = feature_membership(FeaturePair("interocular", 60.0, 60.0), BellKernel())
+        entropy, membership = feature_membership(60.0, 60.0, BellKernel())
         assert entropy == 1.0
         assert membership == 1.0
 
     def test_one_three(self):
-        entropy, membership = feature_membership(FeaturePair("x", 1.0, 3.0), BellKernel())
+        entropy, membership = feature_membership(1.0, 3.0, BellKernel())
         assert entropy == pytest.approx(H_1_3, abs=1e-12)
         assert membership == pytest.approx(MU_1_3, abs=1e-12)
         assert membership == pytest.approx(0.93064, abs=1e-4)
 
     def test_sixty_sixtysix(self):
-        entropy, membership = feature_membership(FeaturePair("x", 60.0, 66.0), BellKernel())
+        entropy, membership = feature_membership(60.0, 66.0, BellKernel())
         assert entropy == pytest.approx(H_60_66, abs=1e-12)
         assert membership == pytest.approx(MU_60_66, abs=1e-12)
         assert membership == pytest.approx(0.9999948, abs=1e-6)
 
     def test_triangle_kernel_passthrough(self):
         # triangle (0, 1, 2) maps entropy in [0, 1] to itself
-        entropy, membership = feature_membership(FeaturePair("x", 1.0, 3.0), TriangleKernel())
+        entropy, membership = feature_membership(1.0, 3.0, TriangleKernel())
         assert membership == pytest.approx(entropy, abs=1e-12)
 
 
+def checked_report(memberships, feature_score, alpha, k, similarity):
+    """A MatchReport over one row per membership; its checks run on construction."""
+    rows = tuple(FeatureRow(f"f{i}", 60.0, 60.0, 1.0, mu) for i, mu in enumerate(memberships))
+    return MatchReport(
+        a_id="a", b_id="b", features=rows, feature_score=feature_score, alpha=alpha,
+        k=k, similarity=similarity, alpha_mode=AlphaMode.COMPLEMENT,
+        kernel=BellKernel(), resolution_scale=1,
+    )
+
+
+def unequal_faces():
+    """Two faces whose memberships differ from row to row and whose outlines differ."""
+    landmarks = standard_landmarks(140, 120)
+    landmarks["mouth_left"] = (50.0, 80.0)
+    landmarks["ear_right"] = (125.0, 55.0)
+    outline = ((20.0, 15.0), (125.0, 10.0), (130.0, 110.0), (15.0, 105.0))
+    return make_face("a"), make_face("b", width=140, height=120, landmarks=landmarks,
+                                     outline=outline)
+
+
 class TestAggregation:
+    """The feature score is the mean membership; MatchReport holds it to that."""
+
     def test_all_ones(self):
-        assert mean_membership([1.0] * 6) == 1.0
+        face = make_face()
+        result = compare(face, face)
+        assert [row.membership for row in result.features] == [1.0] * 6
+        assert result.feature_score == 1.0
 
     def test_mean(self):
-        assert mean_membership([0.930642, 1.0]) == pytest.approx(0.965321, abs=1e-12)
+        result = compare(*unequal_faces())
+        memberships = [row.membership for row in result.features]
+        assert len(set(memberships)) > 1
+        assert result.feature_score == fmean(memberships)
+        assert checked_report([0.930642, 1.0], 0.965321, 1.0, 1.0, 96.5321).feature_score == 0.965321
 
     def test_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            mean_membership([])
+        with pytest.raises(ValueError, match="at least one feature"):
+            checked_report([], 1.0, 1.0, 0.5, 100.0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            mean_membership([0.5, 1.2])
+        with pytest.raises(ValueError, match=r"row 'f1' outside \[0, 1\]"):
+            checked_report([0.5, 1.2], 0.85, 1.0, 0.5, 92.5)
 
 
 class TestSimilarityScore:
+    """similarity = 100 * (feature_score * k + alpha * (1 - k)), checked by MatchReport."""
+
     def test_perfect(self):
+        face = make_face()
         for k in (0.0, 0.3, 1.0):
-            assert similarity_score(1.0, 1.0, k) == 100.0
+            assert compare(face, face, ScoringConfig(k=k)).similarity == 100.0
 
     def test_blend(self):
-        assert similarity_score(0.8, 0.6, 0.5) == pytest.approx(70.0, abs=1e-12)
+        result = compare(*unequal_faces(), ScoringConfig(k=0.5))
+        assert result.alpha < 1.0 and result.feature_score < 1.0
+        assert result.similarity == 100.0 * (result.feature_score * 0.5 + result.alpha * 0.5)
+        assert checked_report([0.8], 0.8, 0.6, 0.5, 70.0).similarity == 70.0
+        with pytest.raises(ValueError, match="similarity"):
+            checked_report([0.8], 0.8, 0.6, 0.5, 71.0)
 
     def test_k_one_ignores_alpha(self):
-        assert similarity_score(0.9, 0.5, 1.0) == pytest.approx(90.0, abs=1e-12)
+        faces = unequal_faces()
+        result = compare(*faces, ScoringConfig(k=1.0))
+        assert result.alpha < 1.0
+        assert result.similarity == 100.0 * result.feature_score
+        literal = compare(*faces, ScoringConfig(k=1.0, alpha_mode=AlphaMode.LITERAL))
+        assert literal.alpha != result.alpha
+        assert literal.similarity == result.similarity
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            similarity_score(0.5, 1.5, 0.5)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            checked_report([0.5], 0.5, 1.5, 0.5, 100.0)
         with pytest.raises(ValueError, match="k must"):
-            similarity_score(0.5, 0.5, -0.1)
+            ScoringConfig(k=-0.1)
 
 
 class TestCompare:
@@ -156,7 +197,7 @@ class TestCompare:
     def test_monotone_degradation(self):
         memberships = []
         for ratio in [1.0 + 0.1 * i for i in range(21)]:
-            _, mu = feature_membership(FeaturePair("x", 100.0, 100.0 * ratio), BellKernel())
+            _, mu = feature_membership(100.0, 100.0 * ratio, BellKernel())
             memberships.append(mu)
         assert all(a >= b for a, b in zip(memberships, memberships[1:]))
 
@@ -233,10 +274,70 @@ class TestScorePairs:
         assert score_pairs([make_face()], [], ScoringConfig()) == []
 
 
+def dealt_faces(seed, sizes):
+    """A seeded 2 x 3 population, each capture rescaled to its dealt size."""
+    population = generate_population(
+        PopulationConfig(identity_count=2, captures_per_identity=3, capture_sigma=3.0, seed=seed)
+    )
+    return [rescale_face(lf.face, w, h) for lf, (w, h) in zip(population, sizes)]
+
+
+scoring_cases = dict(
+    seed=st.integers(0, 10_000),
+    sizes=st.lists(st.sampled_from(IMAGE_SIZES), min_size=6, max_size=6),
+    kernel=st.sampled_from(list(DEFAULT_KERNELS.values())),
+    resolution_scale=st.sampled_from([None, 1, 2]),
+    k=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+
+
+class TestScoreInvariants:
+    """Properties every report keeps, whatever the faces, sizes and settings."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(mode=st.sampled_from(list(AlphaMode)), **scoring_cases)
+    def test_similarity_in_range(self, seed, sizes, kernel, resolution_scale, k, mode):
+        faces = dealt_faces(seed, sizes)
+        config = ScoringConfig(k=k, alpha_mode=mode, kernel=kernel,
+                               resolution_scale=resolution_scale)
+        pairs = [(i, j) for i in range(6) for j in range(6)]
+        for result in score_pairs(faces, pairs, config):
+            assert 0.0 <= result.similarity <= 100.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(**scoring_cases)
+    def test_complement_is_symmetric(self, seed, sizes, kernel, resolution_scale, k):
+        faces = dealt_faces(seed, sizes)
+        config = ScoringConfig(k=k, alpha_mode=AlphaMode.COMPLEMENT, kernel=kernel,
+                               resolution_scale=resolution_scale)
+        for i in range(6):
+            for j in range(i + 1, 6):
+                forward = compare(faces[i], faces[j], config)
+                backward = compare(faces[j], faces[i], config)
+                assert forward.similarity == backward.similarity
+
+    @settings(max_examples=25, deadline=None)
+    @given(mode=st.sampled_from(list(AlphaMode)), **scoring_cases)
+    def test_repeated_call_gives_the_same_bytes(self, seed, sizes, kernel, resolution_scale,
+                                                k, mode):
+        faces = dealt_faces(seed, sizes)
+        config = ScoringConfig(k=k, alpha_mode=mode, kernel=kernel,
+                               resolution_scale=resolution_scale)
+        pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
+        first = [dump_json(r.to_dict()) for r in score_pairs(faces, pairs, config)]
+        again = [dump_json(r.to_dict()) for r in score_pairs(faces, pairs, config)]
+        assert first == again
+
+
 class TestValidation:
     def test_config_bad_k(self):
         with pytest.raises(ValueError, match="k must"):
             ScoringConfig(k=1.5)
+
+    @pytest.mark.parametrize("k", [True, "0.5", None])
+    def test_config_k_must_be_a_number(self, k):
+        with pytest.raises(ValueError, match="k must lie in"):
+            ScoringConfig(k=k)
 
     def test_config_bad_mode(self):
         with pytest.raises(ValueError, match="alpha_mode"):

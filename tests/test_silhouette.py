@@ -81,8 +81,6 @@ class TestNormalizePair:
     def test_equal_dimensions_identity(self):
         canvas, na, nb = normalize_pair(make_face("a"), make_face("b"))
         assert (canvas.width, canvas.height) == (100, 100)
-        assert canvas.scale_a == (1.0, 1.0)
-        assert canvas.scale_b == (1.0, 1.0)
         assert na.landmarks == make_face("a").landmarks
 
     def test_uniform_upscale(self):
@@ -90,7 +88,6 @@ class TestNormalizePair:
         small = make_face("b", width=256, height=256)
         canvas, na, nb = normalize_pair(big, small)
         assert (canvas.width, canvas.height) == (512, 512)
-        assert canvas.scale_b == (2.0, 2.0)
         assert nb.landmarks["chin"] == (2 * small.landmarks["chin"][0],
                                         2 * small.landmarks["chin"][1])
         assert nb.image_width == 512
@@ -99,7 +96,7 @@ class TestNormalizePair:
         big = make_face("a", width=512, height=512)
         small = make_face("b", width=256, height=512)
         canvas, _, nb = normalize_pair(big, small)
-        assert canvas.scale_b == (2.0, 1.0)
+        assert (canvas.width, canvas.height) == (512, 512)
         x, y = small.landmarks["chin"]
         assert nb.landmarks["chin"] == (2 * x, y)
 
@@ -108,8 +105,7 @@ class TestNormalizePair:
             make_face("a", width=300, height=200), make_face("b", width=200, height=400)
         )
         canvas2, na2, nb2 = normalize_pair(na, nb)
-        assert canvas2.scale_a == (1.0, 1.0)
-        assert canvas2.scale_b == (1.0, 1.0)
+        assert canvas2 == canvas == Canvas(300, 400)
         assert na2 == na and nb2 == nb
 
     def test_same_size_rescale_is_the_face_itself(self):
@@ -138,8 +134,6 @@ class TestNormalizePair:
     def test_canvas_validation(self):
         with pytest.raises(ValueError, match="canvas width"):
             Canvas(0, 10)
-        with pytest.raises(ValueError, match="scale factors"):
-            Canvas(10, 10, (0.0, 1.0), (1.0, 1.0))
 
 
 class TestRasterize:
@@ -205,6 +199,15 @@ class TestRasterize:
     def test_bad_scale(self):
         with pytest.raises(ValueError, match="resolution_scale"):
             rasterize(square(2, 8), Canvas(10, 10), 0)
+
+    def test_frame_size_limit(self):
+        # 2**26 pixels is allowed; the window is cropped, so this fill is small
+        assert rasterize(square(10, 20), Canvas(8192, 8192), 1).area == 100
+        assert rasterize(square(10, 20), Canvas(512, 512), 16).area == 100 * 16**2
+        for canvas, scale in ((Canvas(8193, 8192), 1), (Canvas(512, 512), 17),
+                              (Canvas(2**16, 2**16), None)):
+            with pytest.raises(ValueError, match="exceeds 67108864 pixels"):
+                rasterize(square(10, 20), canvas, scale)
 
     def test_default_scale_targets_512(self):
         assert default_resolution_scale(Canvas(512, 512)) == 1

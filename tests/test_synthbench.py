@@ -66,7 +66,7 @@ class TestGeneration:
         pop = generate_population(PopulationConfig(4, 2, identity_sigma=10.0, seed=1))
         for lf in pop:
             fv = ff.extract_features(lf.face)
-            assert all(v > 0 for v in fv.values)
+            assert all(v > 0 for _, v in fv.items)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="identity_count"):
