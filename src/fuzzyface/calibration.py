@@ -13,9 +13,10 @@ sequentially by a single owner.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+
+from .geometry import finite_number
 
 
 class DegenerateSampleError(ValueError):
@@ -31,7 +32,7 @@ class CalibrationSample:
 
     def __post_init__(self) -> None:
         for label, value in (("feature_score", self.feature_score), ("alpha", self.alpha)):
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            if not 0.0 <= finite_number(label, value) <= 1.0:
                 raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
 
 

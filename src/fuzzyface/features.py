@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .geometry import Point, distance, midpoint, polygon_is_simple
+from .geometry import Point, distance, midpoint, polygon_is_simple, whole_number
 
 REQUIRED_LANDMARKS: tuple[str, ...] = (
     "eye_left",
@@ -34,12 +34,22 @@ REQUIRED_LANDMARKS: tuple[str, ...] = (
 # longest image side a face may declare; keeps every size and scale factor a plain float
 MAX_IMAGE_SIDE = 2 ** 16
 
+_COORDINATE_TYPES = (int, float)
+
 
 def _check_point(label: str, pt, width: int, height: int) -> Point:
+    """A point is exactly two ints or floats (not bools), finite and inside the image."""
     try:
-        x, y = float(pt[0]), float(pt[1])
-    except (TypeError, ValueError, IndexError):
-        raise ValueError(f"{label} is not a 2D point: {pt!r}") from None
+        x, y = pt
+    except (TypeError, ValueError):
+        x = y = None
+    # plain ints and floats take the fast test; the slow one admits their
+    # subclasses, such as numpy's float64, but never a bool
+    if not (type(x) in _COORDINATE_TYPES and type(y) in _COORDINATE_TYPES
+            or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))):
+        raise ValueError(f"{label} must be an array of two numbers, got {pt!r}")
+    try:
+        x, y = float(x), float(y)
     except OverflowError:  # an int too large for a float
         raise ValueError(f"{label} has a non-finite coordinate: {pt!r}") from None
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -63,8 +73,8 @@ class FaceInput:
 
     The outline is implicitly closed; its first vertex must not be
     repeated at the end, and it must be a simple (non-self-intersecting)
-    polygon. All coordinates must be finite and inside the image, whose
-    sides are at most MAX_IMAGE_SIDE pixels.
+    polygon. Each point is exactly two ints or floats (not bools), finite
+    and inside the image, whose sides are at most MAX_IMAGE_SIDE pixels.
     Unknown landmark names are kept but ignored by the canonical
     features. The stored outline is a tuple that ``rasterize`` knows to
     be checked already, so a face's outline is tested for
@@ -81,9 +91,7 @@ class FaceInput:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"face id must be a non-empty string, got {self.id!r}")
         for label, value in (("image width", self.image_width), ("image height", self.image_height)):
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(f"{label} must be a positive integer, got {value!r}")
-            if value > MAX_IMAGE_SIDE:
+            if whole_number(label, value, 1) > MAX_IMAGE_SIDE:
                 raise ValueError(f"{label} must be at most {MAX_IMAGE_SIDE}")  # value may be huge
 
         landmarks = {}

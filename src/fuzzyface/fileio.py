@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 import os
 import secrets
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import CalibrationState
 from .features import FaceInput
 from .fuzzymath import MembershipKernel, check_entropy_kernel, kernel_from_dict, kernel_to_dict
+from .geometry import finite_number, whole_number
 from .silhouette import AlphaMode
 
 FACE_FILE_VERSION = 1
@@ -74,22 +74,6 @@ def _check_version(path, doc: dict, expected: int) -> None:
         raise FaceFileError(f"{path}: unsupported version {version!r} (expected {expected})")
 
 
-# json.loads gives exactly these types for numbers; a JSON boolean is a bool
-_NUMBER_TYPES = (int, float)
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number that converts to a finite float."""
-    # the bound refuses NaN, the infinities and ints too large for a float
-    return type(value) in _NUMBER_TYPES and abs(value) <= sys.float_info.max
-
-
-def _is_point(value) -> bool:
-    """A JSON array of two numbers; FaceInput checks that they are finite."""
-    return type(value) is list and len(value) == 2 \
-        and type(value[0]) in _NUMBER_TYPES and type(value[1]) in _NUMBER_TYPES
-
-
 def face_to_dict(face: FaceInput) -> dict:
     return {
         "version": FACE_FILE_VERSION,
@@ -114,17 +98,6 @@ def load_face(path) -> FaceInput:
         raise FaceFileError(f"{path}: field 'landmarks' must be an object")
     if not isinstance(doc["outline"], list):
         raise FaceFileError(f"{path}: field 'outline' must be a list")
-    # FaceInput would take any pair-like value; a file must hold plain numbers
-    for name, point in doc["landmarks"].items():
-        if not _is_point(point):
-            raise FaceFileError(
-                f"{path}: landmark '{name}' must be an array of two numbers, got {point!r}"
-            )
-    for i, point in enumerate(doc["outline"]):
-        if not _is_point(point):
-            raise FaceFileError(
-                f"{path}: outline vertex {i} must be an array of two numbers, got {point!r}"
-            )
     try:
         return FaceInput(
             id=doc["id"],
@@ -195,7 +168,12 @@ def save_manifest(entries, path) -> None:
 
 @dataclass(frozen=True)
 class CalibratedModel:
-    """A trained mixing weight plus the scoring context it was trained under."""
+    """A trained mixing weight plus the scoring context it was trained under.
+
+    As finalized from a calibration state: 0 <= k1 <= k <= k2 <= 1 with k
+    the bracket midpoint, at least one accepted sample, and a kernel
+    whose membership stays in [0, 1] over the entropy range [0, 1].
+    """
 
     k: float
     k1: float
@@ -204,6 +182,21 @@ class CalibratedModel:
     skipped: int
     alpha_mode: AlphaMode
     kernel: MembershipKernel
+
+    def __post_init__(self) -> None:
+        for key in ("k", "k1", "k2"):
+            object.__setattr__(self, key, finite_number(f"field '{key}'", getattr(self, key)))
+        k, k1, k2 = self.k, self.k1, self.k2
+        if not (0.0 <= k1 <= k <= k2 <= 1.0):
+            raise ValueError("fields 'k1', 'k', 'k2' must satisfy 0 <= k1 <= k <= k2 <= 1, "
+                             f"got {k1!r}, {k!r}, {k2!r}")
+        if k != (k1 + k2) / 2.0:
+            raise ValueError(f"field 'k' must be the midpoint of k1 and k2, got {k!r}")
+        whole_number("field 'n'", self.n, 1)
+        whole_number("field 'skipped'", self.skipped, 0)
+        if not isinstance(self.alpha_mode, AlphaMode):
+            raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
+        check_entropy_kernel(self.kernel)
 
     @classmethod
     def from_state(
@@ -227,59 +220,24 @@ class CalibratedModel:
         }
 
 
-def _model_number(path, doc: dict, key: str) -> float:
-    value = doc[key]
-    if not _is_finite_number(value):
-        raise FaceFileError(f"{path}: field '{key}' must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _model_count(path, doc: dict, key: str, minimum: int) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise FaceFileError(f"{path}: field '{key}' must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def load_model(path) -> CalibratedModel:
-    """Read and validate a calibrated model, as finalized from a calibration state.
-
-    Requires 0 <= k1 <= k <= k2 <= 1 with k the bracket midpoint, at
-    least one accepted sample, and a kernel with numeric parameters
-    whose membership stays in [0, 1] over the entropy domain [0, 1].
-    """
+    """Read a calibrated model; CalibratedModel checks every field."""
     doc = _load_document(path)
     for key in ("k", "k1", "k2", "n", "skipped", "alpha_mode", "kernel"):
         if key not in doc:
             raise FaceFileError(f"{path}: missing field '{key}'")
-    k, k1, k2 = (_model_number(path, doc, key) for key in ("k", "k1", "k2"))
-    if not (0.0 <= k1 <= k <= k2 <= 1.0):
-        raise FaceFileError(f"{path}: fields 'k1', 'k', 'k2' must satisfy 0 <= k1 <= k <= k2 <= 1, "
-                            f"got {k1!r}, {k!r}, {k2!r}")
-    if k != (k1 + k2) / 2.0:
-        raise FaceFileError(f"{path}: field 'k' must be the midpoint of k1 and k2, got {k!r}")
-    n = _model_count(path, doc, "n", 1)
-    skipped = _model_count(path, doc, "skipped", 0)
-    if isinstance(doc["kernel"], dict):
-        for key, value in doc["kernel"].items():
-            if key != "type" and not _is_finite_number(value):
-                raise FaceFileError(
-                    f"{path}: kernel field '{key}' must be a finite number, got {value!r}"
-                )
     try:
-        model = CalibratedModel(
-            k=k,
-            k1=k1,
-            k2=k2,
-            n=n,
-            skipped=skipped,
+        return CalibratedModel(
+            k=doc["k"],
+            k1=doc["k1"],
+            k2=doc["k2"],
+            n=doc["n"],
+            skipped=doc["skipped"],
             alpha_mode=AlphaMode(doc["alpha_mode"]),
             kernel=kernel_from_dict(doc["kernel"]),
         )
-        check_entropy_kernel(model.kernel)
     except ValueError as exc:
         raise FaceFileError(f"{path}: {exc}") from None
-    return model
 
 
 def save_model(model: CalibratedModel, path) -> None:

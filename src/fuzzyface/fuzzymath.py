@@ -12,6 +12,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
+from .geometry import finite_number
+
 
 def shannon_entropy(values: Sequence[float]) -> float:
     """Base-2 entropy of the ratio distribution of ``values``.
@@ -57,7 +59,7 @@ class BellKernel:
     r: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r > 0.0):
+        if finite_number("bell peak", self.r) <= 0.0:
             raise ValueError(f"bell peak must be a positive real, got {self.r!r}")
 
     def evaluate(self, x: float) -> float:
@@ -77,8 +79,8 @@ class TriangleKernel:
     q: float = 2.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.p, self.r, self.q)):
-            raise ValueError("triangle breakpoints must be finite")
+        for name in ("p", "r", "q"):
+            finite_number(f"triangle breakpoint '{name}'", getattr(self, name))
         if not (self.p < self.r < self.q):
             raise ValueError(
                 f"triangle breakpoints must satisfy p < r < q, got {self.p}, {self.r}, {self.q}"
@@ -105,8 +107,8 @@ class TrapezoidKernel:
     q: float = 1.1
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.p, self.s, self.t, self.q)):
-            raise ValueError("trapezoid breakpoints must be finite")
+        for name in ("p", "s", "t", "q"):
+            finite_number(f"trapezoid breakpoint '{name}'", getattr(self, name))
         if not (self.p < self.s <= self.t < self.q):
             raise ValueError(
                 "trapezoid breakpoints must satisfy p < s <= t < q, "
@@ -144,6 +146,8 @@ def eval_membership(kernel: MembershipKernel, x: float) -> float:
 
 def check_entropy_kernel(kernel: MembershipKernel) -> None:
     """Raise unless the kernel's membership stays in [0, 1] over the entropy range [0, 1]."""
+    if not isinstance(kernel, MembershipKernel):
+        raise ValueError(f"unknown kernel {kernel!r}")
     # the bell stays in [0, 1] only on [0, 2r], so it must cover all of [0, 1]
     if isinstance(kernel, BellKernel) and kernel.r < 0.5:
         raise ValueError(f"bell kernel peak 'r' must be >= 0.5, got {kernel.r!r}")
@@ -173,6 +177,8 @@ def kernel_from_dict(data: dict) -> MembershipKernel:
             f"unknown field(s) for kernel type {kind!r}: {', '.join(map(repr, unknown))}"
         )
     try:
-        return type(default)(**{name: float(data[name]) for name in names})
+        return type(default)(
+            **{name: finite_number(f"kernel field '{name}'", data[name]) for name in names}
+        )
     except KeyError as exc:
         raise ValueError(f"kernel description missing field {exc}") from None

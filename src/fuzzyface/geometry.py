@@ -1,4 +1,4 @@
-"""Small 2D helpers shared by the landmark and silhouette code."""
+"""Small 2D helpers and the two number checks shared by the package."""
 
 from __future__ import annotations
 
@@ -8,6 +8,26 @@ from collections.abc import Sequence
 import numpy as np
 
 Point = tuple[float, float]
+
+
+def finite_number(label: str, value) -> float:
+    """``value`` as a float; it must be an int or a float (not a bool) and finite."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{label} must be a finite number, got {value!r}")
+
+
+def whole_number(label: str, value, minimum: int) -> int:
+    """``value`` itself; it must be an int (not a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{label} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def distance(a: Point, b: Point) -> float:

@@ -30,6 +30,7 @@ from .fuzzymath import (
     kernel_to_dict,
     shannon_entropy,
 )
+from .geometry import whole_number
 from .silhouette import (
     AlphaMode,
     BinaryMask,
@@ -64,9 +65,8 @@ class ScoringConfig:
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
         check_entropy_kernel(self.kernel)
-        rs = self.resolution_scale
-        if rs is not None and (not isinstance(rs, int) or isinstance(rs, bool) or rs < 1):
-            raise ValueError(f"resolution_scale must be a positive integer or None, got {rs!r}")
+        if self.resolution_scale is not None:
+            whole_number("resolution_scale", self.resolution_scale, 1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .features import FaceInput, _CheckedOutline
-from .geometry import polygon_is_simple
+from .geometry import polygon_is_simple, whole_number
 
 # the default raster keeps the longer canvas side at least this many pixels
 RASTER_TARGET = 512
@@ -49,9 +49,8 @@ class Canvas:
     height: int
 
     def __post_init__(self) -> None:
-        for label, value in (("canvas width", self.width), ("canvas height", self.height)):
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(f"{label} must be a positive integer, got {value!r}")
+        whole_number("canvas width", self.width, 1)
+        whole_number("canvas height", self.height, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +73,18 @@ class BinaryMask:
         bits = np.asarray(self.bits, dtype=bool)
         if bits.ndim != 2:
             raise ValueError(f"mask bits must be a 2D array, got shape {bits.shape}")
-        frame = bits.shape if self.frame is None else tuple(self.frame)
-        row, col = self.offset
-        if not (0 <= row and 0 <= col and row + bits.shape[0] <= frame[0]
-                and col + bits.shape[1] <= frame[1]):
+        whole_number("mask scale", self.scale, 1)
+        frame = bits.shape if self.frame is None else self.frame
+        rows, cols = (whole_number("mask frame side", side, 0) for side in frame)
+        row, col = (whole_number("mask offset", start, 0) for start in self.offset)
+        if row + bits.shape[0] > rows or col + bits.shape[1] > cols:
             raise ValueError(
                 f"mask window {bits.shape} at {self.offset} does not fit the frame {frame}"
             )
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "offset", (int(row), int(col)))
-        object.__setattr__(self, "frame", (int(frame[0]), int(frame[1])))
+        object.__setattr__(self, "offset", (row, col))
+        object.__setattr__(self, "frame", (rows, cols))
 
     @property
     def width(self) -> int:
@@ -170,10 +170,7 @@ def rasterize(
     if resolution_scale is None:
         scale = default_resolution_scale(canvas)
     else:
-        if not isinstance(resolution_scale, int) or isinstance(resolution_scale, bool) \
-                or resolution_scale < 1:
-            raise ValueError(f"resolution_scale must be a positive integer, got {resolution_scale!r}")
-        scale = resolution_scale
+        scale = whole_number("resolution_scale", resolution_scale, 1)
     wpx = canvas.width * scale
     hpx = canvas.height * scale
     if wpx * hpx > MAX_RASTER_PIXELS:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import REQUIRED_LANDMARKS, FaceInput, extract_features
+from .geometry import finite_number, whole_number
 from .scoring import ScoringConfig, score_pairs
 from .scoring import compare  # not called here; perfbench/run.py --trace 1 wraps this name
 
@@ -81,21 +82,13 @@ class PopulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("identity_count", self.identity_count),
-            ("captures_per_identity", self.captures_per_identity),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{label} must be a positive integer, got {value!r}")
-        for label, value in (
-            ("identity_sigma", self.identity_sigma),
-            ("capture_sigma", self.capture_sigma),
-            ("outline_sigma", self.outline_sigma),
-        ):
-            if not (math.isfinite(value) and value >= 0.0):
+        whole_number("identity_count", self.identity_count, 1)
+        whole_number("captures_per_identity", self.captures_per_identity, 1)
+        for label in ("identity_sigma", "capture_sigma", "outline_sigma"):
+            value = getattr(self, label)
+            if finite_number(label, value) < 0.0:
                 raise ValueError(f"{label} must be a non-negative real, got {value!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        whole_number("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +247,7 @@ def report_from_scores(genuine_scores, impostor_scores, threshold: float) -> Eva
         raise ValueError("no genuine scores to evaluate")
     if m.size == 0:
         raise ValueError("no impostor scores to evaluate")
-    if not (0.0 <= threshold <= 100.0):
+    if not 0.0 <= finite_number("threshold", threshold) <= 100.0:
         raise ValueError(f"threshold must lie in [0, 100], got {threshold!r}")
     accepted = int(np.count_nonzero(g >= threshold))
     rejected = int(np.count_nonzero(m < threshold))

@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+
+from hypothesis import settings
 
 from fuzzyface import FaceInput
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failing
+# CI run can be replayed; other runs draw fresh examples. Loaded here,
+# before the test modules build their @settings, so those inherit it.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # landmark layout as fractions of the image, valid on any canvas size
 LANDMARK_FRACTIONS = {

@@ -12,6 +12,9 @@ from fuzzyface import (
     solve_weight,
 )
 
+# an int too large for a float
+BIG = pytest.param(10**400, id="10**400")
+
 
 class TestSolveWeight:
     def test_ninety_five_target(self):
@@ -106,6 +109,13 @@ class TestStateUpdates:
             CalibrationSample(1.2, 0.5)
         with pytest.raises(ValueError, match="alpha"):
             CalibrationSample(0.5, -0.1)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, BIG])
+    def test_sample_terms_must_be_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="feature_score must be a finite number"):
+            CalibrationSample(value, 0.1)
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            CalibrationSample(0.5, value)
 
 
 class TestFinalize:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_face, standard_landmarks
@@ -59,6 +60,31 @@ class TestFaceInput:
         landmarks["chin"] = (10**400, 50.0)
         with pytest.raises(ValueError, match="landmark 'chin' has a non-finite"):
             make_face(landmarks=landmarks)
+
+    @pytest.mark.parametrize("point", [
+        "35", (35.0, 40.0, 9.0), (35.0,), (True, 40.0), (35.0, False), (35.0, "40"), None, 35.0,
+    ])
+    def test_point_must_be_two_numbers(self, point):
+        # once read as (3.0, 5.0), (35.0, 40.0) and (1.0, 40.0)
+        landmarks = standard_landmarks()
+        landmarks["chin"] = point
+        with pytest.raises(ValueError, match="landmark 'chin' must be an array of two numbers"):
+            make_face(landmarks=landmarks)
+        outline = [(10.0, 10.0), point, (90.0, 90.0)]
+        with pytest.raises(ValueError, match="outline vertex 1 must be an array of two numbers"):
+            make_face(outline=outline)
+
+    def test_number_subclass_coordinates(self):
+        landmarks = standard_landmarks()
+        landmarks["chin"] = np.array([50.0, 85.0])  # two numpy float64 scalars
+        face = make_face(landmarks=landmarks)
+        assert face.landmarks["chin"] == (50.0, 85.0)
+        assert all(type(v) is float for v in face.landmarks["chin"])
+
+    @pytest.mark.parametrize("side", [100.0, True, "100", None])
+    def test_image_side_must_be_an_integer(self, side):
+        with pytest.raises(ValueError, match="image width must be an integer >= 1"):
+            FaceInput("f", side, 100, standard_landmarks(), ((10, 10), (90, 10), (90, 90)))
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError, match="image width"):

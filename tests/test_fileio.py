@@ -1,19 +1,26 @@
 """File formats: faces, manifests, models, and their failure messages."""
 
+import copy
 import json
+import math
 import os
 import re
 import stat
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_face, standard_landmarks
 from fuzzyface import (
+    DEFAULT_KERNELS,
     AlphaMode,
     BellKernel,
     CalibratedModel,
     CalibrationState,
     FaceFileError,
+    FaceInput,
     TrapezoidKernel,
     face_to_dict,
     load_face,
@@ -29,6 +36,10 @@ VALID_MODEL = {
     "k": 0.95, "k1": 0.9, "k2": 1.0, "n": 3, "skipped": 1,
     "alpha_mode": "complement", "kernel": {"type": "bell", "r": 1.0},
 }
+MODEL_FIELDS = dict(VALID_MODEL, alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel())
+
+# tmp_path is shared by the examples of one test; each example overwrites its file
+FILE_PER_EXAMPLE = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestFaceFiles:
@@ -107,13 +118,12 @@ class TestFaceFiles:
         ("outline", 1, [90, "10"], "outline vertex 1 must be an array of two"),
     ])
     def test_malformed_point_rejected(self, tmp_path, field, key, value, message):
-        # unchecked, FaceInput would read "99" as (9.0, 9.0) and true as 1.0,
-        # and drop a third coordinate
+        # FaceInput refuses each of these, and the loader names the file
         doc = face_to_dict(make_face())
         doc[field][key] = value
         path = tmp_path / "face.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FaceFileError, match=message):
+        with pytest.raises(FaceFileError, match=f"^{re.escape(str(path))}: {message}"):
             load_face(path)
 
     def test_integer_coordinates_load(self, tmp_path):
@@ -263,11 +273,178 @@ class TestModels:
         with pytest.raises(FaceFileError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(k=5, k1=0.2, k2=0.1, n=0, skipped=-1), "0 <= k1 <= k <= k2 <= 1"),
+        (dict(k=True), "field 'k' must be a finite number, got True"),
+        (dict(k1="0.9"), "field 'k1' must be a finite number, got '0.9'"),
+        (dict(k2=math.inf), "field 'k2' must be a finite number, got inf"),
+        (dict(k=0.96), "midpoint"),
+        (dict(n=0), "field 'n' must be an integer >= 1, got 0"),
+        (dict(n=3.0), "field 'n' must be an integer >= 1, got 3.0"),
+        (dict(skipped=-1), "field 'skipped' must be an integer >= 0, got -1"),
+        (dict(skipped=False), "field 'skipped' must be an integer >= 0, got False"),
+        (dict(alpha_mode="complement"), "alpha_mode must be an AlphaMode, got 'complement'"),
+        (dict(kernel=BellKernel(r=0.3)), "must be >= 0.5"),
+        (dict(kernel={"type": "bell", "r": 1.0}), "unknown kernel"),
+    ])
+    def test_constructor_checks_every_field(self, changes, message):
+        # each of these was accepted, and save_model wrote a file that
+        # load_model refused (or to_dict raised AttributeError)
+        with pytest.raises(ValueError, match=message):
+            CalibratedModel(**dict(MODEL_FIELDS, **changes))
+
+    def test_numbers_are_stored_as_floats(self, tmp_path):
+        model = CalibratedModel(**dict(MODEL_FIELDS, k=1, k1=1, k2=1))
+        assert all(type(v) is float for v in (model.k, model.k1, model.k2))
+        save_model(model, tmp_path / "model.json")
+        assert json.loads((tmp_path / "model.json").read_text())["k"] == 1.0
+        assert load_model(tmp_path / "model.json") == model
+
+    def test_kernel_field_error_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(VALID_MODEL, kernel={"type": "bell", "r": [1]})))
+        with pytest.raises(FaceFileError, match=f"^{re.escape(str(path))}: kernel field 'r' must "
+                                                "be a finite number, got \\[1\\]$"):
+            load_model(path)
+
     def test_k_not_between_k1_and_k2(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(dict(VALID_MODEL, k=0.5, k1=0.6, k2=0.4)))
         with pytest.raises(FaceFileError, match="0 <= k1 <= k <= k2 <= 1"):
             load_model(path)
+
+
+# any JSON value: what json.loads can return, NaN, infinities and big ints included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(2**63)])
+    | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+FACE_DOC = face_to_dict(make_face())
+MANIFEST_DOC = {"version": 1, "pairs": [
+    {"a": "a.json", "b": "b.json", "label": "genuine"},
+    {"a": "a.json", "b": "c.json", "label": "impostor"},
+]}
+
+
+def value_paths(doc, prefix=()):
+    """The key path of every value in a JSON document, the document itself first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from value_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced; the empty path replaces it all."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestLoaderFuzz:
+    """A valid document with any one value (or all of it) replaced by any JSON value
+    either loads or raises a FaceFileError that names the file."""
+
+    @staticmethod
+    def check(tmp_path, loader, doc) -> None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity, which json.loads reads
+        try:
+            loader(path)
+        except FaceFileError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+    @settings(max_examples=200, **FILE_PER_EXAMPLE)
+    @given(where=st.sampled_from(list(value_paths(FACE_DOC))), value=JSON_VALUES)
+    def test_face(self, tmp_path, where, value):
+        self.check(tmp_path, load_face, replaced(FACE_DOC, where, value))
+
+    @settings(max_examples=200, **FILE_PER_EXAMPLE)
+    @given(where=st.sampled_from(list(value_paths(MANIFEST_DOC))), value=JSON_VALUES)
+    def test_manifest(self, tmp_path, where, value):
+        self.check(tmp_path, load_manifest, replaced(MANIFEST_DOC, where, value))
+
+    @settings(max_examples=200, **FILE_PER_EXAMPLE)
+    @given(where=st.sampled_from(list(value_paths(VALID_MODEL))), value=JSON_VALUES)
+    def test_model(self, tmp_path, where, value):
+        self.check(tmp_path, load_model, replaced(VALID_MODEL, where, value))
+
+
+# field values for the round trip: valid numbers and several that are not
+FIELD_VALUES = st.one_of(
+    st.floats(-2.0, 120.0), st.integers(-3, 120), st.booleans(),
+    st.sampled_from(["0", "0.5", "1", "50"]), st.just(math.nan), st.just(10**400),
+)
+
+
+def with_one_field_replaced(draw, values: dict, names) -> dict:
+    """``values`` as given, or with one of ``names`` replaced by a FIELD_VALUES draw."""
+    name = draw(st.sampled_from([None, *names]))
+    return values if name is None else dict(values, **{name: draw(FIELD_VALUES)})
+
+
+class TestSaveLoadRoundTrip:
+    """Whatever a constructor accepts saves to a file that its loader reads back equal."""
+
+    @settings(max_examples=150, **FILE_PER_EXAMPLE)
+    @given(data=st.data())
+    def test_face(self, tmp_path, data):
+        face = make_face()
+        landmarks = dict(face.landmarks)
+        outline = list(face.outline)
+        values = {"width": 100, "height": 100, "landmark x": landmarks["chin"][0],
+                  "landmark y": landmarks["chin"][1], "vertex x": outline[2][0],
+                  "vertex y": outline[2][1]}
+        values = with_one_field_replaced(data.draw, values, list(values))
+        landmarks["chin"] = (values["landmark x"], values["landmark y"])
+        outline[2] = (values["vertex x"], values["vertex y"])
+        try:
+            face = FaceInput("f", values["width"], values["height"], landmarks, outline)
+        except ValueError:
+            return
+        save_face(face, tmp_path / "face.json")
+        assert load_face(tmp_path / "face.json") == face
+
+    @settings(max_examples=150, **FILE_PER_EXAMPLE)
+    @given(kind=st.sampled_from(sorted(DEFAULT_KERNELS)), data=st.data())
+    def test_kernel(self, tmp_path, kind, data):
+        default = DEFAULT_KERNELS[kind]
+        names = [f.name for f in fields(default)]
+        breakpoints = data.draw(st.lists(st.floats(0.5, 3.0), min_size=len(names),
+                                         max_size=len(names), unique=True))
+        values = with_one_field_replaced(data.draw, dict(zip(names, sorted(breakpoints))), names)
+        try:
+            model = CalibratedModel(**dict(MODEL_FIELDS, kernel=type(default)(**values)))
+        except ValueError:
+            return
+        save_model(model, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json") == model
+
+    @settings(max_examples=150, **FILE_PER_EXAMPLE)
+    @given(bracket=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           counts=st.tuples(st.integers(1, 10**6), st.integers(0, 10**6)),
+           alpha_mode=st.sampled_from([*AlphaMode, "complement"]),
+           kernel=st.sampled_from(list(DEFAULT_KERNELS.values())),
+           data=st.data())
+    def test_model(self, tmp_path, bracket, counts, alpha_mode, kernel, data):
+        k1, k2 = sorted(bracket)
+        values = {"k": (k1 + k2) / 2.0, "k1": k1, "k2": k2, "n": counts[0], "skipped": counts[1]}
+        values = with_one_field_replaced(data.draw, values, list(values))
+        try:
+            model = CalibratedModel(**values, alpha_mode=alpha_mode, kernel=kernel)
+        except ValueError:
+            return
+        save_model(model, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json") == model
 
 
 class TestUnparsableDocuments:

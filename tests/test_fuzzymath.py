@@ -21,6 +21,9 @@ from fuzzyface import (
 
 mpmath.mp.dps = 50
 
+# an int too large for a float
+BIG = pytest.param(10**400, id="10**400")
+
 
 def entropy_oracle(values):
     """50-digit reference evaluation, independent of the implementation."""
@@ -148,6 +151,12 @@ class TestBellKernel:
         with pytest.raises(ValueError, match="positive"):
             BellKernel(r=-2.0)
 
+    @pytest.mark.parametrize("r", [True, "2", None, [1.0], BIG, math.nan])
+    def test_peak_must_be_a_finite_number(self, r):
+        # BellKernel(r=True) was accepted, and its saved model did not load
+        with pytest.raises(ValueError, match="bell peak must be a finite number"):
+            BellKernel(r=r)
+
     def test_non_finite_input(self):
         with pytest.raises(ValueError, match="finite"):
             eval_membership(BellKernel(), float("inf"))
@@ -216,6 +225,13 @@ class TestPiecewiseKernels:
         with pytest.raises(ValueError, match="finite"):
             TriangleKernel(p=0.0, r=float("inf"), q=2.0)
 
+    @pytest.mark.parametrize("value", ["0", True, None, math.inf])
+    def test_breakpoints_must_be_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="triangle breakpoint 'p' must be a finite number"):
+            TriangleKernel(p=value)
+        with pytest.raises(ValueError, match="trapezoid breakpoint 'q' must be a finite number"):
+            TrapezoidKernel(q=value)
+
 
 class TestKernelSerialization:
     @pytest.mark.parametrize("name", sorted(DEFAULT_KERNELS))
@@ -239,6 +255,16 @@ class TestKernelSerialization:
         # silently dropped once: this loaded as BellKernel(r=1.0)
         with pytest.raises(ValueError, match="kernel type 'bell': 'p', 'q'"):
             kernel_from_dict({"type": "bell", "p": 0.0, "r": 1.0, "q": 2.0})
+
+    @pytest.mark.parametrize("value", [[1], "2", True, None, BIG, math.nan])
+    def test_field_must_be_a_finite_number(self, value):
+        # [1] raised TypeError, and "2" loaded as BellKernel(r=2.0)
+        with pytest.raises(ValueError, match="kernel field 'r' must be a finite number"):
+            kernel_from_dict({"type": "bell", "r": value})
+
+    def test_integer_fields_load_as_floats(self):
+        kernel = kernel_from_dict({"type": "triangle", "p": 0, "r": 1, "q": 2})
+        assert kernel == TriangleKernel() and type(kernel.r) is float
 
     def test_subclass_serializes_as_its_base(self):
         @dataclass(frozen=True)

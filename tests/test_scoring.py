@@ -328,6 +328,24 @@ class TestScoreInvariants:
         again = [dump_json(r.to_dict()) for r in score_pairs(faces, pairs, config)]
         assert first == again
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), pair=st.sampled_from([(0, 1), (0, 2), (1, 3), (2, 3)]),
+           mode=st.sampled_from(list(AlphaMode)))
+    def test_joint_scaling_keeps_the_score(self, seed, pair, mode):
+        population = generate_population(PopulationConfig(2, 2, seed=seed))
+        face_a, face_b = (population[i].face for i in pair)
+
+        def similarity(a, b):
+            # a raster of at least 4096 px a side keeps sampling noise well
+            # below the bound; at 2048 it reaches 0.116 (seed 52, pair (0, 1))
+            scale = raster_scale_for(a, b, target=4096)
+            return compare(a, b, ScoringConfig(alpha_mode=mode, resolution_scale=scale)).similarity
+
+        base = similarity(face_a, face_b)
+        for c in (0.25, 0.5, 1.5, 2, 3):  # the 512 px sides stay whole
+            scaled = similarity(scaled_face(face_a, c), scaled_face(face_b, c))
+            assert scaled == pytest.approx(base, abs=0.1)
+
 
 class TestValidation:
     def test_config_bad_k(self):

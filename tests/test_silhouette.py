@@ -1,6 +1,7 @@
 """Canvas normalization, rasterization against area oracles, and overlap modes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +352,19 @@ class TestMaskOps:
         c = BinaryMask(np.ones((4, 4), dtype=bool), scale=2)
         with pytest.raises(ValueError, match="different canvases"):
             alpha_from_masks(a, c)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("offset", (0.7, 0), "mask offset must be an integer >= 0, got 0.7"),
+        ("offset", (0, -1), "mask offset must be an integer >= 0, got -1"),
+        ("frame", (3.9, 3), "mask frame side must be an integer >= 0, got 3.9"),
+        ("frame", (3, True), "mask frame side must be an integer >= 0, got True"),
+        ("scale", 0, "mask scale must be an integer >= 1, got 0"),
+        ("scale", "x", "mask scale must be an integer >= 1, got 'x'"),
+    ])
+    def test_window_fields_must_be_integers(self, field, value, message):
+        # once silently truncated to offset (0, 0) and frame (3, 3), or kept as given
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BinaryMask(np.ones((2, 2), dtype=bool), **{field: value})
 
     def test_window_must_fit_frame(self):
         with pytest.raises(ValueError, match="does not fit"):

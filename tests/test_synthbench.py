@@ -78,6 +78,20 @@ class TestGeneration:
         with pytest.raises(ValueError, match="seed"):
             PopulationConfig(2, 2, seed=-1)
 
+    @pytest.mark.parametrize("value", ["1", True, None, float("nan")])
+    def test_sigmas_must_be_finite_numbers(self, value):
+        for field in ("identity_sigma", "capture_sigma", "outline_sigma"):
+            with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+                PopulationConfig(2, 2, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("identity_count", 2.0), ("captures_per_identity", True), ("seed", "0"),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        config = {"identity_count": 2, "captures_per_identity": 2, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PopulationConfig(**config)
+
     def test_retry_exhaustion(self):
         with pytest.raises(GenerationError, match="sigmas"):
             generate_population(PopulationConfig(1, 1, identity_sigma=1e5, seed=0))
@@ -154,6 +168,12 @@ class TestReportFromScores:
     def test_threshold_range(self):
         with pytest.raises(ValueError, match="threshold"):
             report_from_scores([90.0], [50.0], threshold=150.0)
+
+    @pytest.mark.parametrize("threshold", ["50", True, None, float("nan")])
+    def test_threshold_must_be_a_finite_number(self, threshold):
+        # "50" raised TypeError, and True was read as 1.0
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            report_from_scores([90.0], [50.0], threshold=threshold)
 
     def test_report_round_trips_to_dict(self):
         report = report_from_scores([95.0, 85.0], [80.0, 90.0], threshold=88.0)
