@@ -94,8 +94,14 @@ class FaceInput:
             if whole_number(label, value, 1) > MAX_IMAGE_SIDE:
                 raise ValueError(f"{label} must be at most {MAX_IMAGE_SIDE}")  # value may be huge
 
+        try:
+            named_points = dict(self.landmarks).items()
+        except (TypeError, ValueError):  # not a mapping, nor a sequence of pairs
+            raise ValueError(
+                f"landmarks must map names to points, got {self.landmarks!r}"
+            ) from None
         landmarks = {}
-        for name, pt in dict(self.landmarks).items():
+        for name, pt in named_points:
             landmarks[str(name)] = _check_point(
                 f"landmark '{name}'", pt, self.image_width, self.image_height
             )
@@ -103,9 +109,15 @@ class FaceInput:
             if name not in landmarks:
                 raise ValueError(f"missing required landmark '{name}'")
 
+        try:
+            vertices = enumerate(self.outline)
+        except TypeError:
+            raise ValueError(
+                f"outline must be a sequence of points, got {self.outline!r}"
+            ) from None
         outline = tuple(
             _check_point(f"outline vertex {i}", pt, self.image_width, self.image_height)
-            for i, pt in enumerate(self.outline)
+            for i, pt in vertices
         )
         if len(outline) < 3:
             raise ValueError(f"outline needs at least 3 vertices, got {len(outline)}")

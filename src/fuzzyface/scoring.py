@@ -82,15 +82,15 @@ class FeatureRow:
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Full trace of one comparison; checks its own consistency."""
+    """Full trace of one comparison; feature_score and similarity derive from the rest."""
 
     a_id: str
     b_id: str
     features: tuple[FeatureRow, ...]
-    feature_score: float
+    feature_score: float = field(init=False)
     alpha: float
     k: float
-    similarity: float
+    similarity: float = field(init=False)
     alpha_mode: AlphaMode
     kernel: MembershipKernel
     resolution_scale: int
@@ -101,13 +101,12 @@ class MatchReport:
         for row in self.features:
             if not (0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0):
                 raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
-        if not (0.0 <= self.feature_score <= 1.0 and 0.0 <= self.alpha <= 1.0):
-            raise ValueError("feature_score and alpha must lie in [0, 1]")
-        if abs(self.feature_score - fmean(r.membership for r in self.features)) > 1e-12:
-            raise ValueError("feature_score does not equal the mean membership")
-        expected = 100.0 * (self.feature_score * self.k + self.alpha * (1.0 - self.k))
-        if abs(self.similarity - expected) > 1e-9:
-            raise ValueError("similarity does not match its own terms")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        feature_score = fmean(row.membership for row in self.features)
+        similarity = 100.0 * (feature_score * self.k + self.alpha * (1.0 - self.k))
+        object.__setattr__(self, "feature_score", feature_score)
+        object.__setattr__(self, "similarity", similarity)
 
     @property
     def n(self) -> int:
@@ -184,22 +183,16 @@ def score_pairs(
 
         # Both vectors come from extract_features over CANONICAL_FEATURES, so
         # their names align and FeatureVector has checked every value positive.
-        rows = []
-        for (name, a), (_, b) in zip(features_a.items, features_b.items):
-            entropy, membership = feature_membership(a, b, config.kernel)
-            rows.append(FeatureRow(name, a, b, entropy, membership))
-        feature_score = fmean(row.membership for row in rows)
-        alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
-
-        # MatchReport checks every range and recomputes both derived terms
+        rows = tuple(
+            FeatureRow(name, a, b, *feature_membership(a, b, config.kernel))
+            for (name, a), (_, b) in zip(features_a.items, features_b.items)
+        )
         reports.append(MatchReport(
             a_id=face_a.id,
             b_id=face_b.id,
-            features=tuple(rows),
-            feature_score=feature_score,
-            alpha=alpha,
+            features=rows,
+            alpha=alpha_from_masks(mask_a, mask_b, config.alpha_mode),
             k=config.k,
-            similarity=100.0 * (feature_score * config.k + alpha * (1.0 - config.k)),
             alpha_mode=config.alpha_mode,
             kernel=config.kernel,
             resolution_scale=scale,

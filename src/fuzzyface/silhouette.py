@@ -53,6 +53,15 @@ class Canvas:
         whole_number("canvas height", self.height, 1)
 
 
+def _pair(label: str, value) -> tuple:
+    """``value`` unpacked into its two items; an error names ``label`` if it has not two."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be a pair of integers, got {value!r}") from None
+    return first, second
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
     """Boolean raster of one outline, cropped to the window it spans.
@@ -75,8 +84,8 @@ class BinaryMask:
             raise ValueError(f"mask bits must be a 2D array, got shape {bits.shape}")
         whole_number("mask scale", self.scale, 1)
         frame = bits.shape if self.frame is None else self.frame
-        rows, cols = (whole_number("mask frame side", side, 0) for side in frame)
-        row, col = (whole_number("mask offset", start, 0) for start in self.offset)
+        rows, cols = (whole_number("mask frame side", n, 0) for n in _pair("mask frame", frame))
+        row, col = (whole_number("mask offset", n, 0) for n in _pair("mask offset", self.offset))
         if row + bits.shape[0] > rows or col + bits.shape[1] > cols:
             raise ValueError(
                 f"mask window {bits.shape} at {self.offset} does not fit the frame {frame}"
@@ -85,14 +94,6 @@ class BinaryMask:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "offset", (row, col))
         object.__setattr__(self, "frame", (rows, cols))
-
-    @property
-    def width(self) -> int:
-        return self.frame[1]
-
-    @property
-    def height(self) -> int:
-        return self.frame[0]
 
     @cached_property
     def area(self) -> int:

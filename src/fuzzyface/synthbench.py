@@ -119,6 +119,31 @@ _TEMPLATE_LANDMARK_ARRAY = np.asarray(
 )
 
 
+def _draw_face(
+    rng: np.random.Generator, face_id: str, kind: str, landmarks: np.ndarray,
+    outline: np.ndarray, landmark_sigma: float, outline_sigmas: tuple[float, ...],
+) -> tuple[FaceInput, np.ndarray, np.ndarray]:
+    """A valid face jittered off the given geometry, with its drawn landmarks and outline.
+
+    Each attempt draws the landmark normals, then one normal per outline
+    vertex for each of outline_sigmas, summed into a radial offset.
+    Invalid draws are redrawn up to _MAX_DRAW_ATTEMPTS times.
+    """
+    for _ in range(_MAX_DRAW_ATTEMPTS):
+        drawn_landmarks = landmarks + rng.normal(0.0, landmark_sigma, size=landmarks.shape)
+        radial = sum(rng.normal(0.0, s, size=_OUTLINE_VERTEX_COUNT) for s in outline_sigmas)
+        drawn_outline = outline + radial[:, None] * _OUTLINE_RADIAL
+        try:
+            face = _build_face(face_id, drawn_landmarks, drawn_outline)
+        except ValueError:
+            continue
+        return face, drawn_landmarks, drawn_outline
+    raise GenerationError(
+        f"could not draw a valid {kind} after {_MAX_DRAW_ATTEMPTS} attempts; "
+        "sigmas are too large for the canvas"
+    )
+
+
 def generate_population(config: PopulationConfig) -> list[LabeledFace]:
     """Draw identity_count * captures_per_identity valid faces, reproducibly.
 
@@ -130,47 +155,18 @@ def generate_population(config: PopulationConfig) -> list[LabeledFace]:
     """
     rng = np.random.default_rng(config.seed)
     population: list[LabeledFace] = []
-
     for i in range(config.identity_count):
         identity = f"id{i:03d}"
-        for attempt in range(_MAX_DRAW_ATTEMPTS):
-            base_landmarks = _TEMPLATE_LANDMARK_ARRAY + rng.normal(
-                0.0, config.identity_sigma, size=_TEMPLATE_LANDMARK_ARRAY.shape
-            )
-            radial = rng.normal(0.0, config.identity_sigma, size=_OUTLINE_VERTEX_COUNT)
-            radial += rng.normal(0.0, config.outline_sigma, size=_OUTLINE_VERTEX_COUNT)
-            base_outline = _TEMPLATE_OUTLINE + radial[:, None] * _OUTLINE_RADIAL
-            try:
-                _build_face(f"{identity}_probe", base_landmarks, base_outline)
-                break
-            except ValueError:
-                continue
-        else:
-            raise GenerationError(
-                f"could not draw a valid identity after {_MAX_DRAW_ATTEMPTS} attempts; "
-                "sigmas are too large for the canvas"
-            )
-
+        _, landmarks, outline = _draw_face(
+            rng, f"{identity}_probe", "identity", _TEMPLATE_LANDMARK_ARRAY, _TEMPLATE_OUTLINE,
+            config.identity_sigma, (config.identity_sigma, config.outline_sigma),
+        )
         for j in range(config.captures_per_identity):
-            face_id = f"{identity}_c{j:02d}"
-            for attempt in range(_MAX_DRAW_ATTEMPTS):
-                landmarks = base_landmarks + rng.normal(
-                    0.0, config.capture_sigma, size=base_landmarks.shape
-                )
-                radial = rng.normal(0.0, config.capture_sigma, size=_OUTLINE_VERTEX_COUNT)
-                outline = base_outline + radial[:, None] * _OUTLINE_RADIAL
-                try:
-                    face = _build_face(face_id, landmarks, outline)
-                    break
-                except ValueError:
-                    continue
-            else:
-                raise GenerationError(
-                    f"could not draw a valid capture after {_MAX_DRAW_ATTEMPTS} attempts; "
-                    "sigmas are too large for the canvas"
-                )
+            face, _, _ = _draw_face(
+                rng, f"{identity}_c{j:02d}", "capture", landmarks, outline,
+                config.capture_sigma, (config.capture_sigma,),
+            )
             population.append(LabeledFace(identity, face))
-
     return population
 
 
@@ -241,8 +237,8 @@ def roc_points(genuine_scores, impostor_scores) -> list[tuple[float, float]]:
 
 def report_from_scores(genuine_scores, impostor_scores, threshold: float) -> EvalReport:
     """Assemble the verification report from already computed score lists."""
-    g = np.asarray(list(genuine_scores), dtype=float)
-    m = np.asarray(list(impostor_scores), dtype=float)
+    g = np.asarray([finite_number(f"genuine score {i}", s) for i, s in enumerate(genuine_scores)])
+    m = np.asarray([finite_number(f"impostor score {i}", s) for i, s in enumerate(impostor_scores)])
     if g.size == 0:
         raise ValueError("no genuine scores to evaluate")
     if m.size == 0:
@@ -287,14 +283,15 @@ def evaluate(
     if config is None:
         config = ScoringConfig()
     pairs = labeled_pairs(population)
+    labels = {label for _, _, label in pairs}
+    if "genuine" not in labels:
+        raise ValueError("population yields no genuine pairs (need an identity with 2+ captures)")
+    if "impostor" not in labels:
+        raise ValueError("population yields no impostor pairs (need 2+ identities)")
     reports = score_pairs(
         [labeled.face for labeled in population], [(i, j) for i, j, _ in pairs], config
     )
     scored = list(zip(pairs, reports))
     genuine = [r.similarity for (_, _, label), r in scored if label == "genuine"]
     impostor = [r.similarity for (_, _, label), r in scored if label == "impostor"]
-    if not genuine:
-        raise ValueError("population yields no genuine pairs (need an identity with 2+ captures)")
-    if not impostor:
-        raise ValueError("population yields no impostor pairs (need 2+ identities)")
     return report_from_scores(genuine, impostor, threshold)

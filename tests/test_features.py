@@ -1,6 +1,7 @@
 """Face input validation and the canonical distance features."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,25 @@ class TestFaceInput:
         face = make_face(landmarks=landmarks)
         assert face.landmarks["chin"] == (50.0, 85.0)
         assert all(type(v) is float for v in face.landmarks["chin"])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("landmarks", 5, "landmarks must map names to points, got 5"),
+        ("landmarks", None, "landmarks must map names to points, got None"),
+        ("landmarks", ["ab", "c"], "landmarks must map names to points, got ['ab', 'c']"),
+        ("outline", None, "outline must be a sequence of points, got None"),
+        ("outline", 5, "outline must be a sequence of points, got 5"),
+    ])
+    def test_collection_fields_must_be_collections(self, field, value, message):
+        # the first two and the last two once raised TypeError; ["ab", "c"]
+        # raised a dict() ValueError that did not name the field
+        fields = dict(landmarks=standard_landmarks(), outline=((10, 10), (90, 10), (90, 90)))
+        fields[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FaceInput("f", 100, 100, **fields)
+
+    def test_landmarks_may_be_name_point_pairs(self):
+        pairs = list(standard_landmarks().items())
+        assert make_face(landmarks=pairs).landmarks == make_face().landmarks
 
     @pytest.mark.parametrize("side", [100.0, True, "100", None])
     def test_image_side_must_be_an_integer(self, side):

@@ -61,13 +61,12 @@ class TestFeatureMembership:
         assert membership == pytest.approx(entropy, abs=1e-12)
 
 
-def checked_report(memberships, feature_score, alpha, k, similarity):
+def checked_report(memberships, alpha, k, **derived):
     """A MatchReport over one row per membership; its checks run on construction."""
     rows = tuple(FeatureRow(f"f{i}", 60.0, 60.0, 1.0, mu) for i, mu in enumerate(memberships))
     return MatchReport(
-        a_id="a", b_id="b", features=rows, feature_score=feature_score, alpha=alpha,
-        k=k, similarity=similarity, alpha_mode=AlphaMode.COMPLEMENT,
-        kernel=BellKernel(), resolution_scale=1,
+        a_id="a", b_id="b", features=rows, alpha=alpha, k=k, alpha_mode=AlphaMode.COMPLEMENT,
+        kernel=BellKernel(), resolution_scale=1, **derived,
     )
 
 
@@ -82,7 +81,7 @@ def unequal_faces():
 
 
 class TestAggregation:
-    """The feature score is the mean membership; MatchReport holds it to that."""
+    """The feature score is the mean membership; MatchReport derives it."""
 
     def test_all_ones(self):
         face = make_face()
@@ -95,19 +94,19 @@ class TestAggregation:
         memberships = [row.membership for row in result.features]
         assert len(set(memberships)) > 1
         assert result.feature_score == fmean(memberships)
-        assert checked_report([0.930642, 1.0], 0.965321, 1.0, 1.0, 96.5321).feature_score == 0.965321
+        assert checked_report([0.930642, 1.0], 1.0, 1.0).feature_score == 0.965321
 
     def test_empty(self):
         with pytest.raises(ValueError, match="at least one feature"):
-            checked_report([], 1.0, 1.0, 0.5, 100.0)
+            checked_report([], 1.0, 0.5)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match=r"row 'f1' outside \[0, 1\]"):
-            checked_report([0.5, 1.2], 0.85, 1.0, 0.5, 92.5)
+            checked_report([0.5, 1.2], 1.0, 0.5)
 
 
 class TestSimilarityScore:
-    """similarity = 100 * (feature_score * k + alpha * (1 - k)), checked by MatchReport."""
+    """similarity = 100 * (feature_score * k + alpha * (1 - k)), derived by MatchReport."""
 
     def test_perfect(self):
         face = make_face()
@@ -118,9 +117,7 @@ class TestSimilarityScore:
         result = compare(*unequal_faces(), ScoringConfig(k=0.5))
         assert result.alpha < 1.0 and result.feature_score < 1.0
         assert result.similarity == 100.0 * (result.feature_score * 0.5 + result.alpha * 0.5)
-        assert checked_report([0.8], 0.8, 0.6, 0.5, 70.0).similarity == 70.0
-        with pytest.raises(ValueError, match="similarity"):
-            checked_report([0.8], 0.8, 0.6, 0.5, 71.0)
+        assert checked_report([0.8], 0.6, 0.5).similarity == 100.0 * (0.8 * 0.5 + 0.6 * 0.5)
 
     def test_k_one_ignores_alpha(self):
         faces = unequal_faces()
@@ -133,7 +130,7 @@ class TestSimilarityScore:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="alpha must lie in"):
-            checked_report([0.5], 0.5, 1.5, 0.5, 100.0)
+            checked_report([0.5], 1.5, 0.5)
         with pytest.raises(ValueError, match="k must"):
             ScoringConfig(k=-0.1)
 
@@ -188,11 +185,14 @@ class TestCompare:
         landmarks["mouth_left"] = (240.0, 430.0)
         f2 = make_face("b", width=640, height=640, landmarks=landmarks,
                        outline=((70.0, 60.0), (580.0, 70.0), (560.0, 590.0), (60.0, 570.0)))
-        base = compare(f1, f2, ScoringConfig(resolution_scale=raster_scale_for(f1, f2))).similarity
+        base = compare(f1, f2, ScoringConfig(resolution_scale=raster_scale_for(f1, f2)))
         for c in (0.5, 2.0, 3.7):
             g1, g2 = scaled_face(f1, c), scaled_face(f2, c)
-            config = ScoringConfig(resolution_scale=raster_scale_for(g1, g2))
-            assert compare(g1, g2, config).similarity == pytest.approx(base, abs=0.1)
+            scaled = compare(g1, g2, ScoringConfig(resolution_scale=raster_scale_for(g1, g2)))
+            assert scaled.similarity == pytest.approx(base.similarity, abs=0.1)
+            # the features are ratios of lengths, so scaling cannot move them;
+            # the 0.1 bound alone misses an offset added to every distance
+            assert scaled.feature_score == pytest.approx(base.feature_score, abs=1e-12)
 
     def test_monotone_degradation(self):
         memberships = []
@@ -374,24 +374,15 @@ class TestValidation:
             ScoringConfig(resolution_scale=0)
 
     def test_tampered_report_rejected(self):
-        rows = (FeatureRow("interocular", 60.0, 60.0, 1.0, 1.0),)
-        with pytest.raises(ValueError, match="mean membership"):
-            MatchReport(
-                a_id="a", b_id="b", features=rows, feature_score=0.5, alpha=1.0,
-                k=0.5, similarity=75.0, alpha_mode=AlphaMode.COMPLEMENT,
-                kernel=BellKernel(), resolution_scale=1,
-            )
-        with pytest.raises(ValueError, match="similarity"):
-            MatchReport(
-                a_id="a", b_id="b", features=rows, feature_score=1.0, alpha=1.0,
-                k=0.5, similarity=90.0, alpha_mode=AlphaMode.COMPLEMENT,
-                kernel=BellKernel(), resolution_scale=1,
-            )
+        # the derived terms cannot be passed in, so they cannot disagree with the rows
+        with pytest.raises(TypeError, match="feature_score"):
+            checked_report([1.0], 1.0, 0.5, feature_score=0.5)
+        with pytest.raises(TypeError, match="similarity"):
+            checked_report([1.0], 1.0, 0.5, similarity=90.0)
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError, match="at least one feature"):
             MatchReport(
-                a_id="a", b_id="b", features=(), feature_score=1.0, alpha=1.0,
-                k=0.5, similarity=100.0, alpha_mode=AlphaMode.COMPLEMENT,
-                kernel=BellKernel(), resolution_scale=1,
+                a_id="a", b_id="b", features=(), alpha=1.0, k=0.5,
+                alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(), resolution_scale=1,
             )

@@ -223,7 +223,7 @@ class TestRasterize:
 
     def test_window_is_cropped_to_the_outline(self):
         mask = rasterize(square(2, 8), Canvas(10, 10), 3)
-        assert mask.frame == (30, 30) and (mask.width, mask.height) == (30, 30)
+        assert mask.frame == (30, 30)
         assert mask.offset == (6, 6) and mask.bits.shape == (18, 18)
         assert mask.bits.all()
 
@@ -358,11 +358,16 @@ class TestMaskOps:
         ("offset", (0, -1), "mask offset must be an integer >= 0, got -1"),
         ("frame", (3.9, 3), "mask frame side must be an integer >= 0, got 3.9"),
         ("frame", (3, True), "mask frame side must be an integer >= 0, got True"),
+        ("offset", 5, "mask offset must be a pair of integers, got 5"),
+        ("frame", 5, "mask frame must be a pair of integers, got 5"),
+        ("frame", (3,), "mask frame must be a pair of integers, got (3,)"),
+        ("frame", (3, 3, 3), "mask frame must be a pair of integers, got (3, 3, 3)"),
         ("scale", 0, "mask scale must be an integer >= 1, got 0"),
         ("scale", "x", "mask scale must be an integer >= 1, got 'x'"),
     ])
     def test_window_fields_must_be_integers(self, field, value, message):
-        # once silently truncated to offset (0, 0) and frame (3, 3), or kept as given
+        # once silently truncated to offset (0, 0) and frame (3, 3), or kept as
+        # given; a field that is not a pair raised TypeError or an unnamed unpack error
         with pytest.raises(ValueError, match=re.escape(message)):
             BinaryMask(np.ones((2, 2), dtype=bool), **{field: value})
 

@@ -1,9 +1,12 @@
 """Synthetic population generation and the verification evaluator."""
 
+import re
+
 import numpy as np
 import pytest
 
 import fuzzyface as ff
+from fuzzyface import synthbench
 from fuzzyface import (
     EvalReport,
     GenerationError,
@@ -175,6 +178,18 @@ class TestReportFromScores:
         with pytest.raises(ValueError, match="threshold must be a finite number"):
             report_from_scores([90.0], [50.0], threshold=threshold)
 
+    @pytest.mark.parametrize("genuine, impostor, message", [
+        ([90.0, float("nan")], [50.0], "genuine score 1 must be a finite number, got nan"),
+        (["95"], [50.0], "genuine score 0 must be a finite number, got '95'"),
+        ([90.0], [50.0, float("inf")], "impostor score 1 must be a finite number, got inf"),
+        ([90.0], [True], "impostor score 0 must be a finite number, got True"),
+    ])
+    def test_scores_must_be_finite_numbers(self, genuine, impostor, message):
+        # a NaN genuine score gave auc 1.0, a nan mean and a ROC ending at
+        # (0.0, 1.0), and "95" was read as 95.0
+        with pytest.raises(ValueError, match=re.escape(message)):
+            report_from_scores(genuine, impostor, threshold=50.0)
+
     def test_report_round_trips_to_dict(self):
         report = report_from_scores([95.0, 85.0], [80.0, 90.0], threshold=88.0)
         doc = report.to_dict()
@@ -213,6 +228,15 @@ class TestEvaluate:
     def test_needs_repeat_captures(self):
         pop = generate_population(PopulationConfig(3, 1, seed=3))
         with pytest.raises(ValueError, match="genuine"):
+            evaluate(pop, ScoringConfig(k=0.5), threshold=95.0)
+
+    def test_labels_are_checked_before_scoring(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("score_pairs called on a population without genuine pairs")
+
+        monkeypatch.setattr(synthbench, "score_pairs", unreachable)
+        pop = generate_population(PopulationConfig(3, 1, seed=3))
+        with pytest.raises(ValueError, match="population yields no genuine pairs"):
             evaluate(pop, ScoringConfig(k=0.5), threshold=95.0)
 
     def test_mean_genuine_decays_with_capture_noise(self):
