@@ -25,7 +25,7 @@ from .fileio import (
     save_model,
 )
 from .fuzzymath import DEFAULT_KERNELS, kernel_to_dict
-from .scoring import MatchReport, ScoringConfig, compare, score_pairs
+from .scoring import MatchReport, ScoringConfig, compare, pair_scores
 from .silhouette import AlphaMode
 from .synthbench import PopulationConfig, generate_population, labeled_pairs, report_from_scores
 
@@ -159,8 +159,8 @@ def _cmd_calibrate(args) -> int:
         raise ValueError(f"{args.manifest}: no genuine pairs to calibrate from")
     config = _config_from_args(args, None)
     # in manifest order: updates depend on it
-    state = calibrate(CalibrationSample(r.feature_score, r.alpha)
-                      for r in _score_manifest(genuine, config))
+    state = calibrate(CalibrationSample(feature_score, alpha)
+                      for feature_score, alpha, _ in _score_manifest(genuine, config))
     if not state.initialized:
         raise ValueError("every genuine pair was degenerate; cannot calibrate")
     if state.skipped:
@@ -175,8 +175,8 @@ def _cmd_evaluate(args) -> int:
     pairs = load_manifest(args.manifest)
     config = _config_from_args(args, load_model(args.model))
     scored = [
-        (pair.a.name, pair.b.name, pair.label, report.similarity)
-        for pair, report in zip(pairs, _score_manifest(pairs, config))
+        (pair.a.name, pair.b.name, pair.label, similarity)
+        for pair, (_, _, similarity) in zip(pairs, _score_manifest(pairs, config))
     ]
     genuine = [s for _, _, label, s in scored if label == "genuine"]
     impostor = [s for _, _, label, s in scored if label == "impostor"]
@@ -192,8 +192,8 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _score_manifest(pairs, config: ScoringConfig) -> list[MatchReport]:
-    """Score manifest pairs in order, loading each distinct face file once."""
+def _score_manifest(pairs, config: ScoringConfig) -> list[tuple[float, float, float]]:
+    """pair_scores of the manifest pairs in order, loading each distinct face file once."""
     index: dict[Path, int] = {}
     faces = []
     for pair in pairs:
@@ -201,7 +201,7 @@ def _score_manifest(pairs, config: ScoringConfig) -> list[MatchReport]:
             if path not in index:
                 index[path] = len(faces)
                 faces.append(load_face(path))
-    return score_pairs(faces, [(index[pair.a], index[pair.b]) for pair in pairs], config)
+    return pair_scores(faces, [(index[pair.a], index[pair.b]) for pair in pairs], config)
 
 
 def _scores_csv(scored) -> str:

@@ -8,28 +8,21 @@ the two with the mixing weight k:
 
     similarity = 100 * (feature_score * k + alpha * (1 - k))
 
-All scoring runs through score_pairs, which splits the pipeline into a
-per-face prepare step (rescale onto the pair's canvas, measure the
-features, rasterize the outline) and a per-pair score step, so a face
-shared by many pairs on one canvas is prepared once.
+One engine serves two consumers. Its measure step prepares each face
+(rescale onto the pair's canvas, measure the features, rasterize the
+outline) at most once per canvas and raster scale, and reads each pair's
+alpha off the two masks. score_pairs turns each pair into a MatchReport;
+pair_scores keeps only each pair's feature score, alpha and similarity.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from statistics import fmean
 
 from .features import FaceInput, FeatureVector, extract_features
-from .fuzzymath import (
-    BellKernel,
-    MembershipKernel,
-    check_entropy_kernel,
-    eval_membership,
-    kernel_to_dict,
-    shannon_entropy,
-)
+from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
 from .geometry import whole_number
 from .silhouette import (
     AlphaMode,
@@ -42,6 +35,13 @@ from .silhouette import (
     rasterize,
     rescale_face,
 )
+
+
+def _check_mixing_weight(k) -> None:
+    """Raise unless k is an int or float (not a bool) in [0, 1]."""
+    if isinstance(k, bool) or not isinstance(k, (int, float)) \
+            or not (math.isfinite(k) and 0.0 <= k <= 1.0):
+        raise ValueError(f"mixing weight k must lie in [0, 1], got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class ScoringConfig:
     resolution_scale: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, float)) \
-                or not (math.isfinite(self.k) and 0.0 <= self.k <= 1.0):
-            raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
+        _check_mixing_weight(self.k)
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
         check_entropy_kernel(self.kernel)
@@ -99,12 +97,10 @@ class MatchReport:
         if len(self.features) < 1:
             raise ValueError("a report needs at least one feature row")
         for row in self.features:
-            if not (0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0):
-                raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        feature_score = fmean(row.membership for row in self.features)
-        similarity = 100.0 * (feature_score * self.k + self.alpha * (1.0 - self.k))
+            _check_row(row.name, row.a, row.b, row.entropy, row.membership)
+        feature_score, similarity = _blend(
+            [row.membership for row in self.features], self.alpha, self.k
+        )
         object.__setattr__(self, "feature_score", feature_score)
         object.__setattr__(self, "similarity", similarity)
 
@@ -129,10 +125,49 @@ class MatchReport:
         }
 
 
+def _check_row(name: str, a: float, b: float, entropy: float, membership: float) -> None:
+    """Raise unless a feature's entropy and membership both lie in [0, 1]."""
+    if not (0.0 <= entropy <= 1.0 and 0.0 <= membership <= 1.0):
+        row = FeatureRow(name, a, b, entropy, membership)
+        raise ValueError(f"feature row '{name}' outside [0, 1]: {row!r}")
+
+
+def _blend(memberships: Sequence[float], alpha: float, k: float) -> tuple[float, float]:
+    """The feature score (mean membership) and the similarity of one pair.
+
+    Raises unless alpha lies in [0, 1] and k passes _check_mixing_weight,
+    so a similarity is always in [0, 100].
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    _check_mixing_weight(k)
+    feature_score = math.fsum(memberships) / len(memberships)
+    return feature_score, 100.0 * (feature_score * k + alpha * (1.0 - k))
+
+
 def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[float, float]:
-    """Entropy of one feature's two measurements and its kernel membership."""
-    entropy = shannon_entropy((a, b))
-    return entropy, eval_membership(kernel, entropy)
+    """Entropy of one feature's two measurements and its kernel membership.
+
+    The two-value case of ``shannon_entropy``, step for step, so both
+    values equal ``shannon_entropy((a, b))`` and
+    ``eval_membership(kernel, ...)`` to the bit. Like every
+    ``FeatureVector`` value, a and b must be positive and finite.
+    """
+    try:
+        positive = 0.0 < a < math.inf and 0.0 < b < math.inf
+    except TypeError:  # not a number at all, such as a string or None
+        positive = False
+    if not positive:
+        raise ValueError(f"feature measurements must be positive reals, got {a!r} and {b!r}")
+    total = a + b
+    h = 0.0
+    for v in (a, b):
+        # p is 0.0 past a ratio of about 1e323 or when a + b overflows;
+        # log2 then raises ValueError, as shannon_entropy does there
+        p = v / total
+        h -= p * math.log2(p)
+    entropy = min(h, 1.0)  # each term is non-negative, so only the top can collect float dust
+    return entropy, kernel.evaluate(entropy)
 
 
 def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None = None) -> MatchReport:
@@ -146,21 +181,16 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     return score_pairs([face_a, face_b], [(0, 1)], config)[0]
 
 
-def score_pairs(
-    faces: Sequence[FaceInput],
-    pairs: Iterable[tuple[int, int]],
-    config: ScoringConfig | None = None,
-) -> list[MatchReport]:
-    """Score each ``(i, j)`` pair of indices into ``faces``, in the given order.
+def _measure_pairs(
+    faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]], config: ScoringConfig
+) -> Iterator[tuple[int, int, int, FeatureVector, FeatureVector, float]]:
+    """Each pair's i, j, raster scale, two feature vectors and alpha, in pair order.
 
-    Each report equals ``compare(faces[i], faces[j], config)`` bit for
-    bit. A face is prepared (rescaled, measured, rasterized) at most once
-    per canvas size and raster scale, so scoring every pair of N faces
-    that share one canvas rasterizes N times rather than twice per pair.
-    Prepared faces live only for this call.
+    A face is prepared (rescaled, measured, rasterized) at most once per
+    canvas size and raster scale, so N faces that share one canvas are
+    rasterized N times rather than twice per pair. Prepared faces live
+    only for one call.
     """
-    if config is None:
-        config = ScoringConfig()
     # keyed by index: FaceInput holds a dict and cannot be hashed
     prepared: dict[tuple[int, int, int, int], tuple[FeatureVector, BinaryMask]] = {}
 
@@ -171,30 +201,72 @@ def score_pairs(
             prepared[key] = (extract_features(face), rasterize(face.outline, canvas, scale))
         return prepared[key]
 
-    reports = []
     for i, j in pairs:
-        face_a, face_b = faces[i], faces[j]
-        canvas = pair_canvas(face_a, face_b)
+        canvas = pair_canvas(faces[i], faces[j])
         scale = config.resolution_scale
         if scale is None:
             scale = default_resolution_scale(canvas)
         features_a, mask_a = prepare(i, canvas, scale)
         features_b, mask_b = prepare(j, canvas, scale)
+        alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
+        yield i, j, scale, features_a, features_b, alpha
 
-        # Both vectors come from extract_features over CANONICAL_FEATURES, so
-        # their names align and FeatureVector has checked every value positive.
-        rows = tuple(
-            FeatureRow(name, a, b, *feature_membership(a, b, config.kernel))
-            for (name, a), (_, b) in zip(features_a.items, features_b.items)
-        )
-        reports.append(MatchReport(
-            a_id=face_a.id,
-            b_id=face_b.id,
-            features=rows,
-            alpha=alpha_from_masks(mask_a, mask_b, config.alpha_mode),
+
+def score_pairs(
+    faces: Sequence[FaceInput],
+    pairs: Iterable[tuple[int, int]],
+    config: ScoringConfig | None = None,
+) -> list[MatchReport]:
+    """Score each ``(i, j)`` pair of indices into ``faces``, in the given order.
+
+    Each report equals ``compare(faces[i], faces[j], config)`` bit for
+    bit. A face is prepared (rescaled, measured, rasterized) at most once
+    per canvas size and raster scale, for this call only.
+    """
+    if config is None:
+        config = ScoringConfig()
+    # Both vectors come from extract_features over CANONICAL_FEATURES, so
+    # their names align and FeatureVector has checked every value positive.
+    return [
+        MatchReport(
+            a_id=faces[i].id,
+            b_id=faces[j].id,
+            features=tuple(
+                FeatureRow(name, a, b, *feature_membership(a, b, config.kernel))
+                for (name, a), (_, b) in zip(features_a.items, features_b.items)
+            ),
+            alpha=alpha,
             k=config.k,
             alpha_mode=config.alpha_mode,
             kernel=config.kernel,
             resolution_scale=scale,
-        ))
-    return reports
+        )
+        for i, j, scale, features_a, features_b, alpha in _measure_pairs(faces, pairs, config)
+    ]
+
+
+def pair_scores(
+    faces: Sequence[FaceInput],
+    pairs: Iterable[tuple[int, int]],
+    config: ScoringConfig | None = None,
+) -> list[tuple[float, float, float]]:
+    """``(feature_score, alpha, similarity)`` of each pair, as score_pairs' reports hold them.
+
+    The same engine, checks and arithmetic as score_pairs, so each value
+    equals the report's bit for bit, but no FeatureRow or MatchReport is
+    built: for callers that read only the scores, such as evaluate and
+    calibrate.
+    """
+    if config is None:
+        config = ScoringConfig()
+    kernel, k = config.kernel, config.k
+    scores = []
+    for _, _, _, features_a, features_b, alpha in _measure_pairs(faces, pairs, config):
+        memberships = []
+        for (name, a), (_, b) in zip(features_a.items, features_b.items):
+            entropy, membership = feature_membership(a, b, kernel)
+            _check_row(name, a, b, entropy, membership)
+            memberships.append(membership)
+        feature_score, similarity = _blend(memberships, alpha, k)
+        scores.append((feature_score, alpha, similarity))
+    return scores

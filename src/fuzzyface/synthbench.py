@@ -22,7 +22,7 @@ import numpy as np
 
 from .features import REQUIRED_LANDMARKS, FaceInput, extract_features
 from .geometry import finite_number, whole_number
-from .scoring import ScoringConfig, score_pairs
+from .scoring import ScoringConfig, pair_scores
 from .scoring import compare  # not called here; perfbench/run.py --trace 1 wraps this name
 
 _TEMPLATE_WIDTH = 512
@@ -288,10 +288,10 @@ def evaluate(
         raise ValueError("population yields no genuine pairs (need an identity with 2+ captures)")
     if "impostor" not in labels:
         raise ValueError("population yields no impostor pairs (need 2+ identities)")
-    reports = score_pairs(
+    scores = pair_scores(
         [labeled.face for labeled in population], [(i, j) for i, j, _ in pairs], config
     )
-    scored = list(zip(pairs, reports))
-    genuine = [r.similarity for (_, _, label), r in scored if label == "genuine"]
-    impostor = [r.similarity for (_, _, label), r in scored if label == "impostor"]
+    scored = list(zip(pairs, scores))
+    genuine = [s for (_, _, label), (_, _, s) in scored if label == "genuine"]
+    impostor = [s for (_, _, label), (_, _, s) in scored if label == "impostor"]
     return report_from_scores(genuine, impostor, threshold)

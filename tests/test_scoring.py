@@ -1,10 +1,11 @@
 """The end-to-end comparison pipeline and its report invariants."""
 
 import json
+import math
 from statistics import fmean
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzzyface.features
@@ -19,16 +20,38 @@ from fuzzyface import (
     MatchReport,
     PopulationConfig,
     ScoringConfig,
+    TrapezoidKernel,
     TriangleKernel,
     compare,
+    eval_membership,
     feature_membership,
     generate_population,
     score_pairs,
+    shannon_entropy,
 )
 from fuzzyface.fileio import dump_json
+from fuzzyface.scoring import pair_scores
 from fuzzyface.silhouette import rescale_face
 
 IMAGE_SIZES = ((512, 512), (256, 384), (768, 512), (384, 768), (100, 140))
+
+breakpoints = st.floats(-10.0, 10.0)
+# every kernel type, each with the breakpoints its constructor accepts; a
+# bell needs r >= 0.5 to stay in [0, 1] over the entropy range
+any_kernel = st.one_of(
+    st.floats(0.5, 1e6).map(BellKernel),
+    st.lists(breakpoints, min_size=3, max_size=3, unique=True).map(
+        lambda v: TriangleKernel(*sorted(v))),
+    st.lists(breakpoints, min_size=4, max_size=4, unique=True).map(
+        lambda v: TrapezoidKernel(*sorted(v))),
+    st.sampled_from(list(DEFAULT_KERNELS.values())),
+)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# independent draws, and pairs a, a * ratio with every ratio up to 1e300
+measurements = st.one_of(
+    st.tuples(positive, positive),
+    st.tuples(positive, st.floats(1.0, 1e300)).map(lambda ar: (ar[0], ar[0] * ar[1])),
+).filter(lambda ab: 0.0 < ab[1] < math.inf)
 
 # frozen against the 50-digit oracle in test_fuzzymath
 H_1_3 = 0.8112781244591328
@@ -59,6 +82,31 @@ class TestFeatureMembership:
         # triangle (0, 1, 2) maps entropy in [0, 1] to itself
         entropy, membership = feature_membership(1.0, 3.0, TriangleKernel())
         assert membership == pytest.approx(entropy, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ab=measurements, kernel=any_kernel)
+    @example(ab=(1.0, 1e300), kernel=BellKernel())
+    @example(ab=(5e-324, 1e300), kernel=BellKernel())  # p underflows to 0.0
+    @example(ab=(1.7e308, 1.7e308), kernel=BellKernel())  # a + b overflows
+    @example(ab=(3.0, 3.0 * (1 + 2 ** -52)), kernel=TrapezoidKernel())
+    def test_equals_shannon_entropy_and_eval_membership(self, ab, kernel):
+        # the two-value entropy against the general n-value reference
+        try:
+            expected_entropy = shannon_entropy(ab)
+            expected = (expected_entropy, eval_membership(kernel, expected_entropy))
+        except ValueError:
+            with pytest.raises(ValueError):
+                feature_membership(*ab, kernel)
+            return
+        assert tuple(map(repr, feature_membership(*ab, kernel))) == tuple(map(repr, expected))
+
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 1.0), (1.0, -2.0), (-1.0, -3.0), (math.nan, 1.0), (1.0, math.inf), ("1", 2.0),
+        (1.0, None),
+    ])
+    def test_measurements_must_be_positive_reals(self, a, b):
+        with pytest.raises(ValueError, match="feature measurements must be positive reals"):
+            feature_membership(a, b, BellKernel())
 
 
 def checked_report(memberships, alpha, k, **derived):
@@ -227,20 +275,34 @@ class TestScorePairs:
         sizes=st.lists(st.sampled_from(IMAGE_SIZES), min_size=6, max_size=6),
         mode=st.sampled_from(list(AlphaMode)),
         resolution_scale=st.sampled_from([None, 1, 2]),
+        kernel=any_kernel,
     )
-    def test_equals_per_pair_compare(self, seed, sizes, mode, resolution_scale):
+    # one canvas for every pair: each face is prepared once for all of them
+    @example(seed=1, sizes=[(512, 512)] * 6, mode=AlphaMode.LITERAL, resolution_scale=None,
+             kernel=BellKernel())
+    # widths rise as heights fall, so each pair has a canvas of its own and
+    # each face is prepared once per pair it is in
+    @example(seed=2, sizes=[(200 + 60 * n, 500 - 60 * n) for n in range(6)],
+             mode=AlphaMode.COMPLEMENT, resolution_scale=2, kernel=TriangleKernel())
+    def test_equals_per_pair_compare(self, seed, sizes, mode, resolution_scale, kernel):
         population = generate_population(
             PopulationConfig(identity_count=2, captures_per_identity=3, capture_sigma=3.0, seed=seed)
         )
         faces = [rescale_face(lf.face, w, h) for lf, (w, h) in zip(population, sizes)]
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)] + [(5, 0), (3, 1), (2, 2)]
-        config = ScoringConfig(k=0.7, alpha_mode=mode, resolution_scale=resolution_scale)
+        config = ScoringConfig(k=0.7, alpha_mode=mode, kernel=kernel,
+                               resolution_scale=resolution_scale)
         reports = score_pairs(faces, pairs, config)
         assert len(reports) == len(pairs)
         for (i, j), report in zip(pairs, reports):
             expected = compare(faces[i], faces[j], config)
             assert report == expected
             assert dump_json(report.to_dict()) == dump_json(expected.to_dict())
+        # the score-only loop: the same three values, to the bit (repr tells
+        # -0.0 from 0.0 and a float from a numpy scalar)
+        columns = [tuple(map(repr, scores)) for scores in pair_scores(faces, iter(pairs), config)]
+        assert columns == [tuple(map(repr, (r.feature_score, r.alpha, r.similarity)))
+                           for r in reports]
 
     def test_each_face_rasterized_once_per_canvas(self, monkeypatch):
         calls = []
@@ -272,6 +334,8 @@ class TestScorePairs:
 
     def test_empty_pair_list(self):
         assert score_pairs([make_face()], [], ScoringConfig()) == []
+        assert pair_scores([make_face()], [], ScoringConfig()) == []
+
 
 
 def dealt_faces(seed, sizes):
@@ -379,6 +443,12 @@ class TestValidation:
             checked_report([1.0], 1.0, 0.5, feature_score=0.5)
         with pytest.raises(TypeError, match="similarity"):
             checked_report([1.0], 1.0, 0.5, similarity=90.0)
+
+    @pytest.mark.parametrize("k", [2.0, -1.0, math.nan, True])
+    def test_report_k_must_lie_in_the_unit_interval(self, k):
+        # ScoringConfig's rule and message; at k = 2.0 the similarity was 200.0
+        with pytest.raises(ValueError, match=r"mixing weight k must lie in \[0, 1\], got"):
+            checked_report([1.0], 0.0, k)
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError, match="at least one feature"):

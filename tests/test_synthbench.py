@@ -232,9 +232,9 @@ class TestEvaluate:
 
     def test_labels_are_checked_before_scoring(self, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("score_pairs called on a population without genuine pairs")
+            raise AssertionError("pair_scores called on a population without genuine pairs")
 
-        monkeypatch.setattr(synthbench, "score_pairs", unreachable)
+        monkeypatch.setattr(synthbench, "pair_scores", unreachable)
         pop = generate_population(PopulationConfig(3, 1, seed=3))
         with pytest.raises(ValueError, match="population yields no genuine pairs"):
             evaluate(pop, ScoringConfig(k=0.5), threshold=95.0)
