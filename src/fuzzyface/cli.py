@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -30,7 +31,14 @@ from .silhouette import AlphaMode
 from .synthbench import PopulationConfig, generate_population, labeled_pairs, report_from_scores
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The four-subcommand parser, built on the first call and the same object after.
+
+    Reuse is safe: parse_args keeps no state between calls, help is
+    formatted (and the terminal width read) at call time, and the help
+    text quotes only ScoringConfig's constant defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="fuzzyface",
         description="Face similarity scoring from landmark files.",

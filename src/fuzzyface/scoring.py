@@ -37,10 +37,14 @@ from .silhouette import (
 )
 
 
+def _is_number(value) -> bool:
+    """True for an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_mixing_weight(k) -> None:
     """Raise unless k is an int or float (not a bool) in [0, 1]."""
-    if isinstance(k, bool) or not isinstance(k, (int, float)) \
-            or not (math.isfinite(k) and 0.0 <= k <= 1.0):
+    if not (_is_number(k) and math.isfinite(k) and 0.0 <= k <= 1.0):
         raise ValueError(f"mixing weight k must lie in [0, 1], got {k!r}")
 
 
@@ -96,8 +100,17 @@ class MatchReport:
     def __post_init__(self) -> None:
         if len(self.features) < 1:
             raise ValueError("a report needs at least one feature row")
+        # The range tests alone would let a hand-built bool through and raise
+        # TypeError on a string. score_pairs passes floats, which skip the
+        # full type test: a call per value made each report half again as
+        # slow to build.
         for row in self.features:
+            if not (type(row.entropy) is type(row.membership) is float
+                    or _is_number(row.entropy) and _is_number(row.membership)):
+                raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
             _check_row(row.name, row.a, row.b, row.entropy, row.membership)
+        if type(self.alpha) is not float and not _is_number(self.alpha):
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         feature_score, similarity = _blend(
             [row.membership for row in self.features], self.alpha, self.k
         )
@@ -188,11 +201,13 @@ def _measure_pairs(
 
     A face is prepared (rescaled, measured, rasterized) at most once per
     canvas size and raster scale, so N faces that share one canvas are
-    rasterized N times rather than twice per pair. Prepared faces live
+    rasterized N times rather than twice per pair. Each canvas size is
+    built, with its raster scale, once. Prepared faces and canvases live
     only for one call.
     """
     # keyed by index: FaceInput holds a dict and cannot be hashed
     prepared: dict[tuple[int, int, int, int], tuple[FeatureVector, BinaryMask]] = {}
+    canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}
 
     def prepare(index: int, canvas: Canvas, scale: int) -> tuple[FeatureVector, BinaryMask]:
         key = (index, canvas.width, canvas.height, scale)
@@ -202,10 +217,17 @@ def _measure_pairs(
         return prepared[key]
 
     for i, j in pairs:
-        canvas = pair_canvas(faces[i], faces[j])
-        scale = config.resolution_scale
-        if scale is None:
-            scale = default_resolution_scale(canvas)
+        face_a, face_b = faces[i], faces[j]
+        # pair_canvas's size, found without building a Canvas
+        size = (max(face_a.image_width, face_b.image_width),
+                max(face_a.image_height, face_b.image_height))
+        if size not in canvases:
+            canvas = pair_canvas(face_a, face_b)
+            scale = config.resolution_scale
+            if scale is None:
+                scale = default_resolution_scale(canvas)
+            canvases[size] = canvas, scale
+        canvas, scale = canvases[size]
         features_a, mask_a = prepare(i, canvas, scale)
         features_b, mask_b = prepare(j, canvas, scale)
         alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)

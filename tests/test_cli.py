@@ -22,7 +22,7 @@ from fuzzyface import (
     save_face,
     score_pairs,
 )
-from fuzzyface.cli import main
+from fuzzyface.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -328,3 +328,44 @@ class TestSynth:
         result = run_module("compare", str(face_file), str(face_file), "--k", "1")
         assert result.returncode == 0
         assert json.loads(result.stdout)["similarity"] == 100.0
+
+
+class TestParserReuse:
+    """main reuses one parser per process; state must not leak between calls."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    # argparse's wording differs across Python versions, so the reference
+    # is a fresh process of the same interpreter rather than pinned text
+    @pytest.mark.parametrize("columns", ["40", "100"])
+    def test_reused_parser_matches_a_fresh_process(self, capsys, monkeypatch, tmp_path,
+                                                   face_file, columns):
+        other = tmp_path / "other.json"
+        save_face(make_face("other", width=150, height=150), other)
+        a, b = str(face_file), str(other)
+        env = dict(os.environ, COLUMNS=columns)
+        build_parser()  # built before the width changes, so a frozen width would show
+        monkeypatch.setenv("COLUMNS", columns)
+
+        code, out, _ = run_cli(capsys, "compare", a, b, "--k", "0.3", "--text")
+        assert code == 0 and out.startswith("a: probe")
+        usage_error = ["compare", a, b, "--k", "0.3", "--model", "M"]
+        with pytest.raises(SystemExit) as exc:
+            main(usage_error)
+        assert exc.value.code == 2
+        fresh = run_module(*usage_error, env=env)
+        assert fresh.returncode == 2
+        assert capsys.readouterr().err == fresh.stderr
+        # neither --k nor --text carries over into a call without flags
+        code, out, _ = run_cli(capsys, "compare", a, b)
+        assert code == 0
+        assert out == run_module("compare", a, b, env=env).stdout
+
+        for command in ([], ["compare"], ["calibrate"], ["evaluate"], ["synth"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0
+            fresh = run_module(*command, "--help", env=env)
+            assert fresh.returncode == 0
+            assert capsys.readouterr().out == fresh.stdout

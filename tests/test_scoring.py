@@ -321,6 +321,27 @@ class TestScorePairs:
         # three faces on the 100 px canvas, then faces 0, 1 and 3 on the 200x150 one
         assert calls == [(100, 100, 6)] * 3 + [(200, 150, 3)] * 3
 
+    @pytest.mark.parametrize("scorer", [score_pairs, pair_scores])
+    def test_each_canvas_built_once(self, monkeypatch, scorer):
+        calls = []
+        original = fuzzyface.scoring.pair_canvas
+
+        def counted(face_a, face_b):
+            canvas = original(face_a, face_b)
+            calls.append((canvas.width, canvas.height))
+            return canvas
+
+        monkeypatch.setattr(fuzzyface.scoring, "pair_canvas", counted)
+        faces = dealt_faces(3, [(512, 512), (256, 384), (768, 512), (384, 768), (100, 140),
+                                (256, 384)])
+        pairs = [(i, j) for i in range(6) for j in range(6)]
+        scorer(faces, pairs, ScoringConfig())
+        sizes = [(max(faces[i].image_width, faces[j].image_width),
+                  max(faces[i].image_height, faces[j].image_height)) for i, j in pairs]
+        # one call per distinct size, in the order the sizes first appear
+        assert calls == list(dict.fromkeys(sizes))
+        assert len(calls) < len(pairs)
+
     def test_same_size_faces_are_not_rechecked(self, monkeypatch):
         faces = [make_face(f"s{i}", width=100, height=100) for i in range(3)]
         calls = []
@@ -456,3 +477,25 @@ class TestValidation:
                 a_id="a", b_id="b", features=(), alpha=1.0, k=0.5,
                 alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(), resolution_scale=1,
             )
+
+    @pytest.mark.parametrize("alpha", [True, False, "0.5", None])
+    def test_report_alpha_must_be_a_number(self, alpha):
+        # a bool was written out as "alpha": true; a string raised TypeError
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got"):
+            checked_report([1.0], alpha, 0.5)
+
+    @pytest.mark.parametrize("entropy, membership", [
+        (True, True), (1.0, True), (False, 0.5), ("0.5", 0.5), (0.5, "0.5"), (None, 0.5),
+    ])
+    def test_report_row_terms_must_be_numbers(self, entropy, membership):
+        row = FeatureRow("f0", 60.0, 60.0, entropy, membership)
+        with pytest.raises(ValueError, match=r"feature row 'f0' outside \[0, 1\]: FeatureRow"):
+            MatchReport(
+                a_id="a", b_id="b", features=(row,), alpha=1.0, k=0.5,
+                alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(), resolution_scale=1,
+            )
+
+    def test_report_accepts_int_terms(self):
+        # an int is a number; only bools and other types are refused
+        report = checked_report([1], 0, 0.5)
+        assert report.alpha == 0 and report.feature_score == 1.0
