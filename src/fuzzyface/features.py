@@ -13,6 +13,8 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import Point, distance, midpoint, polygon_is_simple, whole_number
 
 REQUIRED_LANDMARKS: tuple[str, ...] = (
@@ -34,37 +36,60 @@ REQUIRED_LANDMARKS: tuple[str, ...] = (
 # longest image side a face may declare; keeps every size and scale factor a plain float
 MAX_IMAGE_SIDE = 2 ** 16
 
+# most outline vertices a face may have; the self-intersection test builds
+# n x (n + 1) float matrices, which at this bound take about 24 MiB and 20 ms
+MAX_OUTLINE_VERTICES = 1024
+
 _COORDINATE_TYPES = (int, float)
 
 
-def _check_point(label: str, pt, width: int, height: int) -> Point:
-    """A point is exactly two ints or floats (not bools), finite and inside the image."""
+def _check_point(label: str, key, pt, width: int, height: int) -> Point:
+    """A point is exactly two ints or floats (not bools), finite and inside the image.
+
+    An error names the point as ``label.format(key)``, formatted only then.
+    """
     try:
         x, y = pt
     except (TypeError, ValueError):
         x = y = None
+    # two plain floats inside the image pass at once; NaN and the
+    # infinities fail these comparisons and are worded below
+    if type(x) is float and type(y) is float and 0.0 <= x <= width and 0.0 <= y <= height:
+        return (x, y)
+    name = label.format(key)
     # plain ints and floats take the fast test; the slow one admits their
     # subclasses, such as numpy's float64, but never a bool
     if not (type(x) in _COORDINATE_TYPES and type(y) in _COORDINATE_TYPES
             or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))):
-        raise ValueError(f"{label} must be an array of two numbers, got {pt!r}")
+        raise ValueError(f"{name} must be an array of two numbers, got {pt!r}")
     try:
         x, y = float(x), float(y)
     except OverflowError:  # an int too large for a float
-        raise ValueError(f"{label} has a non-finite coordinate: {pt!r}") from None
+        raise ValueError(f"{name} has a non-finite coordinate: {pt!r}") from None
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{label} has a non-finite coordinate: {pt!r}")
+        raise ValueError(f"{name} has a non-finite coordinate: {pt!r}")
     if not (0.0 <= x <= width and 0.0 <= y <= height):
         raise ValueError(
-            f"{label} is outside the image bounds [0, {width}] x [0, {height}]: ({x}, {y})"
+            f"{name} is outside the image bounds [0, {width}] x [0, {height}]: ({x}, {y})"
         )
     return (x, y)
 
 
 class _CheckedOutline(tuple):
-    """An outline that passed every FaceInput check; only FaceInput creates one."""
+    """An outline that passed every FaceInput check; only FaceInput creates one.
 
-    __slots__ = ()
+    ``array`` holds the same vertices as a read-only float64 (n, 2) array:
+    the one the self-intersection test ran on, which ``rasterize`` fills.
+    """
+
+    def __new__(cls, points, array: np.ndarray):
+        outline = super().__new__(cls, points)
+        array.setflags(write=False)
+        outline.array = array
+        return outline
+
+    def __reduce__(self):  # a copy or an unpickled outline keeps its array read-only
+        return _CheckedOutline, (tuple(self), self.array)
 
 
 @dataclass(frozen=True)
@@ -74,11 +99,12 @@ class FaceInput:
     The outline is implicitly closed; its first vertex must not be
     repeated at the end, and it must be a simple (non-self-intersecting)
     polygon. Each point is exactly two ints or floats (not bools), finite
-    and inside the image, whose sides are at most MAX_IMAGE_SIDE pixels.
-    Unknown landmark names are kept but ignored by the canonical
-    features. The stored outline is a tuple that ``rasterize`` knows to
-    be checked already, so a face's outline is tested for
-    self-intersection once.
+    and inside the image, whose sides are at most MAX_IMAGE_SIDE pixels;
+    the outline has at most MAX_OUTLINE_VERTICES vertices. Unknown
+    landmark names are kept but ignored by the canonical features. The
+    stored outline is a tuple that ``rasterize`` knows to be checked
+    already, and it carries its vertex array, so a face's outline is
+    converted and tested for self-intersection once.
     """
 
     id: str
@@ -103,7 +129,7 @@ class FaceInput:
         landmarks = {}
         for name, pt in named_points:
             landmarks[str(name)] = _check_point(
-                f"landmark '{name}'", pt, self.image_width, self.image_height
+                "landmark '{}'", name, pt, self.image_width, self.image_height
             )
         for name in REQUIRED_LANDMARKS:
             if name not in landmarks:
@@ -116,18 +142,22 @@ class FaceInput:
                 f"outline must be a sequence of points, got {self.outline!r}"
             ) from None
         outline = tuple(
-            _check_point(f"outline vertex {i}", pt, self.image_width, self.image_height)
+            _check_point("outline vertex {}", i, pt, self.image_width, self.image_height)
             for i, pt in vertices
         )
         if len(outline) < 3:
             raise ValueError(f"outline needs at least 3 vertices, got {len(outline)}")
+        if len(outline) > MAX_OUTLINE_VERTICES:
+            raise ValueError(f"outline has {len(outline)} vertices, more than "
+                             f"{MAX_OUTLINE_VERTICES}")
         if outline[0] == outline[-1]:
             raise ValueError("outline must not repeat its first vertex (closure is implicit)")
-        if not polygon_is_simple(outline):
+        array = np.array(outline, dtype=float)
+        if not polygon_is_simple(array):
             raise ValueError("outline is self-intersecting")
 
         object.__setattr__(self, "landmarks", landmarks)
-        object.__setattr__(self, "outline", _CheckedOutline(outline))
+        object.__setattr__(self, "outline", _CheckedOutline(outline, array))
 
 
 FeatureFn = Callable[[Mapping[str, Point]], float]

@@ -8,6 +8,7 @@ document reproduces the exact values.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -29,9 +30,83 @@ class FaceFileError(ValueError):
     """A document failed to parse or validate; the message names the field."""
 
 
+# the C string escaper json.dumps uses with its default ensure_ascii=True
+_escape = json.encoder.encode_basestring_ascii
+
+# nesting deeper than this (a circular list, say) is left to json.dumps
+_MAX_NESTING = 100
+
+
+class _Unsupported(Exception):
+    """A value the fast writer does not spell; json.dumps decides it instead."""
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+
+
+# json's spelling of each plain scalar, by exact type (so a bool is not an int)
+_SCALAR_TEXT = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _to_json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` spells it.
+
+    ``newline`` is the line break plus the indent of the line ``value``
+    starts on. Only dicts with str keys, lists, tuples, str, int, float,
+    bool and None are spelled here, by exact type; anything else, a
+    subclass included, raises _Unsupported.
+    """
+    kind = type(value)
+    if kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](value)
+    if len(newline) > 2 * _MAX_NESTING:
+        raise _Unsupported
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        try:  # most lists hold only scalars
+            items = [_SCALAR_TEXT[type(item)](item) for item in value]
+        except KeyError:
+            items = [_to_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise _Unsupported
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            scalar_text = _SCALAR_TEXT.get(type(item))
+            text = scalar_text(item) if scalar_text else _to_json(item, inner)
+            items.append(_escape(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise _Unsupported
+
+
 def dump_json(data) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text is exactly ``json.dumps(data, sort_keys=True, indent=2)``
+    plus the newline. That call runs json's pure-Python encoder, since
+    an indent turns the C one off, so the plain values documents hold
+    are spelled here with json's own string escaper and number forms;
+    any other value, or nesting past _MAX_NESTING, goes to json.dumps.
+    """
+    try:
+        return _to_json(data, "\n") + "\n"
+    except _Unsupported:
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -50,31 +50,38 @@ def polygon_is_simple(points: Sequence[Point]) -> bool:
     n = len(pts)
     if n < 3:
         return False
-    ends = np.concatenate((pts[1:], pts[:1]))  # edge i runs pts[i] -> ends[i] = pts[i + 1]
-    if np.any((pts[:, 0] == ends[:, 0]) & (pts[:, 1] == ends[:, 1])):
+    closed = np.concatenate((pts, pts[:1]))  # vertex n is vertex 0 again
+    x, y = closed[:, 0], closed[:, 1]  # edge i runs vertex i -> vertex i + 1
+    if ((x[:-1] == x[1:]) & (y[:-1] == y[1:])).any():
         return False
     if n == 3:  # every pair of edges is adjacent
         return True
 
-    ax, ay = pts[:, 0], pts[:, 1]
-    ex = (ends[:, 0] - ax)[:, None]
-    ey = (ends[:, 1] - ay)[:, None]
-    # cross[i, v] = cross(edge_i, vertex_v - start_i). Edge j's end is
-    # vertex j + 1, so its two cross products against edge i are
-    # cross[i, j] and cross[i, j + 1].
-    cross = ex * (ay - ay[:, None]) - ey * (ax - ax[:, None])
+    ex = (x[1:] - x[:-1])[:, None]
+    ey = (y[1:] - y[:-1])[:, None]
+    # cross[i, v] = cross(edge_i, vertex_v - start_i), with column n a copy
+    # of column 0. Edge j's end is vertex j + 1, so its two cross products
+    # against edge i are cross[i, j] and cross[i, j + 1].
+    cross = ex * (y - y[:-1, None]) - ey * (x - x[:-1, None])
 
     # Proper crossing: each edge has the other's ends strictly on opposite
     # sides. An adjacent pair always has a zero factor (or NaN) here.
-    straddle = cross * np.concatenate((cross[:, 1:], cross[:, :1]), axis=1) < 0
-    if np.any(straddle & straddle.T):
+    straddle = cross[:, :-1] * cross[:, 1:] < 0
+    if (straddle & straddle.T).any():
         return False
 
     # Collinear or endpoint contact: a vertex other than the edge's own
     # two ends with a zero cross product, inside the edge's closed box.
-    edge, vertex = np.nonzero(cross == 0)
-    keep = (vertex - edge) % n >= 2
-    edge, vertex = edge[keep], vertex[keep]
-    start, end, point = pts[edge], ends[edge], pts[vertex]
+    # The own ends are masked out by position, not skipped by count: their
+    # entries are zero only while the products stay finite (NaN near 1e300).
+    zero = cross[:, :-1] == 0
+    flat = zero.reshape(-1)
+    flat[::n + 1] = False  # vertex i, the start of edge i
+    flat[1::n + 1] = False  # vertex i + 1, its end, for every edge but the last
+    zero[-1, 0] = False  # the last edge's end, vertex 0
+    if not zero.any():
+        return True
+    edge, vertex = zero.nonzero()
+    start, end, point = closed[edge], closed[edge + 1], closed[vertex]
     inside = (point >= np.minimum(start, end)) & (point <= np.maximum(start, end))
-    return not bool(np.any(inside[:, 0] & inside[:, 1]))
+    return not (inside[:, 0] & inside[:, 1]).any()

@@ -118,7 +118,7 @@ def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
         return face
     sx = width / face.image_width
     sy = height / face.image_height
-    points = np.array([*face.landmarks.values(), *face.outline]) * (sx, sy)
+    points = np.concatenate((np.array([*face.landmarks.values()]), face.outline.array)) * (sx, sy)
     # Clamp away float dust so edge coordinates stay inside the canvas.
     # where() gives exactly what min(max(v, 0.0), size) gives per point,
     # signed zeros included; np.maximum may return 0.0 for -0.0.
@@ -164,8 +164,9 @@ def rasterize(
     (the full mask is width*s by height*s pixels). Only the rows and
     columns the outline spans are filled and stored; see BinaryMask.
     A full mask of more than MAX_RASTER_PIXELS pixels is refused.
-    The self-intersection test is skipped only for a FaceInput's own
-    outline, which passed it when the face was built. Deterministic for
+    The vertex checks and the self-intersection test are skipped only
+    for a FaceInput's own outline, which passed them when the face was
+    built; its stored vertex array is filled as it is. Deterministic for
     fixed input.
     """
     if resolution_scale is None:
@@ -178,37 +179,45 @@ def rasterize(
         raise ValueError(f"raster frame {wpx} x {hpx} (the canvas at scale {scale}) exceeds "
                          f"{MAX_RASTER_PIXELS} pixels")
 
-    pts = np.asarray(outline, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-        raise ValueError("outline needs at least 3 vertices")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("outline has non-finite coordinates")
-    if type(outline) is not _CheckedOutline and not polygon_is_simple(pts):
-        raise ValueError("outline is self-intersecting")
+    if type(outline) is _CheckedOutline:
+        pts = outline.array  # checked and converted when its FaceInput was built
+    else:
+        pts = np.asarray(outline, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+            raise ValueError("outline needs at least 3 vertices")
+        if not np.isfinite(pts).all():
+            raise ValueError("outline has non-finite coordinates")
+        if not polygon_is_simple(pts):
+            raise ValueError("outline is self-intersecting")
 
-    # edge i runs from vertex i to vertex i + 1, the last one back to vertex 0
-    ends = np.concatenate((pts[1:], pts[:1]))
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = ends[:, 0], ends[:, 1]
+    # vertex n is vertex 0 again: edge i runs from vertex i to vertex i + 1
+    closed = np.concatenate((pts, pts[:1]))
+    x, y = closed[:, 0], closed[:, 1]
+    x1, y1, x2, y2 = x[:-1], y[:-1], x[1:], y[1:]
 
     # Rows whose centers can fall in [min y, max y), padded by one so the
     # float edges of this estimate never drop a row the test below keeps.
-    first = min(max(math.floor(y1.min() * scale - 0.5), 0), hpx)
-    last = min(max(math.ceil(y1.max() * scale - 0.5) + 1, first), hpx)
+    first = min(max(math.floor(y.min() * scale - 0.5), 0), hpx)
+    last = min(max(math.ceil(y.max() * scale - 0.5) + 1, first), hpx)
 
     # row centers in canvas units; an edge crosses a row iff min_y <= yc < max_y
     # (half-open, so a vertex shared by two edges is counted exactly once).
     # yc ascends, so each edge crosses one run of rows, [lo, hi): the same
-    # comparisons, made by binary search.
+    # comparisons, made by one binary search per vertex. The search is
+    # monotone, so an edge's lo and hi are the min and max of its ends'.
     yc = (np.arange(first, last, dtype=float) + 0.5) / scale
-    lo = np.searchsorted(yc, np.minimum(y1, y2))
-    counts = np.searchsorted(yc, np.maximum(y1, y2)) - lo
+    at = np.searchsorted(yc, y)
+    lo = np.minimum(at[:-1], at[1:])
+    counts = np.maximum(at[:-1], at[1:]) - lo
+    # The outline is closed, so every row from the lowest vertex's to the
+    # highest's is crossed: the crossed rows are [min(at), max(at)).
+    row0, row1 = int(at.min()), int(at.max())
+    frame = (hpx, wpx)
+    if row0 == row1:
+        return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
     edge_idx = np.repeat(np.arange(len(pts)), counts)
     # crossing k of edge e is on row lo[e] + (k - number of crossings before e)
     row_idx = np.arange(edge_idx.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    frame = (hpx, wpx)
-    if row_idx.size == 0:
-        return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
     # a crossing edge has ylo < yhi, so the division is safe
     x1e, y1e = x1[edge_idx], y1[edge_idx]
     t = (yc[row_idx] - y1e) / (y2[edge_idx] - y1e)
@@ -219,7 +228,6 @@ def rasterize(
 
     # Every row has an even number of crossings, so pixels left of the
     # first crossing column or at or right of the last are outside.
-    row0, row1 = int(row_idx.min()), int(row_idx.max()) + 1
     col0, col1 = int(col.min()), int(col.max())
 
     # Inside/outside flips at each crossing, so the flattened window is

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from fuzzyface import (
     score_pairs,
 )
 from fuzzyface.cli import build_parser, main
+from fuzzyface.features import MAX_OUTLINE_VERTICES
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,28 @@ class TestCompare:
             assert result.stderr.startswith(f"error: {big}: image width must be at most 65536")
             assert "Traceback" not in result.stderr
             assert result.stdout == ""
+
+    def test_oversized_outline_exits_one_under_a_memory_limit(self, tmp_path, face_file):
+        # 6,000 vertices would ask the self-intersection test for 275 MiB
+        # matrices, which under this limit ended in a traceback
+        resource = pytest.importorskip("resource")
+        limit = 600 * 2**20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        doc = json.loads(face_file.read_text())
+        n = 6000
+        doc["outline"] = [[50 + 40 * math.cos(2 * math.pi * k / n),
+                           50 + 40 * math.sin(2 * math.pi * k / n)] for k in range(n)]
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        result = subprocess.run([sys.executable, "-m", "fuzzyface.cli", "compare", str(big), str(big)],
+                                capture_output=True, text=True, preexec_fn=limit_memory)
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {big}: outline has {n} vertices, "
+                                 f"more than {MAX_OUTLINE_VERTICES}\n")
+        assert result.stdout == ""
 
     def test_oversized_raster_exits_one(self, synth_dir):
         # two 512 px faces at scale 17 make a frame of 8704**2 > 2**26 pixels

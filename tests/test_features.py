@@ -1,6 +1,8 @@
 """Face input validation and the canonical distance features."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -10,11 +12,14 @@ from conftest import make_face, standard_landmarks
 from fuzzyface import (
     CANONICAL_FEATURES,
     REQUIRED_LANDMARKS,
+    Canvas,
     FaceInput,
     FeatureVector,
     compare,
     extract_features,
+    rasterize,
 )
+from fuzzyface.features import MAX_OUTLINE_VERTICES
 
 CANONICAL_ORDER = (
     "interocular",
@@ -74,6 +79,27 @@ class TestFaceInput:
         outline = [(10.0, 10.0), point, (90.0, 90.0)]
         with pytest.raises(ValueError, match="outline vertex 1 must be an array of two numbers"):
             make_face(outline=outline)
+
+    @pytest.mark.parametrize("x, message", [
+        (math.inf, "has a non-finite coordinate: (inf, 50.0)"),
+        (-math.inf, "has a non-finite coordinate: (-inf, 50.0)"),
+        (math.nan, "has a non-finite coordinate: (nan, 50.0)"),
+        (-0.5, "is outside the image bounds [0, 100] x [0, 100]: (-0.5, 50.0)"),
+        (math.nextafter(100.0, math.inf),
+         "is outside the image bounds [0, 100] x [0, 100]: (100.00000000000001, 50.0)"),
+    ])
+    def test_float_point_messages(self, x, message):
+        landmarks = standard_landmarks()
+        landmarks["chin"] = (x, 50.0)
+        with pytest.raises(ValueError, match=f"^landmark 'chin' {re.escape(message)}$"):
+            make_face(landmarks=landmarks)
+        with pytest.raises(ValueError, match=f"^outline vertex 2 {re.escape(message)}$"):
+            make_face(outline=[(10.0, 10.0), (90.0, 10.0), (x, 50.0)])
+
+    def test_float_points_on_the_image_edge(self):
+        face = make_face(outline=[(-0.0, 0.0), (100.0, 0.0), (100.0, 100.0)])
+        assert face.outline == ((0.0, 0.0), (100.0, 0.0), (100.0, 100.0))
+        assert math.copysign(1.0, face.outline[0][0]) == -1.0
 
     def test_number_subclass_coordinates(self):
         landmarks = standard_landmarks()
@@ -138,6 +164,47 @@ class TestFaceInput:
     def test_empty_id(self):
         with pytest.raises(ValueError, match="face id"):
             make_face(face_id="")
+
+    def test_equality_and_repr_see_only_the_points(self):
+        face = make_face()
+        outline = ((10.0, 10.0), (90.0, 10.0), (90.0, 90.0), (10.0, 90.0))
+        assert face == make_face(outline=[list(pt) for pt in outline])
+        assert face != make_face(outline=outline[1:] + outline[:1])
+        assert face.outline == outline
+        assert repr(face) == ("FaceInput(id='f', image_width=100, image_height=100, "
+                              f"landmarks={face.landmarks!r}, outline={outline!r})")
+
+    def test_outline_array_is_read_only(self):
+        face = make_face()
+        assert np.array_equal(face.outline.array, np.array(face.outline, dtype=float))
+        assert face.outline.array.dtype == np.float64
+        with pytest.raises(ValueError):
+            face.outline.array[0, 0] = 50.0
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda face: pickle.loads(pickle.dumps(face)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_the_checked_outline(self, clone):
+        face = make_face()
+        twin = clone(face)
+        assert twin == face and repr(twin) == repr(face)
+        assert type(twin.outline) is type(face.outline)
+        assert np.array_equal(twin.outline.array, face.outline.array)
+        assert not twin.outline.array.flags.writeable
+        canvas = Canvas(100, 100)
+        assert np.array_equal(rasterize(twin.outline, canvas, 2).bits,
+                              rasterize(face.outline, canvas, 2).bits)
+
+    def test_outline_vertex_bound(self):
+        def circle(n):
+            return [(50 + 40 * math.cos(2 * math.pi * k / n), 50 + 40 * math.sin(2 * math.pi * k / n))
+                    for k in range(n)]
+
+        assert len(make_face(outline=circle(MAX_OUTLINE_VERTICES)).outline) == MAX_OUTLINE_VERTICES
+        count = MAX_OUTLINE_VERTICES + 1
+        with pytest.raises(ValueError, match=f"^outline has {count} vertices, "
+                                             f"more than {MAX_OUTLINE_VERTICES}$"):
+            make_face(outline=circle(count))
 
 
 class TestExtractFeatures:

@@ -1,6 +1,7 @@
 """File formats: faces, manifests, models, and their failure messages."""
 
 import copy
+import enum
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import stat
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from fuzzyface import (
     save_manifest,
     save_model,
 )
-from fuzzyface.fileio import atomic_write_text
+from fuzzyface.fileio import atomic_write_text, dump_json
 
 VALID_MODEL = {
     "k": 0.95, "k1": 0.9, "k2": 1.0, "n": 3, "skipped": 1,
@@ -477,3 +479,84 @@ class TestAtomicWrite:
     def test_text_is_written_verbatim(self, tmp_path):
         atomic_write_text(tmp_path / "out.csv", "a,b\r\n1,2\r\n")
         assert (tmp_path / "out.csv").read_bytes() == b"a,b\r\n1,2\r\n"
+
+
+def json_dumps_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# ASCII (control characters included), any code point, and lone surrogates
+json_text = st.text(st.characters(max_codepoint=0x7F) | st.characters()
+                    | st.characters(categories=["Cs"]), max_size=8)
+json_scalars = (
+    st.none() | st.booleans() | json_text
+    | st.integers() | st.integers(-(2 ** 80), 2 ** 80)
+    | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+class IntLabel(enum.IntEnum):
+    GENUINE = 1
+
+
+class Name(str):
+    pass
+
+
+class TestDumpJson:
+    """dump_json writes exactly json.dumps(sort_keys=True, indent=2) plus a newline."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=json_values)
+    def test_equals_json_dumps(self, value):
+        assert dump_json(value) == json_dumps_text(value)
+
+    @pytest.mark.parametrize("value", [
+        {2: "a", 1: 2.5},  # keys json converts to strings
+        {1.5: None, -0.5: [1.0]},
+        {True: "t", False: 0},
+        IntLabel.GENUINE,
+        {"label": [IntLabel.GENUINE]},
+        Name("alice"),
+        {Name("key"): Name("value")},
+        np.float64(0.1),
+        {"score": [np.float64(1e300), 2.0]},
+        [[[[]]], {}, (), [{}]],
+        [[0]] * 3,  # one list object three times over is not a cycle
+    ], ids=["int_keys", "float_keys", "bool_keys", "int_enum", "nested_int_enum", "str_subclass",
+            "str_subclass_key", "numpy_float64", "nested_numpy_float64", "empty_nested",
+            "shared_list"])
+    def test_other_values_match_json_dumps(self, value):
+        assert dump_json(value) == json_dumps_text(value)
+
+    def test_nesting_past_the_writer_is_json_dumps(self):
+        value = 1.5
+        for _ in range(150):
+            value = [value, {"k": value}] if isinstance(value, float) else [value]
+        assert dump_json(value) == json_dumps_text(value)
+
+    @pytest.mark.parametrize("value, error", [
+        ({1: "a", "b": 2}, TypeError),  # keys that do not sort
+        ({"a": object()}, TypeError),
+        ([10 ** 5000], ValueError),  # past int's digit limit
+    ], ids=["mixed_keys", "object", "huge_int"])
+    def test_errors_match_json_dumps(self, value, error):
+        with pytest.raises(error) as expected:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+            dump_json(value)
+
+    def test_circular_reference(self):
+        loop = [1.0]
+        loop.append(loop)
+        nested = {"a": [{}]}
+        nested["a"][0]["b"] = nested
+        for value in (loop, nested):
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                dump_json(value)

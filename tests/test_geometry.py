@@ -73,10 +73,16 @@ CASES = {
     # of the other, so the reference reports a crossing.
     "rounding crossing with disjoint boxes":
         ([(-5.3, 151.9), (27.7, 46.3), (28.7, 43.1), (57.2, -48.1), (200.0, 200.0)], False),
+    # Near 1e300 the products overflow: an edge's cross products against its
+    # own ends are NaN rather than zero, so they cannot be told apart by count.
+    "diamond near 1e300": ([(1e300, 0.0), (2e300, 1e300), (1e300, 2e300), (0.0, 1e300)], True),
+    "collinear overlap near 1e300": ([(0.0, 3e300), (2e300, 3e300), (1e300, 3e300), (3e300, 1e300)],
+                                     False),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
+@np.errstate(over="ignore", invalid="ignore")
 def test_explicit_cases(name):
     points, expected = CASES[name]
     assert reference_is_simple(points) is expected
@@ -90,11 +96,14 @@ grid_polygons = st.lists(
 
 
 @settings(max_examples=1500, deadline=None)
-@given(points=grid_polygons)
-def test_grid_polygons_match_the_reference(points):
+@given(points=grid_polygons, scale=st.sampled_from([1.0, 0.5, 1e300]))
+def test_grid_polygons_match_the_reference(points, scale):
     # small integers keep every product exact, so touching and collinear
-    # cases are common and decided without rounding
-    assert polygon_is_simple(points) == reference_is_simple(points)
+    # cases are common and decided without rounding; at 1e300 the products
+    # overflow to inf and NaN, and both tests must still decide alike
+    points = [(x * scale, y * scale) for x, y in points]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert polygon_is_simple(points) == reference_is_simple(points)
 
 
 @settings(max_examples=500, deadline=None)

@@ -13,10 +13,12 @@ from fuzzyface import (
     AlphaMode,
     BinaryMask,
     Canvas,
+    PopulationConfig,
     ScoringConfig,
     alpha_from_masks,
     compare,
     default_resolution_scale,
+    generate_population,
     normalize_pair,
     rasterize,
 )
@@ -277,6 +279,28 @@ class TestRasterize:
         canvas = Canvas(width, width)
         mask = rasterize(outline, canvas, scale)
         assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.tuples(st.integers(60, 700), st.integers(60, 700)),
+        pad=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+        scale=st.sampled_from([None, 1, 2, 3]),
+    )
+    @example(seed=0, size=(512, 512), pad=(0, 0), scale=None)
+    @example(seed=1, size=(101, 133), pad=(0, 0), scale=1)
+    def test_face_outline_equals_the_unchecked_path(self, seed, size, pad, scale):
+        # a face's stored vertex array fills exactly as its outline passed as a list
+        population = generate_population(
+            PopulationConfig(identity_count=1, captures_per_identity=1, seed=seed))
+        face = rescale_face(population[0].face, *size)
+        canvas = Canvas(size[0] + pad[0], size[1] + pad[1])
+        checked = rasterize(face.outline, canvas, scale)
+        unchecked = rasterize(list(face.outline), canvas, scale)
+        assert checked.bits.dtype == unchecked.bits.dtype == bool
+        assert np.array_equal(checked.bits, unchecked.bits)
+        assert (checked.offset, checked.frame, checked.scale) == \
+            (unchecked.offset, unchecked.frame, unchecked.scale)
 
     @pytest.mark.parametrize("outline, canvas, scale", [
         # rectilinear L with every vertex on a pixel centre
