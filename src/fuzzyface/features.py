@@ -182,8 +182,7 @@ def _chin_to_brow_mid(lm: Mapping[str, Point]) -> float:
     return distance(lm["chin"], midpoint(left, right))
 
 
-# fixed canonical feature set, in this order; extend by passing your own
-# (name, fn) sequence to extract_features
+# the fixed canonical feature set, in this order
 CANONICAL_FEATURES: tuple[tuple[str, FeatureFn], ...] = (
     ("interocular", _between("eye_left", "eye_right")),
     ("nose_to_mouth", _between("nose_base", "mouth_top")),
@@ -206,24 +205,16 @@ class FeatureVector:
                 raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
 
 
-def extract_features(
-    face: FaceInput,
-    features: Sequence[tuple[str, FeatureFn]] = CANONICAL_FEATURES,
-) -> FeatureVector:
-    """Measure the given distance features on one face.
+def extract_features(face: FaceInput) -> FeatureVector:
+    """Measure the canonical distance features on one face.
 
     A zero distance means coincident landmarks and is rejected, since it
     signals corrupt input rather than dissimilarity.
     """
     items = []
-    for name, fn in features:
-        try:
-            value = float(fn(face.landmarks))
-        except KeyError as exc:
-            raise ValueError(f"feature '{name}' needs missing landmark {exc}") from None
+    for name, fn in CANONICAL_FEATURES:
+        value = fn(face.landmarks)
         if value == 0.0:
             raise ValueError(f"feature '{name}' is zero (coincident landmarks) on face '{face.id}'")
         items.append((name, value))
-    if not items:
-        raise ValueError("feature list is empty")
     return FeatureVector(tuple(items))

@@ -145,7 +145,7 @@ def _load_document(path) -> dict:
 
 def _check_version(path, doc: dict, expected: int) -> None:
     version = doc.get("version")
-    if version != expected:
+    if type(version) is not int or version != expected:  # true and 1.0 equal 1
         raise FaceFileError(f"{path}: unsupported version {version!r} (expected {expected})")
 
 

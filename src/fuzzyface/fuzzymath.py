@@ -1,50 +1,16 @@
-"""Numeric kernels: ratio entropy and the fuzzy membership functions.
+"""The fuzzy membership kernels, and their descriptions in model files.
 
-Entropy here is always taken over the ratio distribution of its inputs,
-so only the proportions between values matter, never their scale. The
-membership kernels map a value onto [0, 1] according to how close it
-sits to their peak.
+A kernel maps a value onto [0, 1] according to how close it sits to its
+peak. Scoring feeds it the entropy of a feature's two-value ratio
+(``scoring.feature_membership``), which lies in [0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 from .geometry import finite_number
-
-
-def shannon_entropy(values: Sequence[float]) -> float:
-    """Base-2 entropy of the ratio distribution of ``values``.
-
-    Each value is divided by the total to form a probability; zero
-    probabilities contribute nothing. The result lies in
-    [0, log2(len(values))]. For a two-element input it lies in [0, 1]
-    and reaches 1 exactly when both elements are equal.
-
-    Raises ValueError for an empty input, a negative or non-finite
-    element, or a zero total.
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("entropy needs at least one value")
-    for v in vals:
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"entropy values must be finite and non-negative, got {v!r}")
-    try:
-        total = math.fsum(vals)
-    except OverflowError:
-        raise ValueError("entropy values overflow when summed") from None
-    if total <= 0.0:
-        raise ValueError("entropy values must not sum to zero")
-    h = 0.0
-    for v in vals:
-        if v > 0.0:
-            p = v / total
-            h -= p * math.log2(p)
-    # each term is non-negative, so only the upper bound can collect float dust
-    return min(h, math.log2(len(vals)))
 
 
 @dataclass(frozen=True)
@@ -134,14 +100,6 @@ DEFAULT_KERNELS: dict[str, MembershipKernel] = {
     "triangle": TriangleKernel(),
     "trapezoid": TrapezoidKernel(),
 }
-
-
-def eval_membership(kernel: MembershipKernel, x: float) -> float:
-    """Evaluate a membership kernel at ``x``; ``x`` must be finite."""
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise ValueError(f"membership input must be finite, got {x!r}")
-    return kernel.evaluate(xf)
 
 
 def check_entropy_kernel(kernel: MembershipKernel) -> None:

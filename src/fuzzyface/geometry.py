@@ -57,16 +57,20 @@ def polygon_is_simple(points: Sequence[Point]) -> bool:
     if n == 3:  # every pair of edges is adjacent
         return True
 
-    ex = (x[1:] - x[:-1])[:, None]
-    ey = (y[1:] - y[:-1])[:, None]
-    # cross[i, v] = cross(edge_i, vertex_v - start_i), with column n a copy
-    # of column 0. Edge j's end is vertex j + 1, so its two cross products
-    # against edge i are cross[i, j] and cross[i, j + 1].
-    cross = ex * (y - y[:-1, None]) - ey * (x - x[:-1, None])
+    # Near 1e300 the products overflow to inf and NaN, which the tests
+    # below decide correctly; numpy's warnings about it are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = (x[1:] - x[:-1])[:, None]
+        ey = (y[1:] - y[:-1])[:, None]
+        # cross[i, v] = cross(edge_i, vertex_v - start_i), with column n a
+        # copy of column 0. Edge j's end is vertex j + 1, so its two cross
+        # products against edge i are cross[i, j] and cross[i, j + 1].
+        cross = ex * (y - y[:-1, None]) - ey * (x - x[:-1, None])
 
-    # Proper crossing: each edge has the other's ends strictly on opposite
-    # sides. An adjacent pair always has a zero factor (or NaN) here.
-    straddle = cross[:, :-1] * cross[:, 1:] < 0
+        # Proper crossing: each edge has the other's ends strictly on
+        # opposite sides. An adjacent pair always has a zero factor (or
+        # NaN) here.
+        straddle = cross[:, :-1] * cross[:, 1:] < 0
     if (straddle & straddle.T).any():
         return False
 

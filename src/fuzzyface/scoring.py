@@ -161,10 +161,10 @@ def _blend(memberships: Sequence[float], alpha: float, k: float) -> tuple[float,
 def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[float, float]:
     """Entropy of one feature's two measurements and its kernel membership.
 
-    The two-value case of ``shannon_entropy``, step for step, so both
-    values equal ``shannon_entropy((a, b))`` and
-    ``eval_membership(kernel, ...)`` to the bit. Like every
-    ``FeatureVector`` value, a and b must be positive and finite.
+    The entropy is base 2 over the ratio distribution (a, b) / (a + b),
+    so it lies in [0, 1], is 1 for an equal pair, and depends
+    only on the ratio of a to b. Like every ``FeatureVector`` value, a
+    and b must be positive and finite.
     """
     try:
         positive = 0.0 < a < math.inf and 0.0 < b < math.inf
@@ -176,7 +176,7 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
     h = 0.0
     for v in (a, b):
         # p is 0.0 past a ratio of about 1e323 or when a + b overflows;
-        # log2 then raises ValueError, as shannon_entropy does there
+        # log2 then raises ValueError
         p = v / total
         h -= p * math.log2(p)
     entropy = min(h, 1.0)  # each term is non-negative, so only the top can collect float dust

@@ -222,9 +222,11 @@ def rasterize(
     x1e, y1e = x1[edge_idx], y1[edge_idx]
     t = (yc[row_idx] - y1e) / (y2[edge_idx] - y1e)
     xs = x1e + t * (x2[edge_idx] - x1e)
-    # first pixel whose center lies at or right of the crossing
-    col = np.ceil(xs * scale - 0.5).astype(np.int64)
-    np.minimum(np.maximum(col, 0, out=col), wpx, out=col)  # np.clip, without its wrapper's cost
+    # first pixel whose center lies at or right of the crossing, clamped to
+    # [0, wpx] as a float before the cast, which past 2**63 would wrap
+    col = xs * scale - 0.5
+    np.minimum(np.maximum(col, 0.0, out=col), wpx, out=col)  # np.clip, without its wrapper's cost
+    col = np.ceil(col, out=col).astype(np.int64)
 
     # Every row has an even number of crossings, so pixels left of the
     # first crossing column or at or right of the last are outside.

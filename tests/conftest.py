@@ -1,13 +1,15 @@
-"""Shared builders for hand-made faces used across the test modules."""
+"""Shared builders for hand-made faces and the entropy references used across the tests."""
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 
+import mpmath
 from hypothesis import settings
 
-from fuzzyface import FaceInput
+from fuzzyface import BellKernel, FaceInput, feature_membership
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failing
 # CI run can be replayed; other runs draw fresh examples. Loaded here,
@@ -75,3 +77,54 @@ def raster_scale_for(*faces: FaceInput, target: int = 2048) -> int:
     """Resolution multiplier putting the pair's canvas at or above target pixels."""
     canvas = max(max(f.image_width, f.image_height) for f in faces)
     return max(1, math.ceil(target / canvas))
+
+
+def feature_entropy(a: float, b: float) -> float:
+    """The entropy that scoring computes for a feature measured a and b."""
+    return feature_membership(a, b, BellKernel())[0]
+
+
+# The general n-value entropy that scoring.feature_membership computes for
+# two values; test_scoring holds the two equal bit for bit.
+def shannon_entropy(values: Sequence[float]) -> float:
+    """Base-2 entropy of the ratio distribution of ``values``.
+
+    Each value is divided by the total to form a probability; zero
+    probabilities contribute nothing. The result lies in
+    [0, log2(len(values))]. For a two-element input it lies in [0, 1]
+    and reaches 1 exactly when both elements are equal.
+
+    Raises ValueError for an empty input, a negative or non-finite
+    element, or a zero total.
+    """
+    vals = [float(v) for v in values]
+    if not vals:
+        raise ValueError("entropy needs at least one value")
+    for v in vals:
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"entropy values must be finite and non-negative, got {v!r}")
+    try:
+        total = math.fsum(vals)
+    except OverflowError:
+        raise ValueError("entropy values overflow when summed") from None
+    if total <= 0.0:
+        raise ValueError("entropy values must not sum to zero")
+    h = 0.0
+    for v in vals:
+        if v > 0.0:
+            p = v / total
+            h -= p * math.log2(p)
+    # each term is non-negative, so only the upper bound can collect float dust
+    return min(h, math.log2(len(vals)))
+
+
+def entropy_oracle(values) -> float:
+    """50-digit reference evaluation of shannon_entropy, independent of floats."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(mpmath.mpf(v) for v in values)
+        h = mpmath.mpf(0)
+        for v in values:
+            if v > 0:
+                p = mpmath.mpf(v) / total
+                h -= p * mpmath.log(p, 2)
+        return float(h)

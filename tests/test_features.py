@@ -239,6 +239,7 @@ class TestExtractFeatures:
         assert dict(fv.items)["mouth_width"] == 5.0
 
     def test_canonical_order(self):
+        assert tuple(name for name, _ in CANONICAL_FEATURES) == CANONICAL_ORDER
         fv = extract_features(make_face())
         assert tuple(name for name, _ in fv.items) == CANONICAL_ORDER
         assert all(v > 0 for _, v in fv.items)
@@ -286,19 +287,6 @@ class TestExtractFeatures:
         fv_scaled = extract_features(make_face(width=400, height=400, landmarks=scaled))
         for (_, a), (_, b) in zip(fv_base.items, fv_scaled.items):
             assert b == pytest.approx(a * c, rel=1e-9)
-
-    def test_custom_feature_list(self):
-        features = CANONICAL_FEATURES + (
-            ("eye_to_chin", lambda lm: math.dist(lm["eye_left"], lm["chin"])),
-        )
-        fv = extract_features(make_face(), features)
-        assert fv.items[-1][0] == "eye_to_chin"
-        assert len(fv.items) == 7
-
-    def test_custom_feature_missing_landmark(self):
-        features = (("nose_bridge", lambda lm: math.dist(lm["nose_tip"], lm["chin"])),)
-        with pytest.raises(ValueError, match="nose_bridge.*nose_tip"):
-            extract_features(make_face(), features)
 
 
 class TestPairFeatures:

@@ -89,6 +89,16 @@ class TestFaceFiles:
         with pytest.raises(FaceFileError, match="version 2"):
             load_face(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_integer_one(self, tmp_path, version):
+        # both equal 1 in Python, yet neither is the format's integer 1
+        doc = face_to_dict(make_face())
+        doc["version"] = version
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FaceFileError, match=rf"unsupported version {version!r} \(expected 1\)"):
+            load_face(path)
+
     def test_unparsable_document(self, tmp_path):
         path = tmp_path / "face.json"
         path.write_text("{not json")
@@ -199,6 +209,14 @@ class TestManifests:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"version": 3, "pairs": []}))
         with pytest.raises(FaceFileError, match="version"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_integer_one(self, tmp_path, version):
+        # both equal 1 in Python, yet neither is the format's integer 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"version": version, "pairs": []}))
+        with pytest.raises(FaceFileError, match=rf"unsupported version {version!r} \(expected 1\)"):
             load_manifest(path)
 
 

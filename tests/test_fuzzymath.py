@@ -8,15 +8,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import entropy_oracle, feature_entropy
 from fuzzyface import (
     DEFAULT_KERNELS,
     BellKernel,
     TrapezoidKernel,
     TriangleKernel,
-    eval_membership,
     kernel_from_dict,
     kernel_to_dict,
-    shannon_entropy,
 )
 
 mpmath.mp.dps = 50
@@ -25,54 +24,35 @@ mpmath.mp.dps = 50
 BIG = pytest.param(10**400, id="10**400")
 
 
-def entropy_oracle(values):
-    """50-digit reference evaluation, independent of the implementation."""
-    total = mpmath.fsum(mpmath.mpf(v) for v in values)
-    h = mpmath.mpf(0)
-    for v in values:
-        if v > 0:
-            p = mpmath.mpf(v) / total
-            h -= p * mpmath.log(p, 2)
-    return float(h)
-
-
 class TestShannonEntropy:
     def test_uniform_pair(self):
-        assert shannon_entropy([1, 1]) == 1.0
+        assert feature_entropy(1, 1) == 1.0
 
     def test_degenerate_pair(self):
-        assert shannon_entropy([5, 0]) == 0.0
+        # both measurements are positive, so the entropy nears 0 but never reaches it
+        assert 0.0 < feature_entropy(5.0, 5e-300) < 1e-290
 
     def test_one_three(self):
-        h = shannon_entropy([1, 3])
+        h = feature_entropy(1, 3)
         assert h == pytest.approx(0.811278, abs=1e-6)
         assert h == pytest.approx(entropy_oracle([1, 3]), abs=1e-12)
 
     def test_ratio_invariance_two_six(self):
-        assert shannon_entropy([2, 6]) == pytest.approx(entropy_oracle([1, 3]), abs=1e-12)
-
-    def test_multielement(self):
-        assert shannon_entropy([1, 1, 1, 1]) == pytest.approx(2.0, abs=1e-12)
-        assert shannon_entropy([3]) == 0.0
+        assert feature_entropy(2, 6) == pytest.approx(entropy_oracle([1, 3]), abs=1e-12)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = random.Random(2024)
         for _ in range(300):
             a = rng.uniform(1e-6, 100.0)
             b = rng.uniform(1e-6, 100.0)
-            assert shannon_entropy([a, b]) == pytest.approx(entropy_oracle([a, b]), abs=1e-12)
+            assert feature_entropy(a, b) == pytest.approx(entropy_oracle([a, b]), abs=1e-12)
 
     def test_permutation_symmetry(self):
         rng = random.Random(7)
         for _ in range(50):
-            values = [rng.uniform(0.0, 10.0) for _ in range(rng.randint(2, 6))]
-            if sum(values) == 0.0:
-                continue
-            shuffled = values[:]
-            rng.shuffle(shuffled)
-            assert shannon_entropy(values) == pytest.approx(
-                shannon_entropy(shuffled), abs=1e-12
-            )
+            a = rng.uniform(1e-3, 10.0)
+            b = rng.uniform(1e-3, 10.0)
+            assert feature_entropy(a, b) == pytest.approx(feature_entropy(b, a), abs=1e-12)
 
     @pytest.mark.parametrize("c", [0.1, 7.0, 1000.0])
     def test_scale_invariance(self, c):
@@ -80,51 +60,42 @@ class TestShannonEntropy:
         for _ in range(100):
             a = rng.uniform(1e-3, 100.0)
             b = rng.uniform(1e-3, 100.0)
-            assert shannon_entropy([c * a, c * b]) == pytest.approx(
-                shannon_entropy([a, b]), abs=1e-12
-            )
+            assert feature_entropy(c * a, c * b) == pytest.approx(feature_entropy(a, b), abs=1e-12)
 
     def test_two_elements_hit_one_iff_equal(self):
         rng = random.Random(5)
         for _ in range(100):
             a = rng.uniform(1e-3, 100.0)
-            assert abs(shannon_entropy([a, a * (1 + 1e-10)]) - 1.0) <= 1e-12
-            assert shannon_entropy([a, a * 1.001]) < 1.0 - 1e-8
+            assert abs(feature_entropy(a, a * (1 + 1e-10)) - 1.0) <= 1e-12
+            assert feature_entropy(a, a * 1.001) < 1.0 - 1e-8
 
     def test_range_bounds(self):
         rng = random.Random(13)
         for _ in range(100):
-            values = [rng.uniform(0.0, 50.0) for _ in range(rng.randint(1, 5))]
-            if sum(values) == 0.0:
-                continue
-            h = shannon_entropy(values)
-            assert 0.0 <= h <= math.log2(len(values)) or len(values) == 1
+            a = rng.uniform(1e-9, 50.0)
+            b = a * 10.0 ** rng.uniform(-300.0, 300.0)
+            assert 0.0 <= feature_entropy(a, b) <= 1.0
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="at least one"):
-            shannon_entropy([])
-        with pytest.raises(ValueError, match="non-negative"):
-            shannon_entropy([1.0, -0.5])
-        with pytest.raises(ValueError, match="sum to zero"):
-            shannon_entropy([0.0, 0.0])
-        with pytest.raises(ValueError, match="finite"):
-            shannon_entropy([1.0, float("nan")])
-        with pytest.raises(ValueError, match="overflow"):
-            shannon_entropy([1e308, 1e308])
+        for a, b in ((1.0, -0.5), (0.0, 0.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="positive reals"):
+                feature_entropy(a, b)
+        with pytest.raises(ValueError):  # a + b overflows, so both shares are 0
+            feature_entropy(1e308, 1e308)
 
 
 class TestBellKernel:
     def test_peak_is_exact(self):
-        assert eval_membership(BellKernel(r=1.0), 1.0) == 1.0
+        assert BellKernel(r=1.0).evaluate(1.0) == 1.0
 
     def test_zero_at_origin(self):
-        assert eval_membership(BellKernel(r=1.0), 0.0) == 0.0
+        assert BellKernel(r=1.0).evaluate(0.0) == 0.0
 
     def test_half_point(self):
         # 0.75 * exp(-0.25)
         oracle = float((1 - mpmath.mpf("0.25")) * mpmath.exp(-mpmath.mpf("0.25")))
-        assert eval_membership(BellKernel(), 0.5) == pytest.approx(oracle, abs=1e-12)
-        assert eval_membership(BellKernel(), 0.5) == pytest.approx(0.58410, abs=1e-5)
+        assert BellKernel().evaluate(0.5) == pytest.approx(oracle, abs=1e-12)
+        assert BellKernel().evaluate(0.5) == pytest.approx(0.58410, abs=1e-5)
 
     def test_symmetry_about_peak(self):
         kernel = BellKernel(r=2.5)
@@ -143,7 +114,7 @@ class TestBellKernel:
 
     def test_literal_outside_band_goes_negative(self):
         # no clamping by design; the scoring pipeline only feeds entropy in [0, 1]
-        assert eval_membership(BellKernel(r=1.0), 2.5) < 0.0
+        assert BellKernel(r=1.0).evaluate(2.5) < 0.0
 
     def test_invalid_peak(self):
         with pytest.raises(ValueError, match="positive"):
@@ -156,12 +127,6 @@ class TestBellKernel:
         # BellKernel(r=True) was accepted, and its saved model did not load
         with pytest.raises(ValueError, match="bell peak must be a finite number"):
             BellKernel(r=r)
-
-    def test_non_finite_input(self):
-        with pytest.raises(ValueError, match="finite"):
-            eval_membership(BellKernel(), float("inf"))
-        with pytest.raises(ValueError, match="finite"):
-            eval_membership(BellKernel(), float("nan"))
 
 
 class TestPiecewiseKernels:

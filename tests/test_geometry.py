@@ -1,6 +1,7 @@
 """The outline simplicity test, against an all-pairs reference."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,13 +82,25 @@ CASES = {
 }
 
 
+def quiet_reference(points):
+    """The reference's decision; near 1e300 its products overflow, and warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reference_is_simple(points)
+
+
+def warning_free(points):
+    """polygon_is_simple's decision, failing on any numpy RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return polygon_is_simple(points)
+
+
 @pytest.mark.parametrize("name", list(CASES))
-@np.errstate(over="ignore", invalid="ignore")
 def test_explicit_cases(name):
     points, expected = CASES[name]
-    assert reference_is_simple(points) is expected
-    assert polygon_is_simple(points) is expected
-    assert polygon_is_simple(np.asarray(points, dtype=float)) is expected
+    assert quiet_reference(points) is expected
+    assert warning_free(points) is expected
+    assert warning_free(np.asarray(points, dtype=float)) is expected
 
 
 grid_polygons = st.lists(
@@ -102,8 +115,7 @@ def test_grid_polygons_match_the_reference(points, scale):
     # cases are common and decided without rounding; at 1e300 the products
     # overflow to inf and NaN, and both tests must still decide alike
     points = [(x * scale, y * scale) for x, y in points]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert polygon_is_simple(points) == reference_is_simple(points)
+    assert warning_free(points) == quiet_reference(points)
 
 
 @settings(max_examples=500, deadline=None)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import fuzzyface.features
 import fuzzyface.scoring
 import fuzzyface.silhouette
-from conftest import make_face, raster_scale_for, scaled_face, standard_landmarks
+from conftest import (
+    make_face, raster_scale_for, scaled_face, shannon_entropy, standard_landmarks,
+)
 from fuzzyface import (
     DEFAULT_KERNELS,
     AlphaMode,
@@ -23,11 +25,9 @@ from fuzzyface import (
     TrapezoidKernel,
     TriangleKernel,
     compare,
-    eval_membership,
     feature_membership,
     generate_population,
     score_pairs,
-    shannon_entropy,
 )
 from fuzzyface.fileio import dump_json
 from fuzzyface.scoring import pair_scores
@@ -93,7 +93,7 @@ class TestFeatureMembership:
         # the two-value entropy against the general n-value reference
         try:
             expected_entropy = shannon_entropy(ab)
-            expected = (expected_entropy, eval_membership(kernel, expected_entropy))
+            expected = (expected_entropy, kernel.evaluate(expected_entropy))
         except ValueError:
             with pytest.raises(ValueError):
                 feature_membership(*ab, kernel)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ class TestRasterize:
         canvas = Canvas(8, 6)
         mask = rasterize(((0.0, 0.0), (8.0, 0.0), (8.0, 6.0), (0.0, 6.0)), canvas, 1)
         assert mask.area == 48
+
+    @pytest.mark.parametrize("side", [9e18, 1e19, 1e100, 1e300])
+    def test_square_far_past_the_canvas_fills_it(self, side):
+        # from 1e19 on, a crossing's column is past 2**63, so it must be
+        # clamped to the frame before its int64 cast, which would wrap it
+        outline = ((0.0, 0.0), (side, 0.0), (side, side), (0.0, side))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mask = rasterize(outline, Canvas(10, 10), 1)
+        assert mask.area == 100 and mask.bits.all()
 
     def test_triangle_against_shoelace(self):
         tri = ((0.0, 0.0), (4.0, 0.0), (0.0, 4.0))
