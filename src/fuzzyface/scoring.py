@@ -8,11 +8,14 @@ the two with the mixing weight k:
 
     similarity = 100 * (feature_score * k + alpha * (1 - k))
 
-One engine serves two consumers. Its measure step prepares each face
+One engine serves two consumers. Its prepare step prepares each face
 (rescale onto the pair's canvas, measure the features, rasterize the
-outline) at most once per canvas and raster scale, and reads each pair's
-alpha off the two masks. score_pairs turns each pair into a MatchReport;
-pair_scores keeps only each pair's feature score, alpha and similarity.
+outline) at most once per canvas and raster scale, and it scores blocks
+of pairs as numpy columns: an alpha per pair (alpha_from_masks) and an
+entropy and a membership per feature, with the bits of
+feature_membership. score_pairs turns each block into MatchReports, and
+compare is its one-pair case; pair_scores blends each block as columns
+and keeps only each pair's feature score, alpha and similarity.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+
+import numpy as np
 
 from .features import FaceInput, FeatureVector, extract_features
 from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
@@ -164,7 +170,9 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
     The entropy is base 2 over the ratio distribution (a, b) / (a + b),
     so it lies in [0, 1], is 1 for an equal pair, and depends
     only on the ratio of a to b. Like every ``FeatureVector`` value, a
-    and b must be positive and finite.
+    and b must be positive and finite. The pipeline takes these values
+    as columns, with entropy_membership; this scalar form is their
+    reference.
     """
     try:
         positive = 0.0 < a < math.inf and 0.0 < b < math.inf
@@ -183,6 +191,11 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
     return entropy, kernel.evaluate(entropy)
 
 
+# pairs scored as one block of columns, which bounds the columns'
+# temporaries at any number of pairs
+_BLOCK_PAIRS = 4096
+
+
 def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None = None) -> MatchReport:
     """Run the full pipeline on two faces.
 
@@ -194,44 +207,125 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     return score_pairs([face_a, face_b], [(0, 1)], config)[0]
 
 
-def _measure_pairs(
-    faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]], config: ScoringConfig
-) -> Iterator[tuple[int, int, int, FeatureVector, FeatureVector, float]]:
-    """Each pair's i, j, raster scale, two feature vectors and alpha, in pair order.
+class _Prepared:
+    """The faces of one call, each prepared at most once per canvas size and raster scale.
 
-    A face is prepared (rescaled, measured, rasterized) at most once per
-    canvas size and raster scale, so N faces that share one canvas are
-    rasterized N times rather than twice per pair. Each canvas size is
-    built, with its raster scale, once. Prepared faces and canvases live
-    only for one call.
+    A prepared face is the face stretched onto a pair's canvas, its
+    feature vector and its rasterized outline; row r of ``features``,
+    ``values`` and ``masks`` holds one. N faces that share one
+    canvas are rasterized N times rather than twice per pair. Each canvas
+    size is built, with its raster scale, once, as one group of rows.
+    Prepared faces and canvases live only for one call.
     """
-    # keyed by index: FaceInput holds a dict and cannot be hashed
-    prepared: dict[tuple[int, int, int, int], tuple[FeatureVector, BinaryMask]] = {}
-    canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}
 
-    def prepare(index: int, canvas: Canvas, scale: int) -> tuple[FeatureVector, BinaryMask]:
-        key = (index, canvas.width, canvas.height, scale)
-        if key not in prepared:
-            face = rescale_face(faces[index], canvas.width, canvas.height)
-            prepared[key] = (extract_features(face), rasterize(face.outline, canvas, scale))
-        return prepared[key]
+    def __init__(self, faces: Sequence[FaceInput], config: ScoringConfig) -> None:
+        self.faces = faces
+        self.resolution_scale = config.resolution_scale
+        # keyed by index: FaceInput holds a dict and cannot be hashed
+        self.rows: dict[tuple[int, int], int] = {}  # (face index, group) -> row
+        self.features: list[FeatureVector] = []
+        self.values: list[list[float]] = []  # each feature vector's values, for the columns
+        self.masks: list[BinaryMask] = []
+        self.groups: dict[tuple[int, int], int] = {}  # canvas (width, height) -> group
+        self.canvases: list[tuple[Canvas, int]] = []  # canvas and raster scale per group
 
-    for i, j in pairs:
-        face_a, face_b = faces[i], faces[j]
+    def pair(self, i: int, j: int) -> tuple[int, int, int]:
+        """Rows of faces i and j prepared on their pair's canvas, and that canvas's group."""
+        face_a, face_b = self.faces[i], self.faces[j]
         # pair_canvas's size, found without building a Canvas
         size = (max(face_a.image_width, face_b.image_width),
                 max(face_a.image_height, face_b.image_height))
-        if size not in canvases:
+        group = self.groups.get(size)
+        if group is None:
             canvas = pair_canvas(face_a, face_b)
-            scale = config.resolution_scale
+            scale = self.resolution_scale
             if scale is None:
                 scale = default_resolution_scale(canvas)
-            canvases[size] = canvas, scale
-        canvas, scale = canvases[size]
-        features_a, mask_a = prepare(i, canvas, scale)
-        features_b, mask_b = prepare(j, canvas, scale)
-        alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
-        yield i, j, scale, features_a, features_b, alpha
+            group = self.groups[size] = len(self.canvases)
+            self.canvases.append((canvas, scale))
+        return self.row(i, group), self.row(j, group), group
+
+    def row(self, index: int, group: int) -> int:
+        row = self.rows.get((index, group))
+        if row is None:
+            canvas, scale = self.canvases[group]
+            face = rescale_face(self.faces[index], canvas.width, canvas.height)
+            features = extract_features(face)
+            mask = rasterize(face.outline, canvas, scale)
+            row = self.rows[index, group] = len(self.masks)
+            self.features.append(features)
+            self.values.append([value for _, value in features.items])
+            self.masks.append(mask)
+        return row
+
+
+# one block of pairs scored up to the blend: the pairs, each pair's two
+# prepared rows and group, and its alpha, entropies and memberships (a
+# row per pair, a column per feature)
+_Columns = tuple[list[tuple[int, int]], list[tuple[int, int, int]], np.ndarray, np.ndarray,
+                 np.ndarray]
+
+
+def _columns(prepared: _Prepared, block: list[tuple[int, int]], config: ScoringConfig) -> _Columns:
+    """Prepare the faces of a block of pairs and take each pair's alpha, entropies and memberships.
+
+    Each pair's steps come in compare's order (its two faces, its
+    overlap, its features) and raise compare's errors in its words. In
+    a block of more than one pair the error raised need not be the first
+    in pair order, since every face is prepared before any pair is scored.
+    """
+    rows = [prepared.pair(i, j) for i, j in block]
+    masks, values, mode = prepared.masks, prepared.values, config.alpha_mode
+    alpha = np.array([alpha_from_masks(masks[a], masks[b], mode) for a, b, _ in rows])
+    entropy, membership = entropy_membership(np.array([values[a] for a, _, _ in rows]),
+                                             np.array([values[b] for _, b, _ in rows]),
+                                             config.kernel)
+    return block, rows, alpha, entropy, membership
+
+
+def _scored_blocks(prepared: _Prepared, pairs: Iterable[tuple[int, int]],
+                   config: ScoringConfig) -> Iterator[_Columns]:
+    """The columns of each block of up to _BLOCK_PAIRS pairs, in pair order.
+
+    A block in which any step raises ValueError is taken again one pair
+    at a time, so the error raised is the first in pair order, as a
+    compare of each pair in turn raises it.
+    """
+    pairs = iter(pairs)
+    while block := list(islice(pairs, _BLOCK_PAIRS)):
+        try:
+            columns = _columns(prepared, block, config)
+        except ValueError:
+            for pair in block:
+                yield _columns(prepared, [pair], config)
+        else:
+            yield columns
+
+
+def _reports(prepared: _Prepared, columns: _Columns, config: ScoringConfig) -> list[MatchReport]:
+    """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
+    faces, features = prepared.faces, prepared.features
+    pairs, rows, alphas, entropies, memberships = columns
+    reports = []
+    for (i, j), (row_a, row_b, group), alpha, entropy, membership in zip(
+            pairs, rows, alphas.tolist(), entropies.tolist(), memberships.tolist()):
+        # Both vectors come from extract_features over CANONICAL_FEATURES, so
+        # their names align and FeatureVector has checked every value positive.
+        reports.append(MatchReport(
+            a_id=faces[i].id,
+            b_id=faces[j].id,
+            features=tuple(
+                FeatureRow(name, a, b, h, m)
+                for (name, a), (_, b), h, m in zip(features[row_a].items, features[row_b].items,
+                                                   entropy, membership)
+            ),
+            alpha=alpha,
+            k=config.k,
+            alpha_mode=config.alpha_mode,
+            kernel=config.kernel,
+            resolution_scale=prepared.canvases[group][1],
+        ))
+    return reports
 
 
 def score_pairs(
@@ -243,28 +337,17 @@ def score_pairs(
 
     Each report equals ``compare(faces[i], faces[j], config)`` bit for
     bit. A face is prepared (rescaled, measured, rasterized) at most once
-    per canvas size and raster scale, for this call only.
+    per canvas size and raster scale, for this call only. A bad pair
+    raises the error that compare raises on it; of several, the first
+    in pair order.
     """
     if config is None:
         config = ScoringConfig()
-    # Both vectors come from extract_features over CANONICAL_FEATURES, so
-    # their names align and FeatureVector has checked every value positive.
-    return [
-        MatchReport(
-            a_id=faces[i].id,
-            b_id=faces[j].id,
-            features=tuple(
-                FeatureRow(name, a, b, *feature_membership(a, b, config.kernel))
-                for (name, a), (_, b) in zip(features_a.items, features_b.items)
-            ),
-            alpha=alpha,
-            k=config.k,
-            alpha_mode=config.alpha_mode,
-            kernel=config.kernel,
-            resolution_scale=scale,
-        )
-        for i, j, scale, features_a, features_b, alpha in _measure_pairs(faces, pairs, config)
-    ]
+    prepared = _Prepared(faces, config)
+    reports = []
+    for columns in _scored_blocks(prepared, pairs, config):
+        reports += _reports(prepared, columns, config)
+    return reports
 
 
 def pair_scores(
@@ -274,21 +357,58 @@ def pair_scores(
 ) -> list[tuple[float, float, float]]:
     """``(feature_score, alpha, similarity)`` of each pair, as score_pairs' reports hold them.
 
-    The same engine, checks and arithmetic as score_pairs, so each value
-    equals the report's bit for bit, but no FeatureRow or MatchReport is
-    built: for callers that read only the scores, such as evaluate and
-    calibrate.
+    The same steps as score_pairs, so each value equals the report's bit
+    for bit and each error is the one score_pairs raises, but with the
+    checks and the blend taken as columns and no FeatureRow or
+    MatchReport built: for callers that read only the scores, such as
+    evaluate and calibrate.
     """
     if config is None:
         config = ScoringConfig()
-    kernel, k = config.kernel, config.k
-    scores = []
-    for _, _, _, features_a, features_b, alpha in _measure_pairs(faces, pairs, config):
-        memberships = []
-        for (name, a), (_, b) in zip(features_a.items, features_b.items):
-            entropy, membership = feature_membership(a, b, kernel)
-            _check_row(name, a, b, entropy, membership)
-            memberships.append(membership)
-        feature_score, similarity = _blend(memberships, alpha, k)
-        scores.append((feature_score, alpha, similarity))
+    prepared = _Prepared(faces, config)
+    scores: list[tuple[float, float, float]] = []
+    for columns in _scored_blocks(prepared, pairs, config):
+        _, _, alpha, entropy, membership = columns
+        # MatchReport's checks on the columns; a bad value fails on NaN too
+        if not (((0.0 <= entropy) & (entropy <= 1.0) & (0.0 <= membership) & (membership <= 1.0))
+                .all() and ((0.0 <= alpha) & (alpha <= 1.0)).all()):
+            _reports(prepared, columns, config)  # raises the first bad pair's error
+        k = config.k
+        _check_mixing_weight(k)
+        feature_score = np.fromiter(map(math.fsum, membership.tolist()), float,
+                                    len(membership)) / membership.shape[1]
+        similarity = 100.0 * (feature_score * k + alpha * (1.0 - k))
+        scores += zip(feature_score.tolist(), alpha.tolist(), similarity.tolist())
     return scores
+
+
+def _mapped(fn, column: np.ndarray, *args: Iterable) -> np.ndarray:
+    """``fn`` of each element of a flat float array (and of ``args``), on Python floats."""
+    return np.fromiter(map(fn, column.tolist(), *args), float, len(column))
+
+
+def entropy_membership(a: np.ndarray, b: np.ndarray,
+                       kernel: MembershipKernel) -> tuple[np.ndarray, np.ndarray]:
+    """feature_membership of each element pair of two arrays, bit for bit, unchecked.
+
+    The basic operations (sums, quotients, products, differences) are
+    correctly rounded, so numpy's equal math's; ``0.0 - x`` is
+    np.subtract, since ``-x`` would turn 0.0 into -0.0. Each
+    transcendental goes through math on Python floats (np.log2 and
+    np.exp differ from math in the last bit on some inputs). Raises
+    ValueError where feature_membership would: a share that is 0.0.
+    The values must be positive and finite, as a FeatureVector's are.
+    """
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    with np.errstate(over="ignore"):  # a + b overflows to inf, as in Python, without a warning
+        total = a + b
+    shares = np.concatenate((a / total, b / total))
+    terms = shares * _mapped(math.log2, shares)
+    entropy = np.minimum(np.subtract(0.0, terms[:len(a)]) - terms[len(a):], 1.0)
+    if type(kernel) is BellKernel:  # kernel.evaluate, as columns
+        r = float(kernel.r)
+        u = _mapped(pow, (entropy - r) / r, repeat(2))  # the kernel's ** 2
+        membership = (1.0 - u) * _mapped(math.exp, np.negative(u))
+    else:
+        membership = _mapped(kernel.evaluate, entropy)
+    return entropy.reshape(shape), membership.reshape(shape)

@@ -126,13 +126,17 @@ def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
     points = np.where(points < 0.0, 0.0, points)
     points = np.where(points > size, size, points).tolist()
     count = len(face.landmarks)
-    return FaceInput(
-        id=face.id,
-        image_width=width,
-        image_height=height,
-        landmarks=dict(zip(face.landmarks, points[:count])),
-        outline=points[count:],
-    )
+    try:
+        return FaceInput(
+            id=face.id,
+            image_width=width,
+            image_height=height,
+            landmarks=dict(zip(face.landmarks, points[:count])),
+            outline=points[count:],
+        )
+    except ValueError as exc:  # say which face, and onto what; the stretch can round
+        # a vertex onto a non-adjacent edge, and refusing it keeps every score exact
+        raise ValueError(f"face '{face.id}' stretched onto {width} x {height}: {exc}") from None
 
 
 def normalize_pair(face_a: FaceInput, face_b: FaceInput) -> tuple[Canvas, FaceInput, FaceInput]:
@@ -163,11 +167,13 @@ def rasterize(
     even-odd rule; ``resolution_scale`` multiplies the canvas resolution
     (the full mask is width*s by height*s pixels). Only the rows and
     columns the outline spans are filled and stored; see BinaryMask.
-    A full mask of more than MAX_RASTER_PIXELS pixels is refused.
-    The vertex checks and the self-intersection test are skipped only
-    for a FaceInput's own outline, which passed them when the face was
-    built; its stored vertex array is filled as it is. Deterministic for
-    fixed input.
+    A full mask of more than MAX_RASTER_PIXELS pixels is refused, and so
+    is an outline whose coordinates or spans, times the scale, overflow
+    a float. The vertex checks, that bound and the self-intersection
+    test are skipped only for a FaceInput's own outline, which passed
+    them when the face was built (its points lie inside an image of at
+    most MAX_IMAGE_SIDE pixels a side); its stored vertex array is
+    filled as it is. Deterministic for fixed input.
     """
     if resolution_scale is None:
         scale = default_resolution_scale(canvas)
@@ -187,6 +193,11 @@ def rasterize(
             raise ValueError("outline needs at least 3 vertices")
         if not np.isfinite(pts).all():
             raise ValueError("outline has non-finite coordinates")
+        # Python floats overflow to inf without a warning; bounding the
+        # largest coordinate and the widest span bounds every product below
+        (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+        if not math.isfinite(max(x1 - x0, y1 - y0, x1, y1, -x0, -y0) * scale):
+            raise ValueError(f"outline coordinates overflow a float at raster scale {scale}")
         if not polygon_is_simple(pts):
             raise ValueError("outline is self-intersecting")
 

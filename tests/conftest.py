@@ -59,6 +59,27 @@ def make_face(face_id: str = "f", width: int = 100, height: int = 100,
     )
 
 
+# A valid 256 x 384 outline with a vertex a few ulps from a non-adjacent
+# edge: stretched 3 x 2 onto a 768 x 768 canvas, the vertex rounds onto
+# that edge, so the stretched face is refused as self-intersecting.
+STRETCH_REFUSED_OUTLINE = (
+    (183.6124069738618, 154.81610571296014), (53.2509312275939, 12.756128497327353),
+    (113.18537680759806, 4.117507276618575), (115.45418004213052, 80.54143131585876),
+    (191.40226225535878, 89.35349360599824),
+)
+
+
+def stretch_refused_face(face_id: str = "found") -> FaceInput:
+    """A valid 256 x 384 face that cannot be stretched onto a 768 x 768 canvas."""
+    return make_face(face_id, 256, 384, landmarks=standard_landmarks(256, 384),
+                     outline=STRETCH_REFUSED_OUTLINE)
+
+
+def zero_area_face(face_id: str = "dot") -> FaceInput:
+    """A valid 100 x 100 face whose outline covers no pixel center at the default scale."""
+    return make_face(face_id, outline=((10.0, 10.0), (10.01, 10.0), (10.0, 10.01)))
+
+
 def scaled_face(face: FaceInput, c: float) -> FaceInput:
     """Scale dimensions and every coordinate by c; c must keep dims integral."""
     w = face.image_width * c

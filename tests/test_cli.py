@@ -10,7 +10,7 @@ from statistics import fmean
 
 import pytest
 
-from conftest import make_face
+from conftest import make_face, stretch_refused_face, zero_area_face
 from fuzzyface import (
     DEFAULT_KERNELS,
     AlphaMode,
@@ -147,6 +147,16 @@ class TestCompare:
         assert code == 1
         assert "chin" in err
         assert out == ""
+
+    def test_stretch_refused_face_exits_one(self, tmp_path):
+        found, big = tmp_path / "found.json", tmp_path / "big.json"
+        save_face(stretch_refused_face(), found)
+        save_face(make_face("big", width=768, height=768), big)
+        result = run_module("compare", str(found), str(big))
+        assert result.returncode == 1
+        assert result.stderr == ("error: face 'found' stretched onto 768 x 768: "
+                                 "outline is self-intersecting\n")
+        assert result.stdout == ""
 
     def test_unparsable_face_exits_one(self, tmp_path, face_file):
         bad = tmp_path / "deep.json"
@@ -292,6 +302,27 @@ class TestEvaluate:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "a,b,label,similarity"
         assert len(lines) == 7
+
+    def test_first_bad_pair_is_the_one_error(self, capsys, synth_dir, tmp_path):
+        # the zero-area pair comes before the pair that holds a face refused
+        # once stretched, and only its error is printed
+        for face in (make_face("a"), zero_area_face(), stretch_refused_face(),
+                     make_face("big", width=768, height=768)):
+            save_face(face, tmp_path / f"{face.id}.json")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"version": 1, "pairs": [
+            {"a": "a.json", "b": "a.json", "label": "genuine"},
+            {"a": "a.json", "b": "dot.json", "label": "genuine"},
+            {"a": "found.json", "b": "big.json", "label": "impostor"},
+        ]}))
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "calibrate", str(synth_dir / "manifest.json"), "-o", str(model_path))
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "evaluate", str(manifest), "--model", str(model_path),
+                                 "--threshold", "90", "-o", str(report_path))
+        assert code == 1
+        assert err == "error: mask has zero area; outline did not cover any pixel center\n"
+        assert out == "" and not report_path.exists()
 
     def test_raster_flag(self, capsys, synth_dir, tmp_path):
         manifest = synth_dir / "manifest.json"

@@ -4,6 +4,7 @@ import json
 import math
 from statistics import fmean
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ import fuzzyface.scoring
 import fuzzyface.silhouette
 from conftest import (
     make_face, raster_scale_for, scaled_face, shannon_entropy, standard_landmarks,
+    stretch_refused_face, zero_area_face,
 )
 from fuzzyface import (
     DEFAULT_KERNELS,
@@ -30,8 +32,11 @@ from fuzzyface import (
     score_pairs,
 )
 from fuzzyface.fileio import dump_json
-from fuzzyface.scoring import pair_scores
-from fuzzyface.silhouette import rescale_face
+from fuzzyface.scoring import entropy_membership, pair_scores
+from fuzzyface.features import extract_features
+from fuzzyface.silhouette import (
+    alpha_from_masks, default_resolution_scale, normalize_pair, rasterize, rescale_face,
+)
 
 IMAGE_SIZES = ((512, 512), (256, 384), (768, 512), (384, 768), (100, 140))
 
@@ -99,6 +104,32 @@ class TestFeatureMembership:
                 feature_membership(*ab, kernel)
             return
         assert tuple(map(repr, feature_membership(*ab, kernel))) == tuple(map(repr, expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(abs_=st.lists(measurements, min_size=1, max_size=12), kernel=any_kernel)
+    @example(abs_=[(1.0, 1e300)], kernel=BellKernel())
+    @example(abs_=[(5e-324, 1e300)], kernel=BellKernel())  # p underflows to 0.0
+    @example(abs_=[(1.7e308, 1.7e308)], kernel=BellKernel())  # a + b overflows
+    @example(abs_=[(3.0, 3.0 * (1 + 2 ** -52))], kernel=TrapezoidKernel())
+    @example(abs_=[(60.0, 66.0), (1.0, 3.0), (2.0, 2.0)], kernel=BellKernel(0.5))
+    def test_columns_equal_feature_membership(self, abs_, kernel):
+        # the columns of score_pairs and pair_scores against the scalar
+        # reference, as a (pairs x 1) block: each value bit for bit, or an
+        # error from both
+        a, b = np.array(abs_).T[:, :, None]
+        expected = []
+        for pair in abs_:
+            try:
+                expected.append(feature_membership(*pair, kernel))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    entropy_membership(a, b, kernel)
+                return
+        entropy, membership = entropy_membership(a, b, kernel)
+        assert entropy.shape == membership.shape == a.shape
+        assert list(zip(map(repr, entropy.ravel().tolist()),
+                        map(repr, membership.ravel().tolist()))) == [
+            tuple(map(repr, values)) for values in expected]
 
     @pytest.mark.parametrize("a, b", [
         (0.0, 1.0), (1.0, -2.0), (-1.0, -3.0), (math.nan, 1.0), (1.0, math.inf), ("1", 2.0),
@@ -268,41 +299,96 @@ class TestCompare:
         assert doc["similarity"] == report.similarity
 
 
+equal_to_compare_cases = dict(
+    seed=st.integers(0, 10_000),
+    sizes=st.lists(st.sampled_from(IMAGE_SIZES), min_size=6, max_size=6),
+    mode=st.sampled_from(list(AlphaMode)),
+    resolution_scale=st.sampled_from([None, 1, 2]),
+    kernel=any_kernel,
+)
+# one canvas for every pair: each face is prepared once for all of them
+ONE_CANVAS = dict(seed=1, sizes=[(512, 512)] * 6, mode=AlphaMode.LITERAL,
+                  resolution_scale=None, kernel=BellKernel())
+# widths rise as heights fall, so each pair has a canvas of its own and
+# each face is prepared once per pair it is in
+CANVAS_PER_PAIR = dict(seed=2, sizes=[(200 + 60 * n, 500 - 60 * n) for n in range(6)],
+                       mode=AlphaMode.COMPLEMENT, resolution_scale=2, kernel=TriangleKernel())
+# every ordered pair, self pairs included, and three again
+EQUAL_TO_COMPARE_PAIRS = [(i, j) for i in range(6) for j in range(6)] + [(5, 0), (3, 1), (2, 2)]
+
+
+def scalar_report(face_a, face_b, config):
+    """The pipeline one pair and one feature at a time, on the scalar forms: the reference."""
+    canvas, norm_a, norm_b = normalize_pair(face_a, face_b)
+    scale = config.resolution_scale or default_resolution_scale(canvas)
+    alpha = alpha_from_masks(rasterize(norm_a.outline, canvas, scale),
+                             rasterize(norm_b.outline, canvas, scale), config.alpha_mode)
+    rows = tuple(FeatureRow(name, a, b, *feature_membership(a, b, config.kernel))
+                 for (name, a), (_, b) in zip(extract_features(norm_a).items,
+                                              extract_features(norm_b).items))
+    return MatchReport(a_id=face_a.id, b_id=face_b.id, features=rows, alpha=alpha, k=config.k,
+                       alpha_mode=config.alpha_mode, kernel=config.kernel,
+                       resolution_scale=scale)
+
+
+def assert_scores_equal_compare(seed, sizes, mode, resolution_scale, kernel):
+    """score_pairs and compare equal the scalar reference, and pair_scores their values, to the bit."""
+    faces = dealt_faces(seed, sizes)
+    pairs = EQUAL_TO_COMPARE_PAIRS
+    config = ScoringConfig(k=0.7, alpha_mode=mode, kernel=kernel,
+                           resolution_scale=resolution_scale)
+    reports = score_pairs(faces, pairs, config)
+    assert len(reports) == len(pairs)
+    for (i, j), report in zip(pairs, reports):
+        expected = scalar_report(faces[i], faces[j], config)
+        assert report == expected == compare(faces[i], faces[j], config)
+        assert dump_json(report.to_dict()) == dump_json(expected.to_dict())
+    # the columns: the same three values, to the bit (repr tells -0.0 from
+    # 0.0 and a float from a numpy scalar)
+    columns = [tuple(map(repr, scores)) for scores in pair_scores(faces, iter(pairs), config)]
+    assert columns == [tuple(map(repr, (r.feature_score, r.alpha, r.similarity)))
+                       for r in reports]
+
+
+class OvershootKernel(TriangleKernel):
+    """A kernel whose membership is 1.5 below an entropy of 1, outside [0, 1]."""
+
+    def evaluate(self, x: float) -> float:
+        return 1.5 if x < 1.0 else 1.0
+
+
 class TestScorePairs:
     @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        sizes=st.lists(st.sampled_from(IMAGE_SIZES), min_size=6, max_size=6),
-        mode=st.sampled_from(list(AlphaMode)),
-        resolution_scale=st.sampled_from([None, 1, 2]),
-        kernel=any_kernel,
-    )
-    # one canvas for every pair: each face is prepared once for all of them
-    @example(seed=1, sizes=[(512, 512)] * 6, mode=AlphaMode.LITERAL, resolution_scale=None,
-             kernel=BellKernel())
-    # widths rise as heights fall, so each pair has a canvas of its own and
-    # each face is prepared once per pair it is in
-    @example(seed=2, sizes=[(200 + 60 * n, 500 - 60 * n) for n in range(6)],
-             mode=AlphaMode.COMPLEMENT, resolution_scale=2, kernel=TriangleKernel())
+    @given(**equal_to_compare_cases)
+    @example(**ONE_CANVAS)
+    @example(**CANVAS_PER_PAIR)
     def test_equals_per_pair_compare(self, seed, sizes, mode, resolution_scale, kernel):
-        population = generate_population(
-            PopulationConfig(identity_count=2, captures_per_identity=3, capture_sigma=3.0, seed=seed)
-        )
-        faces = [rescale_face(lf.face, w, h) for lf, (w, h) in zip(population, sizes)]
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)] + [(5, 0), (3, 1), (2, 2)]
-        config = ScoringConfig(k=0.7, alpha_mode=mode, kernel=kernel,
-                               resolution_scale=resolution_scale)
-        reports = score_pairs(faces, pairs, config)
-        assert len(reports) == len(pairs)
-        for (i, j), report in zip(pairs, reports):
-            expected = compare(faces[i], faces[j], config)
-            assert report == expected
-            assert dump_json(report.to_dict()) == dump_json(expected.to_dict())
-        # the score-only loop: the same three values, to the bit (repr tells
-        # -0.0 from 0.0 and a float from a numpy scalar)
-        columns = [tuple(map(repr, scores)) for scores in pair_scores(faces, iter(pairs), config)]
-        assert columns == [tuple(map(repr, (r.feature_score, r.alpha, r.similarity)))
-                           for r in reports]
+        assert_scores_equal_compare(seed, sizes, mode, resolution_scale, kernel)
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    @pytest.mark.parametrize("pairs, kernel, message", [
+        # (0, 2) has a zero-area mask and (3, 4) a face refused once stretched
+        ([(0, 1), (1, 0), (0, 2), (3, 4), (1, 2)], TriangleKernel(), "mask has zero area"),
+        ([(0, 1), (1, 0), (3, 4), (0, 2), (1, 2)], TriangleKernel(),
+         "face 'found' stretched onto 768 x 768"),
+        # a membership past 1 on (0, 1), which MatchReport refuses, before (3, 4)
+        ([(0, 0), (1, 1), (0, 1), (3, 4)], OvershootKernel(), "outside [0, 1]: FeatureRow"),
+    ])
+    def test_first_error_in_pair_order(self, monkeypatch, block, pairs, kernel, message):
+        # both raise what a compare of each pair in turn raises first, though
+        # a block prepares all its faces before it scores any pair
+        monkeypatch.setattr(fuzzyface.scoring, "_BLOCK_PAIRS", block)
+        faces = [*unequal_faces(), zero_area_face(), stretch_refused_face(),
+                 make_face("big", width=768, height=768)]
+        config = ScoringConfig(kernel=kernel)
+        with pytest.raises(ValueError) as expected:
+            for i, j in pairs:
+                compare(faces[i], faces[j], config)
+        assert message in str(expected.value)
+        for score in (score_pairs, pair_scores):
+            with pytest.raises(ValueError) as raised:
+                score(faces, pairs, config)
+            assert str(raised.value) == str(expected.value)
 
     def test_each_face_rasterized_once_per_canvas(self, monkeypatch):
         calls = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_face, scaled_face, standard_landmarks
+from conftest import make_face, scaled_face, standard_landmarks, stretch_refused_face
 from fuzzyface import (
     AlphaMode,
     BinaryMask,
@@ -135,6 +135,17 @@ class TestNormalizePair:
                 {name: point(pt) for name, pt in face.landmarks.items()})
         assert rescale_face(face, 29, 29).outline[1] == (29.0, 0.0)
 
+    def test_stretch_refusal_names_the_face_and_canvas(self):
+        face = stretch_refused_face()
+        assert rescale_face(face, 512, 768).outline  # a 2 x 2 stretch keeps it simple
+        message = "face 'found' stretched onto 768 x 768: outline is self-intersecting"
+        with pytest.raises(ValueError) as exc:
+            rescale_face(face, 768, 768)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            compare(face, make_face("big", width=768, height=768))
+        assert str(exc.value) == message
+
     def test_canvas_validation(self):
         with pytest.raises(ValueError, match="canvas width"):
             Canvas(0, 10)
@@ -161,6 +172,20 @@ class TestRasterize:
             warnings.simplefilter("error", RuntimeWarning)
             mask = rasterize(outline, Canvas(10, 10), 1)
         assert mask.area == 100 and mask.bits.all()
+
+    @pytest.mark.parametrize("outline, scale", [
+        (((0.0, 0.0), (1.7e308, 0.0), (1.7e308, 1.7e308), (0.0, 1.7e308)), 2),
+        (((-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, 1e308)), 1),
+    ])
+    def test_coordinates_overflowing_at_the_scale_are_refused(self, outline, scale):
+        # a coordinate or a span times the scale would overflow a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"outline coordinates overflow a float at "
+                                                 f"raster scale {scale}"):
+                rasterize(outline, Canvas(10, 10), scale)
+            half = tuple((x / 2, y / 2) for x, y in outline)
+            assert rasterize(half, Canvas(10, 10), scale).area == (10 * scale) ** 2
 
     def test_triangle_against_shoelace(self):
         tri = ((0.0, 0.0), (4.0, 0.0), (0.0, 4.0))
