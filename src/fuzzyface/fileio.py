@@ -16,8 +16,9 @@ from pathlib import Path
 
 from .calibration import CalibrationState
 from .features import FaceInput
-from .fuzzymath import MembershipKernel, check_entropy_kernel, kernel_from_dict, kernel_to_dict
+from .fuzzymath import MembershipKernel, kernel_from_dict, kernel_to_dict
 from .geometry import finite_number, whole_number
+from .scoring import ScoringConfig
 from .silhouette import AlphaMode
 
 FACE_FILE_VERSION = 1
@@ -269,9 +270,7 @@ class CalibratedModel:
             raise ValueError(f"field 'k' must be the midpoint of k1 and k2, got {k!r}")
         whole_number("field 'n'", self.n, 1)
         whole_number("field 'skipped'", self.skipped, 0)
-        if not isinstance(self.alpha_mode, AlphaMode):
-            raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
-        check_entropy_kernel(self.kernel)
+        ScoringConfig(k, self.alpha_mode, self.kernel)  # its alpha_mode and kernel checks
 
     @classmethod
     def from_state(

@@ -10,12 +10,13 @@ the two with the mixing weight k:
 
 One engine serves two consumers. Its prepare step prepares each face
 (rescale onto the pair's canvas, measure the features, rasterize the
-outline) at most once per canvas and raster scale, and it scores blocks
-of pairs as numpy columns: an alpha per pair (alpha_from_masks) and an
-entropy and a membership per feature, with the bits of
-feature_membership. score_pairs turns each block into MatchReports, and
-compare is its one-pair case; pair_scores blends each block as columns
-and keeps only each pair's feature score, alpha and similarity.
+outline) at most once per canvas size, and it scores blocks of pairs as
+numpy columns: an alpha per pair (alpha_from_masks) and an entropy and
+a membership per feature, with the bits of feature_membership. The
+blend is written once (_feature_score and _similarity) and the checks
+once, in MatchReport. score_pairs turns each block into MatchReports,
+and compare is its one-pair case; pair_scores blends each block as
+columns and keeps only each pair's feature score, alpha and similarity.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
-from .features import FaceInput, FeatureVector, extract_features
+from .features import CANONICAL_FEATURES, FaceInput, extract_features
 from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
 from .geometry import whole_number
 from .silhouette import (
@@ -48,12 +49,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_mixing_weight(k) -> None:
-    """Raise unless k is an int or float (not a bool) in [0, 1]."""
-    if not (_is_number(k) and math.isfinite(k) and 0.0 <= k <= 1.0):
-        raise ValueError(f"mixing weight k must lie in [0, 1], got {k!r}")
-
-
 @dataclass(frozen=True)
 class ScoringConfig:
     """Pipeline knobs: mixing weight, overlap mode, kernel, raster density.
@@ -69,7 +64,8 @@ class ScoringConfig:
     resolution_scale: int | None = None
 
     def __post_init__(self) -> None:
-        _check_mixing_weight(self.k)
+        if not (_is_number(self.k) and math.isfinite(self.k) and 0.0 <= self.k <= 1.0):
+            raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
         check_entropy_kernel(self.kernel)
@@ -111,17 +107,19 @@ class MatchReport:
         # full type test: a call per value made each report half again as
         # slow to build.
         for row in self.features:
-            if not (type(row.entropy) is type(row.membership) is float
-                    or _is_number(row.entropy) and _is_number(row.membership)):
+            if not ((type(row.entropy) is type(row.membership) is float
+                     or _is_number(row.entropy) and _is_number(row.membership))
+                    and 0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0):
                 raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
-            _check_row(row.name, row.a, row.b, row.entropy, row.membership)
-        if type(self.alpha) is not float and not _is_number(self.alpha):
+        if not ((type(self.alpha) is float or _is_number(self.alpha))
+                and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        feature_score, similarity = _blend(
-            [row.membership for row in self.features], self.alpha, self.k
-        )
+        # k, alpha_mode and kernel pass ScoringConfig's checks, in its words,
+        # so a similarity lies in [0, 100] and to_dict can write the report
+        ScoringConfig(self.k, self.alpha_mode, self.kernel)
+        feature_score = _feature_score([row.membership for row in self.features])
         object.__setattr__(self, "feature_score", feature_score)
-        object.__setattr__(self, "similarity", similarity)
+        object.__setattr__(self, "similarity", _similarity(feature_score, self.alpha, self.k))
 
     @property
     def n(self) -> int:
@@ -144,24 +142,14 @@ class MatchReport:
         }
 
 
-def _check_row(name: str, a: float, b: float, entropy: float, membership: float) -> None:
-    """Raise unless a feature's entropy and membership both lie in [0, 1]."""
-    if not (0.0 <= entropy <= 1.0 and 0.0 <= membership <= 1.0):
-        row = FeatureRow(name, a, b, entropy, membership)
-        raise ValueError(f"feature row '{name}' outside [0, 1]: {row!r}")
+def _feature_score(memberships: Sequence[float]) -> float:
+    """The mean membership of one pair's features."""
+    return math.fsum(memberships) / len(memberships)
 
 
-def _blend(memberships: Sequence[float], alpha: float, k: float) -> tuple[float, float]:
-    """The feature score (mean membership) and the similarity of one pair.
-
-    Raises unless alpha lies in [0, 1] and k passes _check_mixing_weight,
-    so a similarity is always in [0, 100].
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    _check_mixing_weight(k)
-    feature_score = math.fsum(memberships) / len(memberships)
-    return feature_score, 100.0 * (feature_score * k + alpha * (1.0 - k))
+def _similarity(feature_score, alpha, k):
+    """The blend of one pair, or elementwise of columns of pairs."""
+    return 100.0 * (feature_score * k + alpha * (1.0 - k))
 
 
 def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[float, float]:
@@ -208,60 +196,55 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
 
 
 class _Prepared:
-    """The faces of one call, each prepared at most once per canvas size and raster scale.
+    """The faces of one call, each prepared at most once per canvas size.
 
-    A prepared face is the face stretched onto a pair's canvas, its
-    feature vector and its rasterized outline; row r of ``features``,
-    ``values`` and ``masks`` holds one. N faces that share one
-    canvas are rasterized N times rather than twice per pair. Each canvas
-    size is built, with its raster scale, once, as one group of rows.
-    Prepared faces and canvases live only for one call.
+    A prepared face is the face stretched onto a pair's canvas, its six
+    feature values (in CANONICAL_FEATURES order) and its rasterized
+    outline; row r of ``values`` and ``masks`` holds one. N faces that
+    share one canvas are rasterized N times rather than twice per pair.
+    Each canvas size is built, with its raster scale, once. Prepared
+    faces and canvases live only for one call.
     """
 
     def __init__(self, faces: Sequence[FaceInput], config: ScoringConfig) -> None:
         self.faces = faces
         self.resolution_scale = config.resolution_scale
         # keyed by index: FaceInput holds a dict and cannot be hashed
-        self.rows: dict[tuple[int, int], int] = {}  # (face index, group) -> row
-        self.features: list[FeatureVector] = []
-        self.values: list[list[float]] = []  # each feature vector's values, for the columns
+        self.rows: dict[tuple[int, tuple[int, int]], int] = {}  # (face index, size) -> row
+        self.values: list[list[float]] = []
         self.masks: list[BinaryMask] = []
-        self.groups: dict[tuple[int, int], int] = {}  # canvas (width, height) -> group
-        self.canvases: list[tuple[Canvas, int]] = []  # canvas and raster scale per group
+        self.canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, scale
 
     def pair(self, i: int, j: int) -> tuple[int, int, int]:
-        """Rows of faces i and j prepared on their pair's canvas, and that canvas's group."""
+        """Rows of faces i and j prepared on their pair's canvas, and its raster scale."""
         face_a, face_b = self.faces[i], self.faces[j]
         # pair_canvas's size, found without building a Canvas
         size = (max(face_a.image_width, face_b.image_width),
                 max(face_a.image_height, face_b.image_height))
-        group = self.groups.get(size)
-        if group is None:
+        if size not in self.canvases:
             canvas = pair_canvas(face_a, face_b)
             scale = self.resolution_scale
             if scale is None:
                 scale = default_resolution_scale(canvas)
-            group = self.groups[size] = len(self.canvases)
-            self.canvases.append((canvas, scale))
-        return self.row(i, group), self.row(j, group), group
+            self.canvases[size] = canvas, scale
+        return self.row(i, size), self.row(j, size), self.canvases[size][1]
 
-    def row(self, index: int, group: int) -> int:
-        row = self.rows.get((index, group))
+    def row(self, index: int, size: tuple[int, int]) -> int:
+        row = self.rows.get((index, size))
         if row is None:
-            canvas, scale = self.canvases[group]
+            canvas, scale = self.canvases[size]
             face = rescale_face(self.faces[index], canvas.width, canvas.height)
-            features = extract_features(face)
+            values = [value for _, value in extract_features(face).items]
             mask = rasterize(face.outline, canvas, scale)
-            row = self.rows[index, group] = len(self.masks)
-            self.features.append(features)
-            self.values.append([value for _, value in features.items])
+            row = self.rows[index, size] = len(self.masks)
+            self.values.append(values)
             self.masks.append(mask)
         return row
 
 
 # one block of pairs scored up to the blend: the pairs, each pair's two
-# prepared rows and group, and its alpha, entropies and memberships (a
-# row per pair, a column per feature)
+# prepared rows and raster scale, and its alpha, entropies and
+# memberships (a row per pair, a column per feature)
 _Columns = tuple[list[tuple[int, int]], list[tuple[int, int, int]], np.ndarray, np.ndarray,
                  np.ndarray]
 
@@ -304,26 +287,22 @@ def _scored_blocks(prepared: _Prepared, pairs: Iterable[tuple[int, int]],
 
 def _reports(prepared: _Prepared, columns: _Columns, config: ScoringConfig) -> list[MatchReport]:
     """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
-    faces, features = prepared.faces, prepared.features
+    faces, values = prepared.faces, prepared.values
+    names = [name for name, _ in CANONICAL_FEATURES]  # the order of every row's values
     pairs, rows, alphas, entropies, memberships = columns
     reports = []
-    for (i, j), (row_a, row_b, group), alpha, entropy, membership in zip(
+    for (i, j), (row_a, row_b, scale), alpha, entropy, membership in zip(
             pairs, rows, alphas.tolist(), entropies.tolist(), memberships.tolist()):
-        # Both vectors come from extract_features over CANONICAL_FEATURES, so
-        # their names align and FeatureVector has checked every value positive.
         reports.append(MatchReport(
             a_id=faces[i].id,
             b_id=faces[j].id,
-            features=tuple(
-                FeatureRow(name, a, b, h, m)
-                for (name, a), (_, b), h, m in zip(features[row_a].items, features[row_b].items,
-                                                   entropy, membership)
-            ),
+            features=tuple(map(FeatureRow, names, values[row_a], values[row_b], entropy,
+                               membership)),
             alpha=alpha,
             k=config.k,
             alpha_mode=config.alpha_mode,
             kernel=config.kernel,
-            resolution_scale=prepared.canvases[group][1],
+            resolution_scale=scale,
         ))
     return reports
 
@@ -337,7 +316,7 @@ def score_pairs(
 
     Each report equals ``compare(faces[i], faces[j], config)`` bit for
     bit. A face is prepared (rescaled, measured, rasterized) at most once
-    per canvas size and raster scale, for this call only. A bad pair
+    per canvas size, for this call only. A bad pair
     raises the error that compare raises on it; of several, the first
     in pair order.
     """
@@ -359,9 +338,9 @@ def pair_scores(
 
     The same steps as score_pairs, so each value equals the report's bit
     for bit and each error is the one score_pairs raises, but with the
-    checks and the blend taken as columns and no FeatureRow or
-    MatchReport built: for callers that read only the scores, such as
-    evaluate and calibrate.
+    blend taken as columns and no FeatureRow or MatchReport built unless
+    a column fails the report's ranges: for callers that read only the
+    scores, such as evaluate and calibrate.
     """
     if config is None:
         config = ScoringConfig()
@@ -373,18 +352,16 @@ def pair_scores(
         if not (((0.0 <= entropy) & (entropy <= 1.0) & (0.0 <= membership) & (membership <= 1.0))
                 .all() and ((0.0 <= alpha) & (alpha <= 1.0)).all()):
             _reports(prepared, columns, config)  # raises the first bad pair's error
-        k = config.k
-        _check_mixing_weight(k)
-        feature_score = np.fromiter(map(math.fsum, membership.tolist()), float,
-                                    len(membership)) / membership.shape[1]
-        similarity = 100.0 * (feature_score * k + alpha * (1.0 - k))
+        feature_score = np.fromiter(map(_feature_score, membership.tolist()), float,
+                                    len(membership))
+        similarity = _similarity(feature_score, alpha, config.k)
         scores += zip(feature_score.tolist(), alpha.tolist(), similarity.tolist())
     return scores
 
 
-def _mapped(fn, column: np.ndarray, *args: Iterable) -> np.ndarray:
-    """``fn`` of each element of a flat float array (and of ``args``), on Python floats."""
-    return np.fromiter(map(fn, column.tolist(), *args), float, len(column))
+def _mapped(fn, column: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of a flat float array, on Python floats."""
+    return np.fromiter(map(fn, column.tolist()), float, len(column))
 
 
 def entropy_membership(a: np.ndarray, b: np.ndarray,
@@ -393,11 +370,11 @@ def entropy_membership(a: np.ndarray, b: np.ndarray,
 
     The basic operations (sums, quotients, products, differences) are
     correctly rounded, so numpy's equal math's; ``0.0 - x`` is
-    np.subtract, since ``-x`` would turn 0.0 into -0.0. Each
-    transcendental goes through math on Python floats (np.log2 and
-    np.exp differ from math in the last bit on some inputs). Raises
-    ValueError where feature_membership would: a share that is 0.0.
-    The values must be positive and finite, as a FeatureVector's are.
+    np.subtract, since ``-x`` would turn 0.0 into -0.0. math.log2 and
+    the kernel's own evaluate run on Python floats (np.log2 and np.exp
+    differ from math in the last bit on some inputs). Raises ValueError
+    where feature_membership would: a share that is 0.0. The values
+    must be positive and finite, as a FeatureVector's are.
     """
     shape, a, b = a.shape, a.ravel(), b.ravel()
     with np.errstate(over="ignore"):  # a + b overflows to inf, as in Python, without a warning
@@ -405,10 +382,4 @@ def entropy_membership(a: np.ndarray, b: np.ndarray,
     shares = np.concatenate((a / total, b / total))
     terms = shares * _mapped(math.log2, shares)
     entropy = np.minimum(np.subtract(0.0, terms[:len(a)]) - terms[len(a):], 1.0)
-    if type(kernel) is BellKernel:  # kernel.evaluate, as columns
-        r = float(kernel.r)
-        u = _mapped(pow, (entropy - r) / r, repeat(2))  # the kernel's ** 2
-        membership = (1.0 - u) * _mapped(math.exp, np.negative(u))
-    else:
-        membership = _mapped(kernel.evaluate, entropy)
-    return entropy.reshape(shape), membership.reshape(shape)
+    return entropy.reshape(shape), _mapped(kernel.evaluate, entropy).reshape(shape)

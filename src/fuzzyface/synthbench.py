@@ -104,11 +104,8 @@ def _build_face(face_id: str, landmarks: np.ndarray, outline: np.ndarray) -> Fac
         id=face_id,
         image_width=_TEMPLATE_WIDTH,
         image_height=_TEMPLATE_HEIGHT,
-        landmarks={
-            name: (float(x), float(y))
-            for name, (x, y) in zip(REQUIRED_LANDMARKS, landmarks)
-        },
-        outline=tuple((float(x), float(y)) for x, y in outline),
+        landmarks=dict(zip(REQUIRED_LANDMARKS, landmarks.tolist())),
+        outline=outline.tolist(),
     )
     extract_features(face)  # degenerate landmark draws are invalid too
     return face

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from statistics import fmean
 
 import numpy as np
@@ -112,6 +113,7 @@ class TestFeatureMembership:
     @example(abs_=[(1.7e308, 1.7e308)], kernel=BellKernel())  # a + b overflows
     @example(abs_=[(3.0, 3.0 * (1 + 2 ** -52))], kernel=TrapezoidKernel())
     @example(abs_=[(60.0, 66.0), (1.0, 3.0), (2.0, 2.0)], kernel=BellKernel(0.5))
+    @example(abs_=[(60.0, 66.0), (1.0, 3.0), (2.0, 2.0)], kernel=BellKernel(1))  # an int peak
     def test_columns_equal_feature_membership(self, abs_, kernel):
         # the columns of score_pairs and pair_scores against the scalar
         # reference, as a (pairs x 1) block: each value bit for bit, or an
@@ -563,6 +565,18 @@ class TestValidation:
                 a_id="a", b_id="b", features=(), alpha=1.0, k=0.5,
                 alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(), resolution_scale=1,
             )
+
+    @pytest.mark.parametrize("context, message", [
+        ({"alpha_mode": "complement"}, "alpha_mode must be an AlphaMode, got 'complement'"),
+        ({"kernel": "bell"}, "unknown kernel 'bell'"),
+        ({"kernel": BellKernel(0.3)}, "bell kernel peak 'r' must be >= 0.5, got 0.3"),
+    ])
+    def test_report_context_passes_the_config_checks(self, context, message):
+        # to_dict would raise on the first two, and no config can hold any of them
+        settings = {"alpha_mode": AlphaMode.COMPLEMENT, "kernel": BellKernel(), **context}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MatchReport(a_id="a", b_id="b", features=(FeatureRow("f0", 60.0, 60.0, 1.0, 1.0),),
+                        alpha=1.0, k=0.5, resolution_scale=1, **settings)
 
     @pytest.mark.parametrize("alpha", [True, False, "0.5", None])
     def test_report_alpha_must_be_a_number(self, alpha):
