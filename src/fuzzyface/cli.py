@@ -16,7 +16,8 @@ from pathlib import Path
 from .calibration import CalibrationSample, calibrate
 from .fileio import (
     CalibratedModel,
-    atomic_write_text,
+    atomic_write_text,  # no longer called here; perfbench/run.py --trace 1 wraps this name
+    atomic_write_texts,
     dump_json,
     load_face,
     load_manifest,
@@ -189,9 +190,10 @@ def _cmd_evaluate(args) -> int:
     genuine = [s for _, _, label, s in scored if label == "genuine"]
     impostor = [s for _, _, label, s in scored if label == "impostor"]
     report = report_from_scores(genuine, impostor, args.threshold)
-    atomic_write_text(args.output, dump_json(report.to_dict()))
+    outputs = [(args.output, dump_json(report.to_dict()))]
     if args.csv:
-        atomic_write_text(args.csv, _scores_csv(scored))
+        outputs.append((args.csv, _scores_csv(scored)))
+    atomic_write_texts(outputs)  # neither file is written unless both can be
     print(
         f"evaluated {len(scored)} pair(s): auc={report.auc:.4f} "
         f"accuracy@{args.threshold:g}={report.accuracy_at_threshold:.4f} -> {args.output}",

@@ -111,21 +111,33 @@ def dump_json(data) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` verbatim (no newline translation) to ``path`` in one rename.
+    """Write ``text`` verbatim (no newline translation) to ``path`` in one rename."""
+    atomic_write_texts([(path, text)])
 
-    The temporary file is created with mode 0o666, so the kernel applies
+
+def atomic_write_texts(files) -> None:
+    """Write each ``(path, text)`` as atomic_write_text does, the renames last.
+
+    Every temporary file is written before the first rename, so a path
+    that cannot be created or written leaves each output as it was.
+    A temporary file is created with mode 0o666, so the kernel applies
     the umask as it does for a plain ``open``; ``mkstemp`` would leave
     every output at 0o600.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    renames = []
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            path = Path(path)
+            tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            renames.append((tmp, path))
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+        for tmp, path in renames:
+            os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        for tmp, _ in renames:
+            tmp.unlink(missing_ok=True)  # a renamed one is gone already
         raise
 
 

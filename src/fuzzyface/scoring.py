@@ -36,10 +36,12 @@ from .silhouette import (
     BinaryMask,
     Canvas,
     alpha_from_masks,
+    check_raster_frame,
     default_resolution_scale,
+    fill_outlines,
     normalize_pair,  # no longer called here; perfbench/run.py --trace 1 wraps this name
     pair_canvas,
-    rasterize,
+    rasterize,  # no longer called here; perfbench/run.py --trace 1 wraps this name
     rescale_face,
 )
 
@@ -100,6 +102,10 @@ class MatchReport:
     resolution_scale: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.a_id, str) and self.a_id and isinstance(self.b_id, str)
+                and self.b_id):
+            raise ValueError(f"report ids must be non-empty strings, got {self.a_id!r} "
+                             f"and {self.b_id!r}")
         if len(self.features) < 1:
             raise ValueError("a report needs at least one feature row")
         # The range tests alone would let a hand-built bool through and raise
@@ -111,12 +117,19 @@ class MatchReport:
                      or _is_number(row.entropy) and _is_number(row.membership))
                     and 0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0):
                 raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
+            # like a FeatureVector's values; NaN fails the comparisons
+            if not ((type(row.a) is type(row.b) is float
+                     or _is_number(row.a) and _is_number(row.b))
+                    and 0.0 < row.a < math.inf and 0.0 < row.b < math.inf):
+                raise ValueError(f"feature row '{row.name}' measurements must be positive "
+                                 f"reals: {row!r}")
         if not ((type(self.alpha) is float or _is_number(self.alpha))
                 and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         # k, alpha_mode and kernel pass ScoringConfig's checks, in its words,
         # so a similarity lies in [0, 100] and to_dict can write the report
         ScoringConfig(self.k, self.alpha_mode, self.kernel)
+        whole_number("resolution_scale", self.resolution_scale, 1)
         feature_score = _feature_score([row.membership for row in self.features])
         object.__setattr__(self, "feature_score", feature_score)
         object.__setattr__(self, "similarity", _similarity(feature_score, self.alpha, self.k))
@@ -200,10 +213,11 @@ class _Prepared:
 
     A prepared face is the face stretched onto a pair's canvas, its six
     feature values (in CANONICAL_FEATURES order) and its rasterized
-    outline; row r of ``values`` and ``masks`` holds one. N faces that
-    share one canvas are rasterized N times rather than twice per pair.
-    Each canvas size is built, with its raster scale, once. Prepared
-    faces and canvases live only for one call.
+    outline; row r of ``values`` and ``masks`` holds one. A block's new
+    faces on one canvas are rasterized together, by one fill_outlines
+    call, so N faces that share one canvas are filled once each rather
+    than twice per pair. Each canvas size is built, with its raster
+    scale, once. Prepared faces and canvases live only for one call.
     """
 
     def __init__(self, faces: Sequence[FaceInput], config: ScoringConfig) -> None:
@@ -215,31 +229,53 @@ class _Prepared:
         self.masks: list[BinaryMask] = []
         self.canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, scale
 
-    def pair(self, i: int, j: int) -> tuple[int, int, int]:
-        """Rows of faces i and j prepared on their pair's canvas, and its raster scale."""
-        face_a, face_b = self.faces[i], self.faces[j]
-        # pair_canvas's size, found without building a Canvas
-        size = (max(face_a.image_width, face_b.image_width),
-                max(face_a.image_height, face_b.image_height))
-        if size not in self.canvases:
-            canvas = pair_canvas(face_a, face_b)
-            scale = self.resolution_scale
-            if scale is None:
-                scale = default_resolution_scale(canvas)
-            self.canvases[size] = canvas, scale
-        return self.row(i, size), self.row(j, size), self.canvases[size][1]
+    def pairs(self, block: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+        """Each pair's two rows, prepared on its pair's canvas, and its raster scale.
 
-    def row(self, index: int, size: tuple[int, int]) -> int:
-        row = self.rows.get((index, size))
-        if row is None:
-            canvas, scale = self.canvases[size]
+        The faces of the block not yet prepared on their pair's canvas are
+        prepared canvas by canvas, in the order the pairs first name them.
+        """
+        keys = []
+        new: dict[tuple[int, int], dict[int, None]] = {}  # size -> face indices, in order
+        for i, j in block:
+            face_a, face_b = self.faces[i], self.faces[j]
+            # pair_canvas's size, found without building a Canvas
+            size = (max(face_a.image_width, face_b.image_width),
+                    max(face_a.image_height, face_b.image_height))
+            if size not in self.canvases:
+                canvas = pair_canvas(face_a, face_b)
+                scale = self.resolution_scale
+                if scale is None:
+                    scale = default_resolution_scale(canvas)
+                self.canvases[size] = canvas, scale
+            for index in (i, j):
+                if (index, size) not in self.rows:
+                    new.setdefault(size, {})[index] = None
+            keys.append((i, j, size))
+        for size, indices in new.items():
+            self.prepare(list(indices), size)
+        rows = self.rows
+        return [(rows[i, size], rows[j, size], self.canvases[size][1]) for i, j, size in keys]
+
+    def prepare(self, indices: list[int], size: tuple[int, int]) -> None:
+        """Prepare the faces at ``indices`` on the canvas of ``size``; all or none get a row.
+
+        Each face is rescaled and measured in turn, and its raster frame
+        checked after it, where rasterizing it alone would refuse the
+        frame; then one fill_outlines call rasterizes them all.
+        """
+        canvas, scale = self.canvases[size]
+        outlines, values = [], []
+        for index in indices:
             face = rescale_face(self.faces[index], canvas.width, canvas.height)
-            values = [value for _, value in extract_features(face).items]
-            mask = rasterize(face.outline, canvas, scale)
-            row = self.rows[index, size] = len(self.masks)
-            self.values.append(values)
+            values.append([value for _, value in extract_features(face).items])
+            check_raster_frame(canvas, scale)
+            outlines.append(face.outline.array)
+        for index, face_values, mask in zip(indices, values,
+                                            fill_outlines(outlines, canvas, scale)):
+            self.rows[index, size] = len(self.masks)
+            self.values.append(face_values)
             self.masks.append(mask)
-        return row
 
 
 # one block of pairs scored up to the blend: the pairs, each pair's two
@@ -255,9 +291,10 @@ def _columns(prepared: _Prepared, block: list[tuple[int, int]], config: ScoringC
     Each pair's steps come in compare's order (its two faces, its
     overlap, its features) and raise compare's errors in its words. In
     a block of more than one pair the error raised need not be the first
-    in pair order, since every face is prepared before any pair is scored.
+    in pair order, since every face is prepared, canvas by canvas, before
+    any pair is scored.
     """
-    rows = [prepared.pair(i, j) for i, j in block]
+    rows = prepared.pairs(block)
     masks, values, mode = prepared.masks, prepared.values, config.alpha_mode
     alpha = np.array([alpha_from_masks(masks[a], masks[b], mode) for a, b, _ in rows])
     entropy, membership = entropy_membership(np.array([values[a] for a, _, _ in rows]),

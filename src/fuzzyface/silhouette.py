@@ -5,15 +5,21 @@ of their image sizes, each input stretched per axis). Outlines are then
 filled into binary masks by even-odd counting at pixel centers, and the
 overlap score is read off the masks. A mask stores only the window of
 rows and columns its outline spans, plus that window's offset; every
-pixel outside the window is outside the outline.
+pixel outside the window is outside the outline. One kernel,
+fill_outlines, fills any number of checked outlines on one canvas in a
+single set of numpy passes, their windows slices of one flat buffer;
+rasterize checks one outline and calls it, and the pair engine calls it
+once per canvas with the faces it prepares there.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,8 +90,12 @@ class BinaryMask:
             raise ValueError(f"mask bits must be a 2D array, got shape {bits.shape}")
         whole_number("mask scale", self.scale, 1)
         frame = bits.shape if self.frame is None else self.frame
-        rows, cols = (whole_number("mask frame side", n, 0) for n in _pair("mask frame", frame))
-        row, col = (whole_number("mask offset", n, 0) for n in _pair("mask offset", self.offset))
+        rows, cols = _pair("mask frame", frame)
+        whole_number("mask frame side", rows, 0)
+        whole_number("mask frame side", cols, 0)
+        row, col = _pair("mask offset", self.offset)
+        whole_number("mask offset", row, 0)
+        whole_number("mask offset", col, 0)
         if row + bits.shape[0] > rows or col + bits.shape[1] > cols:
             raise ValueError(
                 f"mask window {bits.shape} at {self.offset} does not fit the frame {frame}"
@@ -179,11 +189,7 @@ def rasterize(
         scale = default_resolution_scale(canvas)
     else:
         scale = whole_number("resolution_scale", resolution_scale, 1)
-    wpx = canvas.width * scale
-    hpx = canvas.height * scale
-    if wpx * hpx > MAX_RASTER_PIXELS:
-        raise ValueError(f"raster frame {wpx} x {hpx} (the canvas at scale {scale}) exceeds "
-                         f"{MAX_RASTER_PIXELS} pixels")
+    check_raster_frame(canvas, scale)
 
     if type(outline) is _CheckedOutline:
         pts = outline.array  # checked and converted when its FaceInput was built
@@ -201,15 +207,47 @@ def rasterize(
         if not polygon_is_simple(pts):
             raise ValueError("outline is self-intersecting")
 
-    # vertex n is vertex 0 again: edge i runs from vertex i to vertex i + 1
-    closed = np.concatenate((pts, pts[:1]))
+    return fill_outlines([pts], canvas, scale)[0]
+
+
+def check_raster_frame(canvas: Canvas, scale: int) -> None:
+    """Refuse a full mask (the canvas times ``scale``, squared) of more than MAX_RASTER_PIXELS."""
+    wpx = canvas.width * scale
+    hpx = canvas.height * scale
+    if wpx * hpx > MAX_RASTER_PIXELS:
+        raise ValueError(f"raster frame {wpx} x {hpx} (the canvas at scale {scale}) exceeds "
+                         f"{MAX_RASTER_PIXELS} pixels")
+
+
+def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) -> list[BinaryMask]:
+    """The masks of one or more outlines on one canvas and scale, filled together.
+
+    Each outline is a float64 (n, 2) vertex array that passed
+    rasterize's checks at this scale, and the frame passed
+    check_raster_frame; mask i equals ``rasterize(outlines[i], canvas,
+    scale)`` bit for bit. The outlines are stacked end to end, so each
+    numpy pass (the row search, the crossings, the sort of the flip
+    positions and the run-length fill) runs once for all of them, and
+    the masks' windows are slices of one flat buffer.
+    """
+    wpx = canvas.width * scale
+    hpx = canvas.height * scale
+    frame = (hpx, wpx)
+    # Each outline closed (its vertex n is its vertex 0 again), stacked from
+    # vertex starts[i] on: edge e runs from vertex e to vertex e + 1. The edge
+    # from one outline's last vertex to the next one's first is a bridge,
+    # which is given no crossings.
+    starts = [0, *accumulate(len(pts) + 1 for pts in outlines[:-1])]
+    closed = np.concatenate([part for pts in outlines for part in (pts, pts[:1])])
     x, y = closed[:, 0], closed[:, 1]
     x1, y1, x2, y2 = x[:-1], y[:-1], x[1:], y[1:]
 
     # Rows whose centers can fall in [min y, max y), padded by one so the
     # float edges of this estimate never drop a row the test below keeps.
-    first = min(max(math.floor(y.min() * scale - 0.5), 0), hpx)
-    last = min(max(math.ceil(y.max() * scale - 0.5) + 1, first), hpx)
+    # Each outline's own estimate is a slice of these rows, and searching
+    # the slice finds the same rows as searching them all.
+    first = min(max(math.floor(np.minimum.reduce(y) * scale - 0.5), 0), hpx)
+    last = min(max(math.ceil(np.maximum.reduce(y) * scale - 0.5) + 1, first), hpx)
 
     # row centers in canvas units; an edge crosses a row iff min_y <= yc < max_y
     # (half-open, so a vertex shared by two edges is counted exactly once).
@@ -217,44 +255,88 @@ def rasterize(
     # comparisons, made by one binary search per vertex. The search is
     # monotone, so an edge's lo and hi are the min and max of its ends'.
     yc = (np.arange(first, last, dtype=float) + 0.5) / scale
-    at = np.searchsorted(yc, y)
+    at = yc.searchsorted(y)
     lo = np.minimum(at[:-1], at[1:])
     counts = np.maximum(at[:-1], at[1:]) - lo
-    # The outline is closed, so every row from the lowest vertex's to the
-    # highest's is crossed: the crossed rows are [min(at), max(at)).
-    row0, row1 = int(at.min()), int(at.max())
-    frame = (hpx, wpx)
-    if row0 == row1:
-        return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
-    edge_idx = np.repeat(np.arange(len(pts)), counts)
-    # crossing k of edge e is on row lo[e] + (k - number of crossings before e)
-    row_idx = np.arange(edge_idx.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    # a crossing edge has ylo < yhi, so the division is safe
-    x1e, y1e = x1[edge_idx], y1[edge_idx]
-    t = (yc[row_idx] - y1e) / (y2[edge_idx] - y1e)
-    xs = x1e + t * (x2[edge_idx] - x1e)
+    for start in starts[1:]:
+        counts[start - 1] = 0  # a bridge
+    # An outline is closed, so every row from its lowest vertex's to its
+    # highest's is crossed: its crossed rows are [min(at), max(at)).
+    row0s = np.minimum.reduceat(at, starts).tolist()
+    row1s = np.maximum.reduceat(at, starts).tolist()
+    if row0s == row1s:  # no outline crosses a row
+        return [_empty_mask(scale, frame) for _ in outlines]
+    before = counts.cumsum() - counts  # crossings of the edges before edge e
+    # crossing k of edge e is on row lo[e] + (k - before[e])
+    x1e, y1e = x1.repeat(counts), y1.repeat(counts)
+    row_idx = np.arange(len(x1e)) - (before - lo).repeat(counts)
+    # The crossing's x: yc - y1 over the edge's y step (nonzero, since the
+    # edge crosses a row), times its x step, plus x1; in place, with the
+    # rounding of x1 + t * (x2 - x1).
+    col = yc[row_idx]
+    col -= y1e
+    col /= (y2 - y1).repeat(counts)
+    col *= (x2 - x1).repeat(counts)
+    col += x1e
     # first pixel whose center lies at or right of the crossing, clamped to
     # [0, wpx] as a float before the cast, which past 2**63 would wrap
-    col = xs * scale - 0.5
+    col *= scale
+    col -= 0.5
     np.minimum(np.maximum(col, 0.0, out=col), wpx, out=col)  # np.clip, without its wrapper's cost
     col = np.ceil(col, out=col).astype(np.int64)
 
-    # Every row has an even number of crossings, so pixels left of the
-    # first crossing column or at or right of the last are outside.
-    col0, col1 = int(col.min()), int(col.max())
+    # An outline's crossings are one run of them, from firsts[i]. Every row
+    # has an even number of crossings, so pixels left of an outline's first
+    # crossing column or at or right of its last are outside: its window
+    # is its crossed rows by those columns. An outline that crosses no row
+    # gets an empty window.
+    firsts = [*before[starts].tolist(), len(col)]
+    filled = [i for i in range(len(outlines)) if firsts[i] < firsts[i + 1]]
+    col0s = np.minimum.reduceat(col, [firsts[i] for i in filled]).tolist()
+    col1s = np.maximum.reduceat(col, [firsts[i] for i in filled]).tolist()
+    windows = [None] * len(outlines)  # (start in the buffer, rows, columns, offset)
+    widths, shifts, size = [], [], 0
+    for i, col0, col1 in zip(filled, col0s, col1s):
+        rows, cols = row1s[i] - row0s[i], col1 - col0
+        windows[i] = size, rows, cols, (first + row0s[i], col0)
+        widths.append(cols)
+        shifts.append(size - row0s[i] * cols - col0)
+        size += rows * cols
 
-    # Inside/outside flips at each crossing, so the flattened window is
-    # runs of False and True between the sorted crossing positions. A
-    # crossing at column col1 lands on the next row's first pixel, which
-    # is where the run it ends would stop anyway, since a row's crossing
-    # count is even; two crossings at one position make an empty run.
-    rows, cols = row1 - row0, col1 - col0
-    flips = np.sort((row_idx - row0) * cols + (col - col0))
-    stops = np.concatenate(([0], flips, [rows * cols]))
+    # Inside/outside flips at each crossing, so each flattened window is
+    # runs of False and True between its sorted crossing positions, and
+    # the windows lie end to end in the buffer. A crossing at an outline's
+    # last column lands on its next row's first pixel, or the next
+    # window's, which is where the run it ends would stop anyway, since a
+    # row's crossing count is even; two crossings at one position make an
+    # empty run. stops holds 0, the flips and the buffer's size.
+    width, shift = np.array([widths, shifts]).repeat(
+        [firsts[i + 1] - firsts[i] for i in filled], axis=1)
+    stops = np.empty(len(col) + 2, dtype=np.int64)
+    stops[0], stops[-1] = 0, size
+    flips = stops[1:-1]
+    np.multiply(row_idx, width, out=flips)
+    flips += col
+    flips += shift
+    flips.sort()
     inside = np.zeros(stops.size - 1, dtype=bool)
     inside[1::2] = True
-    bits = inside.repeat(stops[1:] - stops[:-1]).reshape(rows, cols)
-    return BinaryMask(bits, scale, (first + row0, col0), frame)
+    bits = inside.repeat(stops[1:] - stops[:-1])
+
+    masks = []
+    for window in windows:
+        if window is None:
+            masks.append(_empty_mask(scale, frame))
+        else:
+            start, rows, cols, offset = window
+            masks.append(BinaryMask(bits[start:start + rows * cols].reshape(rows, cols), scale,
+                                    offset, frame))
+    return masks
+
+
+def _empty_mask(scale: int, frame: tuple[int, int]) -> BinaryMask:
+    """The mask of an outline that covers no pixel center: an empty window."""
+    return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
 
 
 def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.COMPLEMENT) -> float:

@@ -127,9 +127,13 @@ def _draw_face(
     Invalid draws are redrawn up to _MAX_DRAW_ATTEMPTS times.
     """
     for _ in range(_MAX_DRAW_ATTEMPTS):
-        drawn_landmarks = landmarks + rng.normal(0.0, landmark_sigma, size=landmarks.shape)
-        radial = sum(rng.normal(0.0, s, size=_OUTLINE_VERTEX_COUNT) for s in outline_sigmas)
-        drawn_outline = outline + radial[:, None] * _OUTLINE_RADIAL
+        # A huge sigma can draw an infinity, which the sums and products turn
+        # into NaN; such a face fails FaceInput's point check and is redrawn,
+        # with no numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            drawn_landmarks = landmarks + rng.normal(0.0, landmark_sigma, size=landmarks.shape)
+            radial = sum(rng.normal(0.0, s, size=_OUTLINE_VERTEX_COUNT) for s in outline_sigmas)
+            drawn_outline = outline + radial[:, None] * _OUTLINE_RADIAL
         try:
             face = _build_face(face_id, drawn_landmarks, drawn_outline)
         except ValueError:

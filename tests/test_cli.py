@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from statistics import fmean
 
 import pytest
@@ -303,6 +304,21 @@ class TestEvaluate:
         assert lines[0] == "a,b,label,similarity"
         assert len(lines) == 7
 
+    def test_unwritable_csv_leaves_no_report(self, capsys, synth_dir, tmp_path):
+        # the report was written before the CSV's directory was found missing
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "calibrate", str(synth_dir / "manifest.json"), "-o", str(model_path))
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "evaluate", str(synth_dir / "manifest.json"),
+            "--model", str(model_path), "--threshold", "95",
+            "-o", str(report_path), "--csv", str(tmp_path / "missing" / "scores.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and not report_path.exists()
+        assert [path.name for path in tmp_path.iterdir() if path.is_file()] == ["model.json"]
+
     def test_first_bad_pair_is_the_one_error(self, capsys, synth_dir, tmp_path):
         # the zero-area pair comes before the pair that holds a face refused
         # once stretched, and only its error is printed
@@ -378,6 +394,18 @@ class TestSynth:
         for path_a in sorted(a_dir.iterdir()):
             path_b = b_dir / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_huge_sigma_exits_one_without_a_warning(self, capsys, tmp_path):
+        # the overflowing draws printed numpy's RuntimeWarning, which
+        # -W error::RuntimeWarning turned into a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "synth", "--identities", "2", "--captures", "2",
+                                     "--seed", "0", "--capture-sigma", "1e308",
+                                     "-o", str(tmp_path / "pop"))
+        assert code == 1
+        assert err.startswith("error: could not draw a valid capture") and err.count("\n") == 1
+        assert out == ""
 
     def test_module_entry_point(self, tmp_path, face_file):
         result = run_module("compare", str(face_file), str(face_file), "--k", "1")

@@ -394,20 +394,29 @@ class TestScorePairs:
 
     def test_each_face_rasterized_once_per_canvas(self, monkeypatch):
         calls = []
-        original = fuzzyface.scoring.rasterize
+        original = fuzzyface.scoring.fill_outlines
 
-        def counted(outline, canvas, scale):
-            calls.append((canvas.width, canvas.height, scale))
-            return original(outline, canvas, scale)
+        def counted(outlines, canvas, scale):
+            calls.append((len(outlines), canvas.width, canvas.height, scale))
+            return original(outlines, canvas, scale)
 
-        monkeypatch.setattr(fuzzyface.scoring, "rasterize", counted)
+        monkeypatch.setattr(fuzzyface.scoring, "fill_outlines", counted)
         small = [make_face(f"s{i}", width=100, height=100) for i in range(3)]
         big = make_face("big", width=200, height=150)
         faces = small + [big]
         pairs = [(0, 1), (0, 2), (1, 2), (2, 1), (0, 3), (1, 3)]
         score_pairs(faces, pairs, ScoringConfig())
-        # three faces on the 100 px canvas, then faces 0, 1 and 3 on the 200x150 one
-        assert calls == [(100, 100, 6)] * 3 + [(200, 150, 3)] * 3
+        # one fill per canvas: the three faces on the 100 px canvas, then
+        # faces 0, 3 and 1 on the 200x150 one
+        assert calls == [(3, 100, 100, 6), (3, 200, 150, 3)]
+        calls.clear()
+        # a block whose preparation raises keeps no face of the canvas that
+        # raised, and is taken again a pair at a time: the first pair's faces
+        # are filled together, and the second pair raises on its third face
+        faces = [make_face("a", 768, 768), make_face("b", 768, 768), stretch_refused_face()]
+        with pytest.raises(ValueError, match="stretched onto 768 x 768"):
+            score_pairs(faces, [(0, 1), (0, 2)], ScoringConfig())
+        assert calls == [(2, 768, 768, 1)]
 
     @pytest.mark.parametrize("scorer", [score_pairs, pair_scores])
     def test_each_canvas_built_once(self, monkeypatch, scorer):
@@ -590,6 +599,39 @@ class TestValidation:
     def test_report_row_terms_must_be_numbers(self, entropy, membership):
         row = FeatureRow("f0", 60.0, 60.0, entropy, membership)
         with pytest.raises(ValueError, match=r"feature row 'f0' outside \[0, 1\]: FeatureRow"):
+            MatchReport(
+                a_id="a", b_id="b", features=(row,), alpha=1.0, k=0.5,
+                alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(), resolution_scale=1,
+            )
+
+    def test_report_ids_must_be_strings(self):
+        # a None id was written out as "b": null
+        with pytest.raises(ValueError, match="report ids must be non-empty strings, got 'a' and None"):
+            MatchReport(
+                a_id="a", b_id=None, features=(FeatureRow("f0", 60.0, 60.0, 1.0, 1.0),),
+                alpha=1.0, k=0.5, alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(),
+                resolution_scale=1,
+            )
+
+    @pytest.mark.parametrize("scale", [-3, 0, 2.0, True])
+    def test_report_scale_must_be_a_whole_number(self, scale):
+        # a scale of -3 was written out as it was
+        with pytest.raises(ValueError, match=r"resolution_scale must be an integer >= 1, got"):
+            MatchReport(
+                a_id="a", b_id="b", features=(FeatureRow("f0", 60.0, 60.0, 1.0, 1.0),),
+                alpha=1.0, k=0.5, alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(),
+                resolution_scale=scale,
+            )
+
+    @pytest.mark.parametrize("a, b", [
+        (-5.0, 60.0), (60.0, math.nan), (0.0, 60.0), (60.0, math.inf), (True, 60.0),
+        ("60", 60.0), (60.0, None),
+    ])
+    def test_report_measurements_must_be_positive_reals(self, a, b):
+        # a NaN measurement was written out as NaN, which is not JSON
+        row = FeatureRow("f0", a, b, 1.0, 1.0)
+        with pytest.raises(ValueError,
+                           match=r"feature row 'f0' measurements must be positive reals: FeatureRow"):
             MatchReport(
                 a_id="a", b_id="b", features=(row,), alpha=1.0, k=0.5,
                 alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(), resolution_scale=1,

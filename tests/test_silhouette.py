@@ -355,6 +355,64 @@ class TestRasterize:
         assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
 
 
+def stack_outline(kind, vertices, seed, width, height):
+    """One simple outline of the given kind on a width x height canvas, or None."""
+    rng = np.random.default_rng(seed)
+    if kind == "sliver":  # every crossing in one or two columns
+        x, y0, y1 = rng.uniform(0, width), rng.uniform(-1, height), rng.uniform(-1, height + 1)
+        outline = np.array([(x, y0), (x + 0.3, y1), (x + 0.2, y0)])
+    elif kind == "edge":  # a box snapped to the canvas edges and the pixel grid
+        x0, x1 = np.sort(rng.integers(0, 2 * width + 1, 2)) / 2
+        y0, y1 = np.sort(rng.integers(0, 2 * height + 1, 2)) / 2
+        outline = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    else:  # star-shaped around a centre; "off" puts it off the canvas, with an empty window
+        angles = 2 * math.pi * (np.arange(vertices) + rng.uniform(0.1, 0.9, vertices)) / vertices
+        radii = rng.uniform(0.02, 0.6, vertices) * max(width, height)
+        centre = rng.uniform(-0.2, 1.2, 2) * (width, height)
+        if kind == "off":
+            centre += 2 * max(width, height) * rng.choice([-1, 1], 2)
+        outline = centre + np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    return outline if polygon_is_simple(outline) else None
+
+
+class TestFillOutlines:
+    """The batched kernel fills a stack of outlines as rasterize fills each alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stack=st.lists(st.tuples(st.sampled_from(["star", "star", "sliver", "edge", "off"]),
+                                 st.integers(3, 24), st.integers(0, 2**32 - 1)),
+                       min_size=1, max_size=8),
+        size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        scale=st.integers(1, 8),
+    )
+    @example(stack=[("off", 5, 0)], size=(10, 10), scale=1)
+    @example(stack=[("star", 9, 1), ("off", 5, 2), ("sliver", 3, 3), ("edge", 4, 4)],
+             size=(12, 20), scale=3)
+    def test_stack_equals_each_outline_alone(self, stack, size, scale):
+        canvas = Canvas(*size)
+        outlines = [stack_outline(kind, n, seed, *size) for kind, n, seed in stack]
+        outlines = [outline for outline in outlines if outline is not None]
+        assume(outlines)
+        masks = silhouette.fill_outlines(outlines, canvas, scale)
+        assert len(masks) == len(outlines)
+        for outline, mask in zip(outlines, masks):
+            alone = rasterize(outline, canvas, scale)
+            assert mask.bits.shape == alone.bits.shape and np.array_equal(mask.bits, alone.bits)
+            assert (mask.offset, mask.frame, mask.scale) == (alone.offset, alone.frame, scale)
+            assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
+
+    def test_masks_are_windows_of_one_buffer(self):
+        canvas = Canvas(20, 20)
+        a, empty, b = silhouette.fill_outlines(
+            [np.array(square(2.0, 8.0)), np.array(square(30.0, 40.0)), np.array(square(5.0, 15.0))],
+            canvas, 2)
+        assert a.bits.shape == (12, 12) and b.bits.shape == (20, 20)
+        assert (empty.bits.shape, empty.offset) == ((0, 0), (0, 0))
+        assert a.bits.base is not None and a.bits.base is b.bits.base
+        assert a.area == 144 and b.area == 400
+
+
 class TestMaskOps:
     """alpha_from_masks reads intersection, leftovers and union off window overlaps."""
 
