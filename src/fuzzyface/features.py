@@ -80,16 +80,54 @@ class _CheckedOutline(tuple):
 
     ``array`` holds the same vertices as a read-only float64 (n, 2) array:
     the one the self-intersection test ran on, which ``rasterize`` fills.
+    ``prepared`` is its face's memo for the pair engine: by canvas size
+    (width, height), the face's six feature values there, in
+    CANONICAL_FEATURES order, and its outline array there. A face is
+    frozen, so an entry never goes stale.
     """
 
     def __new__(cls, points, array: np.ndarray):
         outline = super().__new__(cls, points)
         array.setflags(write=False)
         outline.array = array
+        outline.prepared = {}
         return outline
 
     def __reduce__(self):  # a copy or an unpickled outline keeps its array read-only
         return _CheckedOutline, (tuple(self), self.array)
+
+
+def _checked_outline(outline: tuple[Point, ...], array: np.ndarray) -> _CheckedOutline:
+    """The outline, once it passes the rules that its coordinates decide.
+
+    ``array`` holds the same vertices as float64. These are the rules a
+    per-axis stretch can break, since it rounds each coordinate, so a
+    stretched face meets them again.
+    """
+    if outline[0] == outline[-1]:
+        raise ValueError("outline must not repeat its first vertex (closure is implicit)")
+    if not polygon_is_simple(array):
+        raise ValueError("outline is self-intersecting")
+    return _CheckedOutline(outline, array)
+
+
+def _check_image_size(width, height) -> None:
+    for label, value in (("image width", width), ("image height", height)):
+        if whole_number(label, value, 1) > MAX_IMAGE_SIDE:
+            raise ValueError(f"{label} must be at most {MAX_IMAGE_SIDE}")  # value may be huge
+
+
+class _Landmarks(dict):
+    """A face's landmarks, which are read-only like the rest of the face."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a face's landmarks are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # a copy is built from a plain dict, not item by item
+        return _Landmarks, (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -102,9 +140,11 @@ class FaceInput:
     and inside the image, whose sides are at most MAX_IMAGE_SIDE pixels;
     the outline has at most MAX_OUTLINE_VERTICES vertices. Unknown
     landmark names are kept but ignored by the canonical features. The
-    stored outline is a tuple that ``rasterize`` knows to be checked
-    already, and it carries its vertex array, so a face's outline is
-    converted and tested for self-intersection once.
+    stored landmarks are read-only. The stored outline is a tuple that
+    ``rasterize`` knows to be checked already, and it carries its vertex
+    array, so a face's outline is converted and tested for
+    self-intersection once. A copy or an unpickled face is built again
+    from its fields, checks included, with an empty memo.
     """
 
     id: str
@@ -116,9 +156,7 @@ class FaceInput:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"face id must be a non-empty string, got {self.id!r}")
-        for label, value in (("image width", self.image_width), ("image height", self.image_height)):
-            if whole_number(label, value, 1) > MAX_IMAGE_SIDE:
-                raise ValueError(f"{label} must be at most {MAX_IMAGE_SIDE}")  # value may be huge
+        _check_image_size(self.image_width, self.image_height)
 
         try:
             named_points = dict(self.landmarks).items()
@@ -150,14 +188,37 @@ class FaceInput:
         if len(outline) > MAX_OUTLINE_VERTICES:
             raise ValueError(f"outline has {len(outline)} vertices, more than "
                              f"{MAX_OUTLINE_VERTICES}")
-        if outline[0] == outline[-1]:
-            raise ValueError("outline must not repeat its first vertex (closure is implicit)")
-        array = np.array(outline, dtype=float)
-        if not polygon_is_simple(array):
-            raise ValueError("outline is self-intersecting")
+        outline = _checked_outline(outline, np.array(outline, dtype=float))
 
-        object.__setattr__(self, "landmarks", landmarks)
-        object.__setattr__(self, "outline", _CheckedOutline(outline, array))
+        object.__setattr__(self, "landmarks", _Landmarks(landmarks))
+        object.__setattr__(self, "outline", outline)
+
+    def __reduce__(self):
+        return FaceInput, (self.id, self.image_width, self.image_height, dict(self.landmarks),
+                           tuple(self.outline))
+
+
+def _stretched_face(face: FaceInput, width: int, height: int, points: np.ndarray) -> FaceInput:
+    """``face`` on a width x height image, given its points there: landmarks, then outline.
+
+    For rescale_face, whose points come clamped into the image, so each
+    is finite and inside it, and whose names and vertex count are the
+    face's own: only the image size and the outline rules a stretch can
+    break are checked again. An error names the face and the size.
+    """
+    count = len(face.landmarks)
+    coordinates = points.tolist()
+    try:
+        _check_image_size(width, height)
+        outline = _checked_outline(tuple(map(tuple, coordinates[count:])), points[count:])
+    except ValueError as exc:
+        raise ValueError(f"face '{face.id}' stretched onto {width} x {height}: {exc}") from None
+    stretched = object.__new__(FaceInput)
+    # the fields FaceInput.__post_init__ would store, set past the frozen guard
+    vars(stretched).update(
+        id=face.id, image_width=width, image_height=height, outline=outline,
+        landmarks=_Landmarks(zip(face.landmarks, map(tuple, coordinates[:count]))))
+    return stretched
 
 
 FeatureFn = Callable[[Mapping[str, Point]], float]

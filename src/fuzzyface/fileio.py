@@ -122,14 +122,18 @@ def atomic_write_texts(files) -> None:
     that cannot be created or written leaves each output as it was.
     A temporary file is created with mode 0o666, so the kernel applies
     the umask as it does for a plain ``open``; ``mkstemp`` would leave
-    every output at 0o600.
+    every output at 0o600. A path that cannot be created, such as one in
+    a missing directory, is named in the error, not its temporary file.
     """
     renames = []
     try:
         for path, text in files:
             path = Path(path)
             tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:  # OSError picks the subclass of the errno
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
             renames.append((tmp, path))
             with os.fdopen(fd, "w", newline="") as handle:
                 handle.write(text)

@@ -10,7 +10,8 @@ the two with the mixing weight k:
 
 One engine serves two consumers. Its prepare step prepares each face
 (rescale onto the pair's canvas, measure the features, rasterize the
-outline) at most once per canvas size, and it scores blocks of pairs as
+outline) at most once per canvas size; the face keeps its rescaled
+outline and features for later calls. It scores blocks of pairs as
 numpy columns: an alpha per pair (alpha_from_masks) and an entropy and
 a membership per feature, with the bits of feature_membership. The
 blend is written once (_feature_score and _similarity) and the checks
@@ -213,11 +214,15 @@ class _Prepared:
 
     A prepared face is the face stretched onto a pair's canvas, its six
     feature values (in CANONICAL_FEATURES order) and its rasterized
-    outline; row r of ``values`` and ``masks`` holds one. A block's new
+    outline; row r of ``values`` and ``masks`` holds one. The values and
+    the stretched outline are kept in the face's own memo
+    (``face.outline.prepared``, by canvas size), so a face is stretched
+    and measured once per canvas size over all calls. A block's new
     faces on one canvas are rasterized together, by one fill_outlines
     call, so N faces that share one canvas are filled once each rather
     than twice per pair. Each canvas size is built, with its raster
-    scale, once. Prepared faces and canvases live only for one call.
+    scale, once. Masks and canvases live only for one call: a mask
+    depends on the raster scale and can take megabytes.
     """
 
     def __init__(self, faces: Sequence[FaceInput], config: ScoringConfig) -> None:
@@ -225,7 +230,7 @@ class _Prepared:
         self.resolution_scale = config.resolution_scale
         # keyed by index: FaceInput holds a dict and cannot be hashed
         self.rows: dict[tuple[int, tuple[int, int]], int] = {}  # (face index, size) -> row
-        self.values: list[list[float]] = []
+        self.values: list[tuple[float, ...]] = []
         self.masks: list[BinaryMask] = []
         self.canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, scale
 
@@ -267,10 +272,16 @@ class _Prepared:
         canvas, scale = self.canvases[size]
         outlines, values = [], []
         for index in indices:
-            face = rescale_face(self.faces[index], canvas.width, canvas.height)
-            values.append([value for _, value in extract_features(face).items])
+            face = self.faces[index]
+            memo = face.outline.prepared
+            if size not in memo:  # only a face that passes both steps is kept
+                face = rescale_face(face, canvas.width, canvas.height)
+                memo[size] = (tuple(value for _, value in extract_features(face).items),
+                              face.outline.array)
+            face_values, outline = memo[size]
+            values.append(face_values)
             check_raster_frame(canvas, scale)
-            outlines.append(face.outline.array)
+            outlines.append(outline)
         for index, face_values, mask in zip(indices, values,
                                             fill_outlines(outlines, canvas, scale)):
             self.rows[index, size] = len(self.masks)
@@ -352,8 +363,9 @@ def score_pairs(
     """Score each ``(i, j)`` pair of indices into ``faces``, in the given order.
 
     Each report equals ``compare(faces[i], faces[j], config)`` bit for
-    bit. A face is prepared (rescaled, measured, rasterized) at most once
-    per canvas size, for this call only. A bad pair
+    bit. A face is rescaled and measured at most once per canvas size,
+    kept in its memo for later calls, and rasterized at most once per
+    canvas size in this call. A bad pair
     raises the error that compare raises on it; of several, the first
     in pair order.
     """

@@ -23,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .features import FaceInput, _CheckedOutline
+from .features import FaceInput, _CheckedOutline, _stretched_face
 from .geometry import polygon_is_simple, whole_number
 
 # the default raster keeps the longer canvas side at least this many pixels
@@ -122,7 +122,10 @@ def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
 
     The face itself when the canvas is its own size: every factor is
     1.0 and the clamp cannot move a point of a valid face. Any other
-    size builds a new FaceInput, which checks the result in full.
+    size builds a new FaceInput from the clamped points, which are
+    finite and inside the canvas by construction. Its outline is
+    checked again, since the stretch can round a vertex onto a
+    non-adjacent edge, and refusing it keeps every score exact.
     """
     if (width, height) == (face.image_width, face.image_height):
         return face
@@ -134,19 +137,7 @@ def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
     # signed zeros included; np.maximum may return 0.0 for -0.0.
     size = np.array([width, height], dtype=float)
     points = np.where(points < 0.0, 0.0, points)
-    points = np.where(points > size, size, points).tolist()
-    count = len(face.landmarks)
-    try:
-        return FaceInput(
-            id=face.id,
-            image_width=width,
-            image_height=height,
-            landmarks=dict(zip(face.landmarks, points[:count])),
-            outline=points[count:],
-        )
-    except ValueError as exc:  # say which face, and onto what; the stretch can round
-        # a vertex onto a non-adjacent edge, and refusing it keeps every score exact
-        raise ValueError(f"face '{face.id}' stretched onto {width} x {height}: {exc}") from None
+    return _stretched_face(face, width, height, np.where(points > size, size, points))
 
 
 def normalize_pair(face_a: FaceInput, face_b: FaceInput) -> tuple[Canvas, FaceInput, FaceInput]:
@@ -323,15 +314,29 @@ def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) ->
     inside[1::2] = True
     bits = inside.repeat(stops[1:] - stops[:-1])
 
+    bits.setflags(write=False)  # and so every window of it
     masks = []
     for window in windows:
         if window is None:
             masks.append(_empty_mask(scale, frame))
         else:
             start, rows, cols, offset = window
-            masks.append(BinaryMask(bits[start:start + rows * cols].reshape(rows, cols), scale,
-                                    offset, frame))
+            masks.append(_window_mask(bits[start:start + rows * cols].reshape(rows, cols), scale,
+                                      offset, frame))
     return masks
+
+
+def _window_mask(bits: np.ndarray, scale: int, offset: tuple[int, int],
+                 frame: tuple[int, int]) -> BinaryMask:
+    """The BinaryMask of fields that fit by construction, built without its checks.
+
+    ``bits`` is a read-only 2D bool window that fits ``frame`` at
+    ``offset``, and the scale, offset and frame are plain ints, as
+    BinaryMask.__post_init__ would store them.
+    """
+    mask = object.__new__(BinaryMask)
+    vars(mask).update(bits=bits, scale=scale, offset=offset, frame=frame)
+    return mask
 
 
 def _empty_mask(scale: int, frame: tuple[int, int]) -> BinaryMask:

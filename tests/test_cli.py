@@ -282,6 +282,14 @@ class TestCalibrate:
         assert 0.0 <= load_model(tmp_path / "mf.json").k <= 1.0
         assert 0.0 <= load_model(tmp_path / "mr.json").k <= 1.0
 
+    def test_unwritable_model_names_its_path(self, capsys, synth_dir, tmp_path):
+        path = tmp_path / "nodir" / "model.json"
+        code, out, err = run_cli(capsys, "calibrate", str(synth_dir / "manifest.json"),
+                                 "-o", str(path))
+        assert (code, out) == (1, "")
+        assert err.endswith(f"\nerror: [Errno 2] No such file or directory: '{path}'\n")
+        assert not (tmp_path / "nodir").exists()
+
 
 class TestEvaluate:
     def test_evaluate_report_and_csv(self, capsys, synth_dir, tmp_path):
@@ -305,18 +313,26 @@ class TestEvaluate:
         assert len(lines) == 7
 
     def test_unwritable_csv_leaves_no_report(self, capsys, synth_dir, tmp_path):
-        # the report was written before the CSV's directory was found missing
+        # the report is written before the CSV's directory is found missing
+        self.check_unwritable_output(capsys, synth_dir, tmp_path, "csv")
+
+    def test_unwritable_report_leaves_no_csv(self, capsys, synth_dir, tmp_path):
+        self.check_unwritable_output(capsys, synth_dir, tmp_path, "report")
+
+    def check_unwritable_output(self, capsys, synth_dir, tmp_path, missing):
         model_path = tmp_path / "model.json"
         run_cli(capsys, "calibrate", str(synth_dir / "manifest.json"), "-o", str(model_path))
-        report_path = tmp_path / "report.json"
+        paths = {name: tmp_path / f"{name}.out" for name in ("report", "csv")}
+        paths[missing] = tmp_path / "missing" / f"{missing}.out"
         code, out, err = run_cli(
             capsys, "evaluate", str(synth_dir / "manifest.json"),
             "--model", str(model_path), "--threshold", "95",
-            "-o", str(report_path), "--csv", str(tmp_path / "missing" / "scores.csv"),
+            "-o", str(paths["report"]), "--csv", str(paths["csv"]),
         )
         assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert out == "" and not report_path.exists()
+        # the path asked for, not the temporary file beside it
+        assert err == f"error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+        assert out == ""
         assert [path.name for path in tmp_path.iterdir() if path.is_file()] == ["model.json"]
 
     def test_first_bad_pair_is_the_one_error(self, capsys, synth_dir, tmp_path):

@@ -181,16 +181,46 @@ class TestFaceInput:
         with pytest.raises(ValueError):
             face.outline.array[0, 0] = 50.0
 
+    @pytest.mark.parametrize("mutate", [
+        lambda lm: lm.__setitem__("chin", (50.0, 50.0)),
+        lambda lm: lm.__delitem__("chin"),
+        lambda lm: lm.update(chin=(50.0, 50.0)),
+        lambda lm: lm.setdefault("nose_tip", (50.0, 50.0)),
+        lambda lm: lm.pop("chin"),
+        lambda lm: lm.popitem(),
+        lambda lm: lm.clear(),
+        lambda lm: lm.__ior__({"chin": (50.0, 50.0)}),
+    ], ids=["set", "del", "update", "setdefault", "pop", "popitem", "clear", "ior"])
+    def test_landmarks_are_read_only(self, mutate):
+        # a face's stretched features are kept by canvas size, so a changed
+        # landmark would leave them stale
+        face = make_face()
+        before = dict(face.landmarks)
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(face.landmarks)
+        assert face.landmarks == before
+        assert repr(face.landmarks) == repr(before)
+        # a copy of the mapping is a plain dict again
+        assert type(face.landmarks.copy()) is dict and type(dict(face.landmarks)) is dict
+
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda face: pickle.loads(pickle.dumps(face)),
     ], ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_the_checked_outline(self, clone):
-        face = make_face()
+        face = make_face("a", width=100, height=100)
+        compare(face, make_face("b", width=200, height=100))  # fills the face's memo
+        assert face.outline.prepared
         twin = clone(face)
         assert twin == face and repr(twin) == repr(face)
         assert type(twin.outline) is type(face.outline)
         assert np.array_equal(twin.outline.array, face.outline.array)
         assert not twin.outline.array.flags.writeable
+        assert twin.outline.prepared == {}  # rebuilt from the fields, without the memo
+        assert type(twin.landmarks) is type(face.landmarks)
+        with pytest.raises(TypeError, match="read-only"):
+            twin.landmarks["chin"] = (50.0, 50.0)
+        assert clone(face.landmarks) == face.landmarks
+        assert type(clone(face.landmarks)) is type(face.landmarks)
         canvas = Canvas(100, 100)
         assert np.array_equal(rasterize(twin.outline, canvas, 2).bits,
                               rasterize(face.outline, canvas, 2).bits)

@@ -498,6 +498,19 @@ class TestAtomicWrite:
         atomic_write_text(tmp_path / "out.csv", "a,b\r\n1,2\r\n")
         assert (tmp_path / "out.csv").read_bytes() == b"a,b\r\n1,2\r\n"
 
+    @pytest.mark.parametrize("save, document", [
+        (save_face, make_face()),
+        (save_manifest, [("a.json", "b.json", "genuine")]),
+        (save_model, CalibratedModel(**MODEL_FIELDS)),
+    ], ids=["face", "manifest", "model"])
+    def test_missing_directory_names_the_path(self, tmp_path, save, document):
+        path = tmp_path / "nodir" / "out.json"
+        with pytest.raises(FileNotFoundError) as exc:
+            save(document, path)
+        # the path asked for, not the temporary file beside it
+        assert str(exc.value) == f"[Errno 2] No such file or directory: '{path}'"
+        assert list(tmp_path.iterdir()) == []
+
 
 def json_dumps_text(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2) + "\n"

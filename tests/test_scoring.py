@@ -1,5 +1,6 @@
 """The end-to-end comparison pipeline and its report invariants."""
 
+import copy
 import json
 import math
 import re
@@ -454,6 +455,67 @@ class TestScorePairs:
         assert score_pairs([make_face()], [], ScoringConfig()) == []
         assert pair_scores([make_face()], [], ScoringConfig()) == []
 
+
+class TestPreparedMemo:
+    """A face keeps its stretched features and outline by canvas size, for later calls."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           sizes=st.lists(st.sampled_from(IMAGE_SIZES), min_size=6, max_size=6),
+           repeats=st.lists(st.integers(0, 5), max_size=4),
+           mode=st.sampled_from(list(AlphaMode)),
+           resolution_scale=st.sampled_from([None, 1, 2]),
+           kernel=st.sampled_from(list(DEFAULT_KERNELS.values())))
+    @example(seed=0, sizes=list(IMAGE_SIZES) + [(256, 384)], repeats=[1, 1, 4],
+             mode=AlphaMode.LITERAL, resolution_scale=None, kernel=BellKernel())
+    def test_warm_memos_score_as_fresh_faces(self, seed, sizes, repeats, mode,
+                                             resolution_scale, kernel):
+        faces = dealt_faces(seed, sizes)
+        faces += [faces[i] for i in repeats]  # one object at several indices
+        pairs = [(i, j) for i in range(len(faces)) for j in range(len(faces))]
+        config = ScoringConfig(alpha_mode=mode, kernel=kernel, resolution_scale=resolution_scale)
+
+        def fresh(i, j):  # new objects, with empty memos that see one canvas only
+            return [copy.deepcopy(faces[i]), copy.deepcopy(faces[j])]
+
+        reports = [repr(score_pairs(fresh(i, j), [(0, 1)], config)[0]) for i, j in pairs]
+        scores = repr([pair_scores(fresh(i, j), [(0, 1)], config)[0] for i, j in pairs])
+        for _ in range(2):  # the same objects again, their memos warm
+            assert [repr(r) for r in score_pairs(faces, pairs, config)] == reports
+            assert repr(pair_scores(faces, pairs, config)) == scores
+        assert all(face.outline.prepared for face in faces)
+
+    def test_each_face_stretched_once_over_calls(self, monkeypatch):
+        calls = []
+        original = fuzzyface.scoring.rescale_face
+
+        def counted(face, width, height):
+            calls.append((face.id, width, height))
+            return original(face, width, height)
+
+        monkeypatch.setattr(fuzzyface.scoring, "rescale_face", counted)
+        small, big = make_face("s", width=100, height=100), make_face("b", width=200, height=150)
+        for _ in range(3):
+            compare(small, big)
+            score_pairs([big, small], [(0, 1), (1, 1)])
+        assert calls == [("s", 200, 150), ("b", 200, 150), ("s", 100, 100)]
+        values, outline = small.outline.prepared[200, 150]
+        stretched = rescale_face(small, 200, 150)
+        assert values == tuple(value for _, value in extract_features(stretched).items)
+        assert np.array_equal(outline, stretched.outline.array)
+        assert not outline.flags.writeable
+        assert set(small.outline.prepared) == {(200, 150), (100, 100)}
+
+    def test_refused_stretch_keeps_no_entry(self):
+        face, big = stretch_refused_face(), make_face("big", width=768, height=768)
+        for _ in range(2):  # the second compare takes the same steps and words
+            with pytest.raises(ValueError) as exc:
+                compare(face, big)
+            assert str(exc.value) == ("face 'found' stretched onto 768 x 768: "
+                                      "outline is self-intersecting")
+            assert face.outline.prepared == {} and big.outline.prepared == {}
+        compare(face, make_face("tall", width=512, height=768))
+        assert set(face.outline.prepared) == {(512, 768)}
 
 
 def dealt_faces(seed, sizes):

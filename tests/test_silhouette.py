@@ -375,6 +375,21 @@ def stack_outline(kind, vertices, seed, width, height):
     return outline if polygon_is_simple(outline) else None
 
 
+def assert_as_checked(mask):
+    """The kernel's mask, built without BinaryMask's checks, equals one built with them."""
+    checked = BinaryMask(mask.bits, mask.scale, mask.offset, mask.frame)
+    assert type(mask.bits) is type(checked.bits) is np.ndarray
+    assert mask.bits.dtype == checked.bits.dtype == bool
+    assert np.array_equal(mask.bits, checked.bits)
+    assert not mask.bits.flags.writeable
+    for name in ("scale", "offset", "frame"):
+        value = getattr(mask, name)
+        assert value == getattr(checked, name)
+        assert type(value) is type(getattr(checked, name))
+    assert all(type(v) is int for v in (mask.scale, *mask.offset, *mask.frame))
+    assert mask.area == checked.area
+
+
 class TestFillOutlines:
     """The batched kernel fills a stack of outlines as rasterize fills each alone."""
 
@@ -397,6 +412,7 @@ class TestFillOutlines:
         masks = silhouette.fill_outlines(outlines, canvas, scale)
         assert len(masks) == len(outlines)
         for outline, mask in zip(outlines, masks):
+            assert_as_checked(mask)
             alone = rasterize(outline, canvas, scale)
             assert mask.bits.shape == alone.bits.shape and np.array_equal(mask.bits, alone.bits)
             assert (mask.offset, mask.frame, mask.scale) == (alone.offset, alone.frame, scale)
@@ -411,6 +427,8 @@ class TestFillOutlines:
         assert (empty.bits.shape, empty.offset) == ((0, 0), (0, 0))
         assert a.bits.base is not None and a.bits.base is b.bits.base
         assert a.area == 144 and b.area == 400
+        for mask in (a, empty, b):
+            assert_as_checked(mask)
 
 
 class TestMaskOps:
