@@ -75,40 +75,26 @@ def _check_point(label: str, key, pt, width: int, height: int) -> Point:
     return (x, y)
 
 
-class _CheckedOutline(tuple):
-    """An outline that passed every FaceInput check; only FaceInput creates one.
-
-    ``array`` holds the same vertices as a read-only float64 (n, 2) array:
-    the one the self-intersection test ran on, which ``rasterize`` fills.
-    ``prepared`` is its face's memo for the pair engine: by canvas size
-    (width, height), the face's six feature values there, in
-    CANONICAL_FEATURES order, and its outline array there. A face is
-    frozen, so an entry never goes stale.
-    """
-
-    def __new__(cls, points, array: np.ndarray):
-        outline = super().__new__(cls, points)
-        array.setflags(write=False)
-        outline.array = array
-        outline.prepared = {}
-        return outline
-
-    def __reduce__(self):  # a copy or an unpickled outline keeps its array read-only
-        return _CheckedOutline, (tuple(self), self.array)
-
-
-def _checked_outline(outline: tuple[Point, ...], array: np.ndarray) -> _CheckedOutline:
-    """The outline, once it passes the rules that its coordinates decide.
+def _keep_outline(face: FaceInput, outline: tuple[Point, ...], array: np.ndarray) -> None:
+    """Store ``outline`` on ``face``, once it passes the rules that its coordinates decide.
 
     ``array`` holds the same vertices as float64. These are the rules a
     per-axis stretch can break, since it rounds each coordinate, so a
-    stretched face meets them again.
+    stretched face meets them again. Next to the field, the face keeps
+    ``array``, made read-only, as ``_outline_array``: the one the
+    self-intersection test ran on, which the pair engine fills. Its
+    ``_prepared`` is the pair engine's memo, empty here: by canvas size
+    (width, height), the face's six feature values there, in
+    CANONICAL_FEATURES order, and its outline array there. A face is
+    frozen, so an entry never goes stale.
     """
     if outline[0] == outline[-1]:
         raise ValueError("outline must not repeat its first vertex (closure is implicit)")
     if not polygon_is_simple(array):
         raise ValueError("outline is self-intersecting")
-    return _CheckedOutline(outline, array)
+    array.setflags(write=False)
+    # set past the frozen guard
+    vars(face).update(outline=outline, _outline_array=array, _prepared={})
 
 
 def _check_image_size(width, height) -> None:
@@ -140,11 +126,13 @@ class FaceInput:
     and inside the image, whose sides are at most MAX_IMAGE_SIDE pixels;
     the outline has at most MAX_OUTLINE_VERTICES vertices. Unknown
     landmark names are kept but ignored by the canonical features. The
-    stored landmarks are read-only. The stored outline is a tuple that
-    ``rasterize`` knows to be checked already, and it carries its vertex
-    array, so a face's outline is converted and tested for
-    self-intersection once. A copy or an unpickled face is built again
-    from its fields, checks included, with an empty memo.
+    stored landmarks are read-only and the stored outline is a tuple.
+    The face also keeps its outline's vertex array and the pair engine's
+    memo (see _keep_outline), so its outline is converted and tested for
+    self-intersection once. They are not fields, so equality, ``repr``,
+    ``replace`` and ``asdict`` see only the five fields. A copy or an
+    unpickled face is built again from its fields, checks included, with
+    an empty memo.
     """
 
     id: str
@@ -188,36 +176,50 @@ class FaceInput:
         if len(outline) > MAX_OUTLINE_VERTICES:
             raise ValueError(f"outline has {len(outline)} vertices, more than "
                              f"{MAX_OUTLINE_VERTICES}")
-        outline = _checked_outline(outline, np.array(outline, dtype=float))
-
+        _keep_outline(self, outline, np.array(outline, dtype=float))
         object.__setattr__(self, "landmarks", _Landmarks(landmarks))
-        object.__setattr__(self, "outline", outline)
 
     def __reduce__(self):
         return FaceInput, (self.id, self.image_width, self.image_height, dict(self.landmarks),
-                           tuple(self.outline))
+                           self.outline)
 
 
-def _stretched_face(face: FaceInput, width: int, height: int, points: np.ndarray) -> FaceInput:
-    """``face`` on a width x height image, given its points there: landmarks, then outline.
+def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
+    """The face stretched per axis onto a width x height canvas.
 
-    For rescale_face, whose points come clamped into the image, so each
-    is finite and inside it, and whose names and vertex count are the
-    face's own: only the image size and the outline rules a stretch can
-    break are checked again. An error names the face and the size.
+    The face itself when the canvas is its own size: every factor is
+    1.0 and the clamp cannot move a point of a valid face. Any other
+    size builds a new face from the clamped points, which are finite and
+    inside the canvas by construction, under the face's own landmark
+    names and vertex count. So only the canvas size and the outline
+    rules are checked again: the stretch can round a vertex onto a
+    non-adjacent edge, and refusing it keeps every score exact. An
+    error names the face and the size.
     """
+    if (width, height) == (face.image_width, face.image_height):
+        return face
+    sx = width / face.image_width
+    sy = height / face.image_height
+    points = np.concatenate((np.array([*face.landmarks.values()]), face._outline_array)) * (sx, sy)
+    # Clamp away float dust so edge coordinates stay inside the canvas.
+    # where() gives exactly what min(max(v, 0.0), size) gives per point,
+    # signed zeros included; np.maximum may return 0.0 for -0.0.
+    size = np.array([width, height], dtype=float)
+    points = np.where(points < 0.0, 0.0, points)
+    points = np.where(points > size, size, points)
     count = len(face.landmarks)
     coordinates = points.tolist()
+    stretched = object.__new__(FaceInput)
+    # the fields FaceInput.__post_init__ would store, set past the frozen
+    # guard; _keep_outline adds the outline
+    vars(stretched).update(
+        id=face.id, image_width=width, image_height=height,
+        landmarks=_Landmarks(zip(face.landmarks, map(tuple, coordinates[:count]))))
     try:
         _check_image_size(width, height)
-        outline = _checked_outline(tuple(map(tuple, coordinates[count:])), points[count:])
+        _keep_outline(stretched, tuple(map(tuple, coordinates[count:])), points[count:])
     except ValueError as exc:
         raise ValueError(f"face '{face.id}' stretched onto {width} x {height}: {exc}") from None
-    stretched = object.__new__(FaceInput)
-    # the fields FaceInput.__post_init__ would store, set past the frozen guard
-    vars(stretched).update(
-        id=face.id, image_width=width, image_height=height, outline=outline,
-        landmarks=_Landmarks(zip(face.landmarks, map(tuple, coordinates[:count]))))
     return stretched
 
 

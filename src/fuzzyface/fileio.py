@@ -124,7 +124,17 @@ def atomic_write_texts(files) -> None:
     the umask as it does for a plain ``open``; ``mkstemp`` would leave
     every output at 0o600. A path that cannot be created, such as one in
     a missing directory, is named in the error, not its temporary file.
+    Two paths that resolve to one file are refused before anything is
+    written, since the second rename would replace the first output.
     """
+    files = list(files)
+    if len(files) > 1:  # realpath costs a stat per path component
+        given = {}
+        for path, _ in files:
+            real = os.path.realpath(path)
+            if real in given:
+                raise ValueError(f"outputs {given[real]} and {path} are the same file")
+            given[real] = path
     renames = []
     try:
         for path, text in files:

@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .features import CANONICAL_FEATURES, FaceInput, extract_features
+from .features import CANONICAL_FEATURES, FaceInput, extract_features, rescale_face
 from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
 from .geometry import whole_number
 from .silhouette import (
@@ -43,7 +43,6 @@ from .silhouette import (
     normalize_pair,  # no longer called here; perfbench/run.py --trace 1 wraps this name
     pair_canvas,
     rasterize,  # no longer called here; perfbench/run.py --trace 1 wraps this name
-    rescale_face,
 )
 
 
@@ -209,33 +208,35 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     return score_pairs([face_a, face_b], [(0, 1)], config)[0]
 
 
+# a prepared face: its six feature values and its mask
+_Entry = tuple[tuple[float, ...], BinaryMask]
+
+
 class _Prepared:
     """The faces of one call, each prepared at most once per canvas size.
 
     A prepared face is the face stretched onto a pair's canvas, its six
     feature values (in CANONICAL_FEATURES order) and its rasterized
-    outline; row r of ``values`` and ``masks`` holds one. The values and
-    the stretched outline are kept in the face's own memo
-    (``face.outline.prepared``, by canvas size), so a face is stretched
-    and measured once per canvas size over all calls. A block's new
-    faces on one canvas are rasterized together, by one fill_outlines
-    call, so N faces that share one canvas are filled once each rather
-    than twice per pair. Each canvas size is built, with its raster
-    scale, once. Masks and canvases live only for one call: a mask
-    depends on the raster scale and can take megabytes.
+    outline; ``entries`` maps (face index, canvas size) to its values
+    and mask. The values and the stretched outline are kept in the
+    face's own memo (``face._prepared``, by canvas size), so a face is
+    stretched and measured once per canvas size over all calls. A
+    block's new faces on one canvas are rasterized together, by one
+    fill_outlines call, so N faces that share one canvas are filled once
+    each rather than twice per pair. Each canvas size is built, with its
+    raster scale, once. Masks and canvases live only for one call: a
+    mask depends on the raster scale and can take megabytes.
     """
 
     def __init__(self, faces: Sequence[FaceInput], config: ScoringConfig) -> None:
         self.faces = faces
         self.resolution_scale = config.resolution_scale
         # keyed by index: FaceInput holds a dict and cannot be hashed
-        self.rows: dict[tuple[int, tuple[int, int]], int] = {}  # (face index, size) -> row
-        self.values: list[tuple[float, ...]] = []
-        self.masks: list[BinaryMask] = []
+        self.entries: dict[tuple[int, tuple[int, int]], _Entry] = {}
         self.canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, scale
 
-    def pairs(self, block: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-        """Each pair's two rows, prepared on its pair's canvas, and its raster scale.
+    def pairs(self, block: list[tuple[int, int]]) -> list[tuple[_Entry, _Entry, int]]:
+        """Each pair's two faces, prepared on its pair's canvas, and its raster scale.
 
         The faces of the block not yet prepared on their pair's canvas are
         prepared canvas by canvas, in the order the pairs first name them.
@@ -254,16 +255,17 @@ class _Prepared:
                     scale = default_resolution_scale(canvas)
                 self.canvases[size] = canvas, scale
             for index in (i, j):
-                if (index, size) not in self.rows:
+                if (index, size) not in self.entries:
                     new.setdefault(size, {})[index] = None
             keys.append((i, j, size))
         for size, indices in new.items():
             self.prepare(list(indices), size)
-        rows = self.rows
-        return [(rows[i, size], rows[j, size], self.canvases[size][1]) for i, j, size in keys]
+        entries = self.entries
+        return [(entries[i, size], entries[j, size], self.canvases[size][1])
+                for i, j, size in keys]
 
     def prepare(self, indices: list[int], size: tuple[int, int]) -> None:
-        """Prepare the faces at ``indices`` on the canvas of ``size``; all or none get a row.
+        """Prepare the faces at ``indices`` on the canvas of ``size``; all or none get an entry.
 
         Each face is rescaled and measured in turn, and its raster frame
         checked after it, where rasterizing it alone would refuse the
@@ -273,27 +275,25 @@ class _Prepared:
         outlines, values = [], []
         for index in indices:
             face = self.faces[index]
-            memo = face.outline.prepared
+            memo = face._prepared
             if size not in memo:  # only a face that passes both steps is kept
                 face = rescale_face(face, canvas.width, canvas.height)
                 memo[size] = (tuple(value for _, value in extract_features(face).items),
-                              face.outline.array)
+                              face._outline_array)
             face_values, outline = memo[size]
             values.append(face_values)
             check_raster_frame(canvas, scale)
             outlines.append(outline)
         for index, face_values, mask in zip(indices, values,
                                             fill_outlines(outlines, canvas, scale)):
-            self.rows[index, size] = len(self.masks)
-            self.values.append(face_values)
-            self.masks.append(mask)
+            self.entries[index, size] = face_values, mask
 
 
 # one block of pairs scored up to the blend: the pairs, each pair's two
-# prepared rows and raster scale, and its alpha, entropies and
+# prepared faces and raster scale, and its alpha, entropies and
 # memberships (a row per pair, a column per feature)
-_Columns = tuple[list[tuple[int, int]], list[tuple[int, int, int]], np.ndarray, np.ndarray,
-                 np.ndarray]
+_Columns = tuple[list[tuple[int, int]], list[tuple[_Entry, _Entry, int]], np.ndarray,
+                 np.ndarray, np.ndarray]
 
 
 def _columns(prepared: _Prepared, block: list[tuple[int, int]], config: ScoringConfig) -> _Columns:
@@ -305,13 +305,14 @@ def _columns(prepared: _Prepared, block: list[tuple[int, int]], config: ScoringC
     in pair order, since every face is prepared, canvas by canvas, before
     any pair is scored.
     """
-    rows = prepared.pairs(block)
-    masks, values, mode = prepared.masks, prepared.values, config.alpha_mode
-    alpha = np.array([alpha_from_masks(masks[a], masks[b], mode) for a, b, _ in rows])
-    entropy, membership = entropy_membership(np.array([values[a] for a, _, _ in rows]),
-                                             np.array([values[b] for _, b, _ in rows]),
+    entries = prepared.pairs(block)
+    mode = config.alpha_mode
+    alpha = np.array([alpha_from_masks(mask_a, mask_b, mode)
+                      for (_, mask_a), (_, mask_b), _ in entries])
+    entropy, membership = entropy_membership(np.array([values for (values, _), _, _ in entries]),
+                                             np.array([values for _, (values, _), _ in entries]),
                                              config.kernel)
-    return block, rows, alpha, entropy, membership
+    return block, entries, alpha, entropy, membership
 
 
 def _scored_blocks(prepared: _Prepared, pairs: Iterable[tuple[int, int]],
@@ -335,17 +336,16 @@ def _scored_blocks(prepared: _Prepared, pairs: Iterable[tuple[int, int]],
 
 def _reports(prepared: _Prepared, columns: _Columns, config: ScoringConfig) -> list[MatchReport]:
     """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
-    faces, values = prepared.faces, prepared.values
-    names = [name for name, _ in CANONICAL_FEATURES]  # the order of every row's values
-    pairs, rows, alphas, entropies, memberships = columns
+    faces = prepared.faces
+    names = [name for name, _ in CANONICAL_FEATURES]  # the order of every entry's values
+    pairs, entries, alphas, entropies, memberships = columns
     reports = []
-    for (i, j), (row_a, row_b, scale), alpha, entropy, membership in zip(
-            pairs, rows, alphas.tolist(), entropies.tolist(), memberships.tolist()):
+    for (i, j), ((values_a, _), (values_b, _), scale), alpha, entropy, membership in zip(
+            pairs, entries, alphas.tolist(), entropies.tolist(), memberships.tolist()):
         reports.append(MatchReport(
             a_id=faces[i].id,
             b_id=faces[j].id,
-            features=tuple(map(FeatureRow, names, values[row_a], values[row_b], entropy,
-                               membership)),
+            features=tuple(map(FeatureRow, names, values_a, values_b, entropy, membership)),
             alpha=alpha,
             k=config.k,
             alpha_mode=config.alpha_mode,

@@ -23,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .features import FaceInput, _CheckedOutline, _stretched_face
+from .features import FaceInput, rescale_face
 from .geometry import polygon_is_simple, whole_number
 
 # the default raster keeps the longer canvas side at least this many pixels
@@ -117,29 +117,6 @@ def pair_canvas(face_a: FaceInput, face_b: FaceInput) -> Canvas:
     return Canvas(width, height)
 
 
-def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
-    """The face stretched per axis onto a width x height canvas.
-
-    The face itself when the canvas is its own size: every factor is
-    1.0 and the clamp cannot move a point of a valid face. Any other
-    size builds a new FaceInput from the clamped points, which are
-    finite and inside the canvas by construction. Its outline is
-    checked again, since the stretch can round a vertex onto a
-    non-adjacent edge, and refusing it keeps every score exact.
-    """
-    if (width, height) == (face.image_width, face.image_height):
-        return face
-    sx = width / face.image_width
-    sy = height / face.image_height
-    points = np.concatenate((np.array([*face.landmarks.values()]), face.outline.array)) * (sx, sy)
-    # Clamp away float dust so edge coordinates stay inside the canvas.
-    # where() gives exactly what min(max(v, 0.0), size) gives per point,
-    # signed zeros included; np.maximum may return 0.0 for -0.0.
-    size = np.array([width, height], dtype=float)
-    points = np.where(points < 0.0, 0.0, points)
-    return _stretched_face(face, width, height, np.where(points > size, size, points))
-
-
 def normalize_pair(face_a: FaceInput, face_b: FaceInput) -> tuple[Canvas, FaceInput, FaceInput]:
     """Bring two faces onto one canvas sized to the larger input.
 
@@ -169,12 +146,10 @@ def rasterize(
     (the full mask is width*s by height*s pixels). Only the rows and
     columns the outline spans are filled and stored; see BinaryMask.
     A full mask of more than MAX_RASTER_PIXELS pixels is refused, and so
-    is an outline whose coordinates or spans, times the scale, overflow
-    a float. The vertex checks, that bound and the self-intersection
-    test are skipped only for a FaceInput's own outline, which passed
-    them when the face was built (its points lie inside an image of at
-    most MAX_IMAGE_SIDE pixels a side); its stored vertex array is
-    filled as it is. Deterministic for fixed input.
+    is an outline that is not simple or whose coordinates or spans, times
+    the scale, overflow a float. Every outline, a face's too, is
+    converted and checked; the pair engine fills a face's stored vertex
+    array with fill_outlines. Deterministic for fixed input.
     """
     if resolution_scale is None:
         scale = default_resolution_scale(canvas)
@@ -182,21 +157,18 @@ def rasterize(
         scale = whole_number("resolution_scale", resolution_scale, 1)
     check_raster_frame(canvas, scale)
 
-    if type(outline) is _CheckedOutline:
-        pts = outline.array  # checked and converted when its FaceInput was built
-    else:
-        pts = np.asarray(outline, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-            raise ValueError("outline needs at least 3 vertices")
-        if not np.isfinite(pts).all():
-            raise ValueError("outline has non-finite coordinates")
-        # Python floats overflow to inf without a warning; bounding the
-        # largest coordinate and the widest span bounds every product below
-        (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-        if not math.isfinite(max(x1 - x0, y1 - y0, x1, y1, -x0, -y0) * scale):
-            raise ValueError(f"outline coordinates overflow a float at raster scale {scale}")
-        if not polygon_is_simple(pts):
-            raise ValueError("outline is self-intersecting")
+    pts = np.asarray(outline, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+        raise ValueError("outline needs at least 3 vertices")
+    if not np.isfinite(pts).all():
+        raise ValueError("outline has non-finite coordinates")
+    # Python floats overflow to inf without a warning; bounding the
+    # largest coordinate and the widest span bounds every product below
+    (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    if not math.isfinite(max(x1 - x0, y1 - y0, x1, y1, -x0, -y0) * scale):
+        raise ValueError(f"outline coordinates overflow a float at raster scale {scale}")
+    if not polygon_is_simple(pts):
+        raise ValueError("outline is self-intersecting")
 
     return fill_outlines([pts], canvas, scale)[0]
 

@@ -335,6 +335,20 @@ class TestEvaluate:
         assert out == ""
         assert [path.name for path in tmp_path.iterdir() if path.is_file()] == ["model.json"]
 
+    def test_report_and_csv_on_one_path_exits_one(self, capsys, synth_dir, tmp_path,
+                                                  monkeypatch):
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "calibrate", str(synth_dir / "manifest.json"), "-o", str(model_path))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "evaluate", str(synth_dir / "manifest.json"),
+            "--model", str(model_path), "--threshold", "90", "-o", "out.json", "--csv", "./out.json",
+        )
+        assert code == 1
+        assert err == "error: outputs out.json and ./out.json are the same file\n"
+        assert out == ""
+        assert [path.name for path in tmp_path.iterdir() if path.is_file()] == ["model.json"]
+
     def test_first_bad_pair_is_the_one_error(self, capsys, synth_dir, tmp_path):
         # the zero-area pair comes before the pair that holds a face refused
         # once stretched, and only its error is printed

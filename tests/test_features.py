@@ -1,6 +1,7 @@
 """Face input validation and the canonical distance features."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import re
@@ -15,6 +16,7 @@ from fuzzyface import (
     Canvas,
     FaceInput,
     FeatureVector,
+    LabeledFace,
     compare,
     extract_features,
     rasterize,
@@ -176,10 +178,26 @@ class TestFaceInput:
 
     def test_outline_array_is_read_only(self):
         face = make_face()
-        assert np.array_equal(face.outline.array, np.array(face.outline, dtype=float))
-        assert face.outline.array.dtype == np.float64
+        assert type(face.outline) is tuple
+        assert np.array_equal(face._outline_array, np.array(face.outline, dtype=float))
+        assert face._outline_array.dtype == np.float64
         with pytest.raises(ValueError):
-            face.outline.array[0, 0] = 50.0
+            face._outline_array[0, 0] = 50.0
+
+    def test_dataclass_functions_see_only_the_fields(self):
+        face = make_face(outline=[[10, 10], [90, 10], [90, 90], [10, 90]])
+        outline = ((10.0, 10.0), (90.0, 10.0), (90.0, 90.0), (10.0, 90.0))
+        compare(face, make_face("b", width=200, height=100))  # fills the face's memo
+        fields = dict(id="f", image_width=100, image_height=100,
+                      landmarks=dict(face.landmarks), outline=outline)
+        assert dataclasses.asdict(face) == fields
+        assert dataclasses.astuple(face) == tuple(fields.values())
+        assert type(dataclasses.asdict(face)["outline"]) is tuple
+        labeled = LabeledFace("person", face)
+        assert dataclasses.asdict(labeled) == {"identity": "person", "face": fields}
+        assert dataclasses.astuple(labeled) == ("person", tuple(fields.values()))
+        assert dataclasses.replace(face) == face
+        assert dataclasses.replace(face)._prepared == {}
 
     @pytest.mark.parametrize("mutate", [
         lambda lm: lm.__setitem__("chin", (50.0, 50.0)),
@@ -209,13 +227,13 @@ class TestFaceInput:
     def test_copies_keep_the_checked_outline(self, clone):
         face = make_face("a", width=100, height=100)
         compare(face, make_face("b", width=200, height=100))  # fills the face's memo
-        assert face.outline.prepared
+        assert face._prepared
         twin = clone(face)
         assert twin == face and repr(twin) == repr(face)
-        assert type(twin.outline) is type(face.outline)
-        assert np.array_equal(twin.outline.array, face.outline.array)
-        assert not twin.outline.array.flags.writeable
-        assert twin.outline.prepared == {}  # rebuilt from the fields, without the memo
+        assert type(twin.outline) is tuple
+        assert np.array_equal(twin._outline_array, face._outline_array)
+        assert not twin._outline_array.flags.writeable
+        assert twin._prepared == {}  # rebuilt from the fields, without the memo
         assert type(twin.landmarks) is type(face.landmarks)
         with pytest.raises(TypeError, match="read-only"):
             twin.landmarks["chin"] = (50.0, 50.0)

@@ -32,7 +32,7 @@ from fuzzyface import (
     save_manifest,
     save_model,
 )
-from fuzzyface.fileio import atomic_write_text, dump_json
+from fuzzyface.fileio import atomic_write_text, atomic_write_texts, dump_json
 
 VALID_MODEL = {
     "k": 0.95, "k1": 0.9, "k2": 1.0, "n": 3, "skipped": 1,
@@ -497,6 +497,21 @@ class TestAtomicWrite:
     def test_text_is_written_verbatim(self, tmp_path):
         atomic_write_text(tmp_path / "out.csv", "a,b\r\n1,2\r\n")
         assert (tmp_path / "out.csv").read_bytes() == b"a,b\r\n1,2\r\n"
+
+    @pytest.mark.parametrize("second", ["./out.json", "sub/../out.json", "link.json"])
+    def test_two_paths_to_one_file_are_refused(self, tmp_path, monkeypatch, second):
+        # the second rename would replace the first output
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "out.json").write_text("before\n")
+        (tmp_path / "link.json").symlink_to("out.json")
+        with pytest.raises(ValueError) as exc:
+            atomic_write_texts([("out.json", "report\n"), (second, "a,b\r\n")])
+        assert str(exc.value) == f"outputs out.json and {second} are the same file"
+        assert (tmp_path / "out.json").read_text() == "before\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "out.json",
+                                                                     "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
 
     @pytest.mark.parametrize("save, document", [
         (save_face, make_face()),

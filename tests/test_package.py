@@ -19,7 +19,7 @@ def test_reference_entropy_is_not_public():
 
 
 # names imported only for perfbench/run.py --trace 1, which wraps them by
-# name (ROADMAP item 5)
+# name (ROADMAP item 4)
 TRACER_ONLY_IMPORTS = {("cli", "atomic_write_text"), ("scoring", "normalize_pair"),
                        ("scoring", "rasterize"), ("synthbench", "compare")}
 
@@ -45,3 +45,16 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used and (path.stem, name) not in TRACER_ONLY_IMPORTS]
     assert unused == []
+
+
+def test_no_private_name_is_imported_from_a_sibling():
+    # a module's _-prefixed names are its own; a sibling that needs one
+    # needs a public name
+    imported = []
+    for path in sorted(Path(fuzzyface.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "fuzzyface"):
+                imported += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert imported == []

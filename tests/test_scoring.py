@@ -35,9 +35,9 @@ from fuzzyface import (
 )
 from fuzzyface.fileio import dump_json
 from fuzzyface.scoring import entropy_membership, pair_scores
-from fuzzyface.features import extract_features
+from fuzzyface.features import extract_features, rescale_face
 from fuzzyface.silhouette import (
-    alpha_from_masks, default_resolution_scale, normalize_pair, rasterize, rescale_face,
+    alpha_from_masks, default_resolution_scale, normalize_pair, rasterize,
 )
 
 IMAGE_SIZES = ((512, 512), (256, 384), (768, 512), (384, 768), (100, 140))
@@ -483,7 +483,7 @@ class TestPreparedMemo:
         for _ in range(2):  # the same objects again, their memos warm
             assert [repr(r) for r in score_pairs(faces, pairs, config)] == reports
             assert repr(pair_scores(faces, pairs, config)) == scores
-        assert all(face.outline.prepared for face in faces)
+        assert all(face._prepared for face in faces)
 
     def test_each_face_stretched_once_over_calls(self, monkeypatch):
         calls = []
@@ -499,12 +499,12 @@ class TestPreparedMemo:
             compare(small, big)
             score_pairs([big, small], [(0, 1), (1, 1)])
         assert calls == [("s", 200, 150), ("b", 200, 150), ("s", 100, 100)]
-        values, outline = small.outline.prepared[200, 150]
+        values, outline = small._prepared[200, 150]
         stretched = rescale_face(small, 200, 150)
         assert values == tuple(value for _, value in extract_features(stretched).items)
-        assert np.array_equal(outline, stretched.outline.array)
+        assert np.array_equal(outline, stretched._outline_array)
         assert not outline.flags.writeable
-        assert set(small.outline.prepared) == {(200, 150), (100, 100)}
+        assert set(small._prepared) == {(200, 150), (100, 100)}
 
     def test_refused_stretch_keeps_no_entry(self):
         face, big = stretch_refused_face(), make_face("big", width=768, height=768)
@@ -513,9 +513,9 @@ class TestPreparedMemo:
                 compare(face, big)
             assert str(exc.value) == ("face 'found' stretched onto 768 x 768: "
                                       "outline is self-intersecting")
-            assert face.outline.prepared == {} and big.outline.prepared == {}
+            assert face._prepared == {} and big._prepared == {}
         compare(face, make_face("tall", width=512, height=768))
-        assert set(face.outline.prepared) == {(512, 768)}
+        assert set(face._prepared) == {(512, 768)}
 
 
 def dealt_faces(seed, sizes):

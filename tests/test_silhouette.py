@@ -24,8 +24,8 @@ from fuzzyface import (
     rasterize,
 )
 from fuzzyface import silhouette
+from fuzzyface.features import FaceInput, rescale_face
 from fuzzyface.geometry import polygon_is_simple
-from fuzzyface.silhouette import rescale_face
 
 
 def reference_fill(outline, canvas, scale):
@@ -135,6 +135,36 @@ class TestNormalizePair:
                 {name: point(pt) for name, pt in face.landmarks.items()})
         assert rescale_face(face, 29, 29).outline[1] == (29.0, 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), tiny=st.booleans(),
+           size=st.tuples(st.integers(1, 3000), st.integers(1, 3000)))
+    @example(seed=0, tiny=False, size=(768, 512))
+    @example(seed=0, tiny=True, size=(29, 29))
+    def test_stretched_face_equals_one_built_from_its_fields(self, seed, tiny, size):
+        # rescale_face sets FaceInput's fields by hand; the face that the
+        # constructor builds from them must be the same face
+        if tiny:  # a -0.0 coordinate, and a far edge that the clamp moves
+            face = make_face("a", width=7, height=7,
+                             outline=((-0.0, 0.0), (7.0, 0.0), (7.0, 7.0), (0.0, 7.0)))
+        else:
+            face = generate_population(
+                PopulationConfig(identity_count=1, captures_per_identity=1, seed=seed))[0].face
+        assume(size != (face.image_width, face.image_height))
+        face._prepared[size] = "warm"  # the source's memo is not carried over
+        try:
+            stretched = rescale_face(face, *size)
+        except ValueError:  # the stretch rounded the outline into a refused one
+            assume(False)
+        built = FaceInput(face.id, *size, dict(stretched.landmarks), stretched.outline)
+        assert stretched == built and repr(stretched) == repr(built)
+        assert type(stretched.outline) is type(built.outline) is tuple
+        assert type(stretched.landmarks) is type(built.landmarks)
+        assert np.array_equal(stretched._outline_array, built._outline_array)
+        assert stretched._outline_array.dtype == built._outline_array.dtype == np.float64
+        assert not stretched._outline_array.flags.writeable
+        assert not built._outline_array.flags.writeable
+        assert stretched._prepared == {} and built._prepared == {}
+
     def test_stretch_refusal_names_the_face_and_canvas(self):
         face = stretch_refused_face()
         assert rescale_face(face, 512, 768).outline  # a 2 x 2 stretch keeps it simple
@@ -224,16 +254,21 @@ class TestRasterize:
         with pytest.raises(ValueError, match="self-intersecting"):
             rasterize(bowtie, Canvas(10, 10), 1)
 
-    def test_only_a_face_outline_skips_the_simplicity_check(self, monkeypatch):
+    def test_a_face_outline_is_checked_too(self, monkeypatch):
+        # rasterize has one path: a face's outline is converted and tested
+        # like any other, and fills as the face's stored array does
         face = make_face(width=20, height=20, outline=square(2.0, 8.0))
         calls = []
         monkeypatch.setattr(silhouette, "polygon_is_simple",
-                            lambda pts: calls.append(1) or polygon_is_simple(pts))
+                            lambda pts: calls.append(pts.tolist()) or polygon_is_simple(pts))
         from_face = rasterize(face.outline, Canvas(20, 20), 2)
-        assert calls == []
-        copied = rasterize(tuple(face.outline), Canvas(20, 20), 2)
-        assert calls == [1]
-        assert np.array_equal(from_face.bits, copied.bits) and from_face.offset == copied.offset
+        assert calls == [face._outline_array.tolist()]
+        copied = rasterize(list(face.outline), Canvas(20, 20), 2)
+        assert len(calls) == 2
+        stored = silhouette.fill_outlines([face._outline_array], Canvas(20, 20), 2)[0]
+        for mask in (copied, stored):
+            assert np.array_equal(from_face.bits, mask.bits)
+            assert (from_face.offset, from_face.frame) == (mask.offset, mask.frame)
 
     def test_bad_scale(self):
         with pytest.raises(ValueError, match="resolution_scale"):
@@ -326,13 +361,15 @@ class TestRasterize:
     @example(seed=0, size=(512, 512), pad=(0, 0), scale=None)
     @example(seed=1, size=(101, 133), pad=(0, 0), scale=1)
     def test_face_outline_equals_the_unchecked_path(self, seed, size, pad, scale):
-        # a face's stored vertex array fills exactly as its outline passed as a list
+        # the pair engine's fill of a face's stored vertex array, unchecked,
+        # gives exactly rasterize's mask of the face's outline
         population = generate_population(
             PopulationConfig(identity_count=1, captures_per_identity=1, seed=seed))
         face = rescale_face(population[0].face, *size)
         canvas = Canvas(size[0] + pad[0], size[1] + pad[1])
         checked = rasterize(face.outline, canvas, scale)
-        unchecked = rasterize(list(face.outline), canvas, scale)
+        scale = default_resolution_scale(canvas) if scale is None else scale
+        unchecked = silhouette.fill_outlines([face._outline_array], canvas, scale)[0]
         assert checked.bits.dtype == unchecked.bits.dtype == bool
         assert np.array_equal(checked.bits, unchecked.bits)
         assert (checked.offset, checked.frame, checked.scale) == \
