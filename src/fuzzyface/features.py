@@ -85,8 +85,9 @@ def _keep_outline(face: FaceInput, outline: tuple[Point, ...], array: np.ndarray
     self-intersection test ran on, which the pair engine fills. Its
     ``_prepared`` is the pair engine's memo, empty here: by canvas size
     (width, height), the face's six feature values there, in
-    CANONICAL_FEATURES order, and its outline array there. A face is
-    frozen, so an entry never goes stale.
+    CANONICAL_FEATURES order, its outline array there, and a dict from
+    raster scale to its mask. A face is frozen, so an entry never goes
+    stale.
     """
     if outline[0] == outline[-1]:
         raise ValueError("outline must not repeat its first vertex (closure is implicit)")
@@ -198,25 +199,27 @@ def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
     """
     if (width, height) == (face.image_width, face.image_height):
         return face
-    sx = width / face.image_width
-    sy = height / face.image_height
-    points = np.concatenate((np.array([*face.landmarks.values()]), face._outline_array)) * (sx, sy)
-    # Clamp away float dust so edge coordinates stay inside the canvas.
-    # where() gives exactly what min(max(v, 0.0), size) gives per point,
-    # signed zeros included; np.maximum may return 0.0 for -0.0.
-    size = np.array([width, height], dtype=float)
-    points = np.where(points < 0.0, 0.0, points)
-    points = np.where(points > size, size, points)
-    count = len(face.landmarks)
-    coordinates = points.tolist()
-    stretched = object.__new__(FaceInput)
-    # the fields FaceInput.__post_init__ would store, set past the frozen
-    # guard; _keep_outline adds the outline
-    vars(stretched).update(
-        id=face.id, image_width=width, image_height=height,
-        landmarks=_Landmarks(zip(face.landmarks, map(tuple, coordinates[:count]))))
     try:
+        # the size first: a huge or non-integer side would break the division
         _check_image_size(width, height)
+        sx = width / face.image_width
+        sy = height / face.image_height
+        points = (np.concatenate((np.array([*face.landmarks.values()]), face._outline_array))
+                  * (sx, sy))
+        # Clamp away float dust so edge coordinates stay inside the canvas.
+        # where() gives exactly what min(max(v, 0.0), size) gives per point,
+        # signed zeros included; np.maximum may return 0.0 for -0.0.
+        size = np.array([width, height], dtype=float)
+        points = np.where(points < 0.0, 0.0, points)
+        points = np.where(points > size, size, points)
+        count = len(face.landmarks)
+        coordinates = points.tolist()
+        stretched = object.__new__(FaceInput)
+        # the fields FaceInput.__post_init__ would store, set past the frozen
+        # guard; _keep_outline adds the outline
+        vars(stretched).update(
+            id=face.id, image_width=width, image_height=height,
+            landmarks=_Landmarks(zip(face.landmarks, map(tuple, coordinates[:count]))))
         _keep_outline(stretched, tuple(map(tuple, coordinates[count:])), points[count:])
     except ValueError as exc:
         raise ValueError(f"face '{face.id}' stretched onto {width} x {height}: {exc}") from None

@@ -10,8 +10,9 @@ the two with the mixing weight k:
 
 One engine serves two consumers. Its prepare step prepares each face
 (rescale onto the pair's canvas, measure the features, rasterize the
-outline) at most once per canvas size; the face keeps its rescaled
-outline and features for later calls. It scores blocks of pairs as
+outline) at most once per canvas size and raster scale, over all calls:
+the face keeps its rescaled outline, its features and its masks in its
+memo. It scores blocks of pairs as
 numpy columns: an alpha per pair (alpha_from_masks) and an entropy and
 a membership per feature, with the bits of feature_membership. The
 blend is written once (_feature_score and _similarity) and the checks
@@ -208,85 +209,94 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     return score_pairs([face_a, face_b], [(0, 1)], config)[0]
 
 
-# a prepared face: its six feature values and its mask
+# a prepared face on a pair's canvas: its six feature values and its mask
+# at the pair's raster scale
 _Entry = tuple[tuple[float, ...], BinaryMask]
 
 
 class _Prepared:
-    """The faces of one call, each prepared at most once per canvas size.
+    """The canvases of one call, by size, which prepare the faces of its pairs.
 
     A prepared face is the face stretched onto a pair's canvas, its six
     feature values (in CANONICAL_FEATURES order) and its rasterized
-    outline; ``entries`` maps (face index, canvas size) to its values
-    and mask. The values and the stretched outline are kept in the
-    face's own memo (``face._prepared``, by canvas size), so a face is
-    stretched and measured once per canvas size over all calls. A
-    block's new faces on one canvas are rasterized together, by one
-    fill_outlines call, so N faces that share one canvas are filled once
-    each rather than twice per pair. Each canvas size is built, with its
-    raster scale, once. Masks and canvases live only for one call: a
-    mask depends on the raster scale and can take megabytes.
+    outline. They are kept in the face's own memo (``face._prepared``):
+    by canvas size, the values, the stretched outline and a dict from
+    raster scale to mask. So a face is stretched and measured once per
+    canvas size, and rasterized once per canvas size and raster scale,
+    over all calls. A block's faces with no mask yet on a canvas are
+    rasterized together, by one fill_outlines call, so N faces that
+    share one canvas are filled once each rather than twice per pair,
+    and a call whose faces all have their masks fills none. Each canvas
+    size is built, with its raster scale, once per call, since the
+    scale depends on the config.
     """
 
     def __init__(self, faces: Sequence[FaceInput], config: ScoringConfig) -> None:
         self.faces = faces
         self.resolution_scale = config.resolution_scale
-        # keyed by index: FaceInput holds a dict and cannot be hashed
-        self.entries: dict[tuple[int, tuple[int, int]], _Entry] = {}
         self.canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, scale
 
     def pairs(self, block: list[tuple[int, int]]) -> list[tuple[_Entry, _Entry, int]]:
         """Each pair's two faces, prepared on its pair's canvas, and its raster scale.
 
-        The faces of the block not yet prepared on their pair's canvas are
-        prepared canvas by canvas, in the order the pairs first name them.
+        The faces of the block with no mask yet on their pair's canvas and
+        scale are prepared canvas by canvas, in the order the pairs first
+        name them.
         """
+        faces, canvases = self.faces, self.canvases
         keys = []
-        new: dict[tuple[int, int], dict[int, None]] = {}  # size -> face indices, in order
+        # size -> faces to prepare, in order; by id, since FaceInput holds a
+        # dict and cannot be hashed, and one face may sit at several indices
+        new: dict[tuple[int, int], dict[int, FaceInput]] = {}
         for i, j in block:
-            face_a, face_b = self.faces[i], self.faces[j]
+            face_a, face_b = faces[i], faces[j]
             # pair_canvas's size, found without building a Canvas
             size = (max(face_a.image_width, face_b.image_width),
                     max(face_a.image_height, face_b.image_height))
-            if size not in self.canvases:
+            if size not in canvases:
                 canvas = pair_canvas(face_a, face_b)
                 scale = self.resolution_scale
                 if scale is None:
                     scale = default_resolution_scale(canvas)
-                self.canvases[size] = canvas, scale
-            for index in (i, j):
-                if (index, size) not in self.entries:
-                    new.setdefault(size, {})[index] = None
-            keys.append((i, j, size))
-        for size, indices in new.items():
-            self.prepare(list(indices), size)
-        entries = self.entries
-        return [(entries[i, size], entries[j, size], self.canvases[size][1])
-                for i, j, size in keys]
+                canvases[size] = canvas, scale
+            scale = canvases[size][1]
+            for face in (face_a, face_b):
+                entry = face._prepared.get(size)
+                if entry is None or scale not in entry[2]:
+                    new.setdefault(size, {})[id(face)] = face
+            keys.append((face_a._prepared, face_b._prepared, size, scale))
+        for size, pending in new.items():
+            self.prepare(list(pending.values()), size)
+        entries = []
+        for memo_a, memo_b, size, scale in keys:
+            values_a, _, masks_a = memo_a[size]
+            values_b, _, masks_b = memo_b[size]
+            entries.append(((values_a, masks_a[scale]), (values_b, masks_b[scale]), scale))
+        return entries
 
-    def prepare(self, indices: list[int], size: tuple[int, int]) -> None:
-        """Prepare the faces at ``indices`` on the canvas of ``size``; all or none get an entry.
+    def prepare(self, faces: list[FaceInput], size: tuple[int, int]) -> None:
+        """Rasterize ``faces`` on the canvas of ``size``; all or none get a mask there.
 
-        Each face is rescaled and measured in turn, and its raster frame
-        checked after it, where rasterizing it alone would refuse the
-        frame; then one fill_outlines call rasterizes them all.
+        Each face is rescaled and measured in turn, unless its memo holds
+        it there, and its raster frame checked after it, where rasterizing
+        it alone would refuse the frame; a face that passes both keeps its
+        values and outline in its memo. Then one fill_outlines call
+        rasterizes them all, and each face keeps its mask at this scale.
         """
         canvas, scale = self.canvases[size]
-        outlines, values = [], []
-        for index in indices:
-            face = self.faces[index]
-            memo = face._prepared
-            if size not in memo:  # only a face that passes both steps is kept
-                face = rescale_face(face, canvas.width, canvas.height)
-                memo[size] = (tuple(value for _, value in extract_features(face).items),
-                              face._outline_array)
-            face_values, outline = memo[size]
-            values.append(face_values)
+        entries = []
+        for face in faces:
+            entry = face._prepared.get(size)
+            if entry is None:
+                stretched = rescale_face(face, canvas.width, canvas.height)
+                entry = (tuple(value for _, value in extract_features(stretched).items),
+                         stretched._outline_array, {})
             check_raster_frame(canvas, scale)
-            outlines.append(outline)
-        for index, face_values, mask in zip(indices, values,
-                                            fill_outlines(outlines, canvas, scale)):
-            self.entries[index, size] = face_values, mask
+            face._prepared[size] = entry
+            entries.append(entry)
+        masks = fill_outlines([outline for _, outline, _ in entries], canvas, scale)
+        for (_, _, kept), mask in zip(entries, masks):
+            kept[scale] = mask
 
 
 # one block of pairs scored up to the blend: the pairs, each pair's two
@@ -364,10 +374,10 @@ def score_pairs(
 
     Each report equals ``compare(faces[i], faces[j], config)`` bit for
     bit. A face is rescaled and measured at most once per canvas size,
-    kept in its memo for later calls, and rasterized at most once per
-    canvas size in this call. A bad pair
-    raises the error that compare raises on it; of several, the first
-    in pair order.
+    and rasterized at most once per canvas size and raster scale, over
+    all calls: each face keeps them in its memo. A bad pair raises the
+    error that compare raises on it; of several, the first in pair
+    order.
     """
     if config is None:
         config = ScoringConfig()

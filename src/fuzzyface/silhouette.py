@@ -7,9 +7,9 @@ overlap score is read off the masks. A mask stores only the window of
 rows and columns its outline spans, plus that window's offset; every
 pixel outside the window is outside the outline. One kernel,
 fill_outlines, fills any number of checked outlines on one canvas in a
-single set of numpy passes, their windows slices of one flat buffer;
-rasterize checks one outline and calls it, and the pair engine calls it
-once per canvas with the faces it prepares there.
+single set of numpy passes, up to one np.repeat per window; rasterize
+checks one outline and calls it, and the pair engine calls it once per
+canvas with the faces that have no mask there yet.
 """
 
 from __future__ import annotations
@@ -189,10 +189,13 @@ def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) ->
     rasterize's checks at this scale, and the frame passed
     check_raster_frame; mask i equals ``rasterize(outlines[i], canvas,
     scale)`` bit for bit. The outlines are stacked end to end, so each
-    numpy pass (the row search, the crossings, the sort of the flip
-    positions and the run-length fill) runs once for all of them, and
-    the masks' windows are slices of one flat buffer.
+    numpy pass (the row search, the crossings and the sort of the flip
+    positions) runs once for all of them. The run-length fill then
+    writes each window into its own read-only array, so a mask that is
+    kept keeps only its own window. No outlines give no masks.
     """
+    if not outlines:
+        return []
     wpx = canvas.width * scale
     hpx = canvas.height * scale
     frame = (hpx, wpx)
@@ -257,44 +260,54 @@ def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) ->
     filled = [i for i in range(len(outlines)) if firsts[i] < firsts[i + 1]]
     col0s = np.minimum.reduceat(col, [firsts[i] for i in filled]).tolist()
     col1s = np.maximum.reduceat(col, [firsts[i] for i in filled]).tolist()
-    windows = [None] * len(outlines)  # (start in the buffer, rows, columns, offset)
-    widths, shifts, size = [], [], 0
-    for i, col0, col1 in zip(filled, col0s, col1s):
+    windows = [None] * len(outlines)  # (its runs' first and end index, rows, columns, offset)
+    widths, shifts, window_starts, size = [], [], [], 0
+    for w, (i, col0, col1) in enumerate(zip(filled, col0s, col1s)):
         rows, cols = row1s[i] - row0s[i], col1 - col0
-        windows[i] = size, rows, cols, (first + row0s[i], col0)
+        windows[i] = (firsts[i] + 2 * w, firsts[i + 1] + 2 * w + 1, rows, cols,
+                      (first + row0s[i], col0))
         widths.append(cols)
         shifts.append(size - row0s[i] * cols - col0)
+        window_starts.append(size)
         size += rows * cols
 
     # Inside/outside flips at each crossing, so each flattened window is
     # runs of False and True between its sorted crossing positions, and
-    # the windows lie end to end in the buffer. A crossing at an outline's
-    # last column lands on its next row's first pixel, or the next
-    # window's, which is where the run it ends would stop anyway, since a
-    # row's crossing count is even; two crossings at one position make an
-    # empty run. stops holds 0, the flips and the buffer's size.
+    # the windows lie end to end in one run of positions. A crossing at an
+    # outline's last column lands on its next row's first pixel, or the
+    # next window's, which is where the run it ends would stop anyway,
+    # since a row's crossing count is even; two crossings at one position
+    # make an empty run. stops holds 0, the flips, each later window's
+    # first position twice (an empty run, so that a window's runs start
+    # at a stop of their own) and the end. A window's crossing count is
+    # even, so every window's runs start at an even index, with a False
+    # run: window w of the filled ones, from crossing firsts[i] on, has
+    # its runs from index firsts[i] + 2 * w, one more than its crossings.
     width, shift = np.array([widths, shifts]).repeat(
         [firsts[i + 1] - firsts[i] for i in filled], axis=1)
-    stops = np.empty(len(col) + 2, dtype=np.int64)
+    stops = np.empty(len(col) + 2 * len(filled), dtype=np.int64)
     stops[0], stops[-1] = 0, size
-    flips = stops[1:-1]
+    flips = stops[1:len(col) + 1]
     np.multiply(row_idx, width, out=flips)
     flips += col
     flips += shift
-    flips.sort()
-    inside = np.zeros(stops.size - 1, dtype=bool)
+    stops[len(col) + 1:-1] = np.repeat(window_starts[1:], 2)
+    stops[1:-1].sort()
+    runs = stops[1:] - stops[:-1]
+    inside = np.zeros(runs.size, dtype=bool)
     inside[1::2] = True
-    bits = inside.repeat(stops[1:] - stops[:-1])
 
-    bits.setflags(write=False)  # and so every window of it
+    # Each window is filled into its own array, by one np.repeat of its
+    # runs, so a mask that is kept keeps only its own window.
     masks = []
     for window in windows:
         if window is None:
             masks.append(_empty_mask(scale, frame))
         else:
-            start, rows, cols, offset = window
-            masks.append(_window_mask(bits[start:start + rows * cols].reshape(rows, cols), scale,
-                                      offset, frame))
+            run0, run1, rows, cols, offset = window
+            bits = inside[run0:run1].repeat(runs[run0:run1]).reshape(rows, cols)
+            bits.setflags(write=False)
+            masks.append(_window_mask(bits, scale, offset, frame))
     return masks
 
 

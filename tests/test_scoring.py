@@ -37,7 +37,7 @@ from fuzzyface.fileio import dump_json
 from fuzzyface.scoring import entropy_membership, pair_scores
 from fuzzyface.features import extract_features, rescale_face
 from fuzzyface.silhouette import (
-    alpha_from_masks, default_resolution_scale, normalize_pair, rasterize,
+    Canvas, alpha_from_masks, default_resolution_scale, normalize_pair, rasterize,
 )
 
 IMAGE_SIZES = ((512, 512), (256, 384), (768, 512), (384, 768), (100, 140))
@@ -499,12 +499,17 @@ class TestPreparedMemo:
             compare(small, big)
             score_pairs([big, small], [(0, 1), (1, 1)])
         assert calls == [("s", 200, 150), ("b", 200, 150), ("s", 100, 100)]
-        values, outline = small._prepared[200, 150]
+        values, outline, masks = small._prepared[200, 150]
         stretched = rescale_face(small, 200, 150)
         assert values == tuple(value for _, value in extract_features(stretched).items)
         assert np.array_equal(outline, stretched._outline_array)
         assert not outline.flags.writeable
         assert set(small._prepared) == {(200, 150), (100, 100)}
+        # and its mask at the default scale of that canvas, as rasterize fills it
+        assert list(masks) == [3]
+        alone = rasterize(stretched.outline, Canvas(200, 150), 3)
+        assert (masks[3].offset, masks[3].frame) == (alone.offset, alone.frame)
+        assert np.array_equal(masks[3].bits, alone.bits)
 
     def test_refused_stretch_keeps_no_entry(self):
         face, big = stretch_refused_face(), make_face("big", width=768, height=768)
@@ -516,6 +521,63 @@ class TestPreparedMemo:
             assert face._prepared == {} and big._prepared == {}
         compare(face, make_face("tall", width=512, height=768))
         assert set(face._prepared) == {(512, 768)}
+        assert list(face._prepared[512, 768][2]) == [1]  # a mask at the default scale
+
+    def test_refused_frame_keeps_no_mask(self):
+        face, other = make_face("a"), make_face("b")
+        compare(face, other)  # a mask at the default scale, 6
+        huge = ScoringConfig(resolution_scale=100)  # a 10000 x 10000 px frame
+        fresh = make_face("c")
+        for _ in range(2):
+            for scorer in (score_pairs, pair_scores):
+                with pytest.raises(ValueError, match="raster frame 10000 x 10000"):
+                    scorer([fresh, face], [(0, 1)], huge)
+        assert list(face._prepared[100, 100][2]) == [6]
+        assert fresh._prepared == {}  # nor values: the frame check comes before the store
+
+    def test_each_face_rasterized_once_over_calls(self, monkeypatch):
+        calls = []
+        original = fuzzyface.scoring.fill_outlines
+
+        def counted(outlines, canvas, scale):
+            calls.append((len(outlines), canvas.width, canvas.height, scale))
+            return original(outlines, canvas, scale)
+
+        monkeypatch.setattr(fuzzyface.scoring, "fill_outlines", counted)
+        faces = [make_face("s0"), make_face("s1"), make_face("b", width=200, height=150)]
+        pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
+        for _ in range(3):
+            compare(faces[0], faces[2])
+            score_pairs(faces, pairs)
+            pair_scores(faces + faces, pairs + [(3, 5), (4, 4)])  # one face at two indices
+        # s0 and b on 200x150 at scale 3 (the compare); then s0 and s1 on
+        # 100x100 at scale 6, and s1 on 200x150; later calls fill nothing
+        assert calls == [(2, 200, 150, 3), (2, 100, 100, 6), (1, 200, 150, 3)]
+        calls.clear()
+        for _ in range(2):
+            pair_scores(faces, pairs, ScoringConfig(resolution_scale=1))
+            compare(faces[1], faces[0], ScoringConfig(resolution_scale=1))
+        assert calls == [(2, 100, 100, 1), (3, 200, 150, 1)]
+        assert [{size: sorted(masks) for size, (_, _, masks) in face._prepared.items()}
+                for face in faces] == [{(100, 100): [1, 6], (200, 150): [1, 3]}] * 2 + [
+                    {(200, 150): [1, 3]}]
+
+    def test_warm_masks_at_each_scale_score_as_fresh_faces(self):
+        faces = dealt_faces(7, [(512, 512), (256, 384), (100, 140), (256, 384)])
+        pairs = [(i, j) for i in range(len(faces)) for j in range(len(faces))]
+
+        def fresh(i, j):
+            return [copy.deepcopy(faces[i]), copy.deepcopy(faces[j])]
+
+        for resolution_scale in (1, 2, None, 1):  # the same faces, their masks kept
+            config = ScoringConfig(resolution_scale=resolution_scale)
+            reports = [repr(score_pairs(fresh(i, j), [(0, 1)], config)[0]) for i, j in pairs]
+            scores = repr([pair_scores(fresh(i, j), [(0, 1)], config)[0] for i, j in pairs])
+            assert [repr(r) for r in score_pairs(faces, pairs, config)] == reports
+            assert repr(pair_scores(faces, pairs, config)) == scores
+        # (100, 140) meets canvases of 512, 384 and 140 px: default scales 1, 2 and 4
+        assert {size: sorted(masks) for size, (_, _, masks) in faces[2]._prepared.items()} == {
+            (512, 512): [1, 2], (256, 384): [1, 2], (100, 140): [1, 2, 4]}
 
 
 def dealt_faces(seed, sizes):

@@ -176,6 +176,17 @@ class TestNormalizePair:
             compare(face, make_face("big", width=768, height=768))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("width, words", [
+        (0, "an integer >= 1, got 0"),
+        (2**17, "at most 65536"),
+        (10**400, "at most 65536"),  # once an OverflowError from the division
+        ("100", "an integer >= 1, got '100'"),  # once a TypeError
+    ])
+    def test_bad_canvas_size_is_refused_before_the_stretch(self, width, words):
+        with pytest.raises(ValueError) as exc:
+            rescale_face(make_face("f"), width, 100)
+        assert str(exc.value) == f"face 'f' stretched onto {width} x 100: image width must be {words}"
+
     def test_canvas_validation(self):
         with pytest.raises(ValueError, match="canvas width"):
             Canvas(0, 10)
@@ -427,6 +438,14 @@ def assert_as_checked(mask):
     assert mask.area == checked.area
 
 
+def own_bytes(mask):
+    """The size of the memory a mask's bits keep alive."""
+    bits = mask.bits
+    while bits.base is not None:
+        bits = bits.base
+    return bits.nbytes
+
+
 class TestFillOutlines:
     """The batched kernel fills a stack of outlines as rasterize fills each alone."""
 
@@ -450,22 +469,29 @@ class TestFillOutlines:
         assert len(masks) == len(outlines)
         for outline, mask in zip(outlines, masks):
             assert_as_checked(mask)
+            assert own_bytes(mask) == mask.bits.nbytes  # not a view of a batch's buffer
             alone = rasterize(outline, canvas, scale)
             assert mask.bits.shape == alone.bits.shape and np.array_equal(mask.bits, alone.bits)
             assert (mask.offset, mask.frame, mask.scale) == (alone.offset, alone.frame, scale)
             assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
 
-    def test_masks_are_windows_of_one_buffer(self):
+    def test_masks_own_their_windows(self):
+        # a mask the pair engine keeps must not keep the whole batch's buffer alive
         canvas = Canvas(20, 20)
         a, empty, b = silhouette.fill_outlines(
             [np.array(square(2.0, 8.0)), np.array(square(30.0, 40.0)), np.array(square(5.0, 15.0))],
             canvas, 2)
         assert a.bits.shape == (12, 12) and b.bits.shape == (20, 20)
         assert (empty.bits.shape, empty.offset) == ((0, 0), (0, 0))
-        assert a.bits.base is not None and a.bits.base is b.bits.base
+        for mask in (a, b):
+            assert own_bytes(mask) == mask.bits.nbytes == mask.bits.size
         assert a.area == 144 and b.area == 400
         for mask in (a, empty, b):
-            assert_as_checked(mask)
+            assert_as_checked(mask)  # read-only, among the rest
+
+    def test_no_outlines_give_no_masks(self):
+        # the pair engine's case of a canvas whose faces all have their masks
+        assert silhouette.fill_outlines([], Canvas(20, 20), 2) == []
 
 
 class TestMaskOps:
