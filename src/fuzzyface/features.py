@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, distance, midpoint, polygon_is_simple, whole_number
+from .geometry import Point, distance, is_number, midpoint, polygon_is_simple, whole_number
 
 REQUIRED_LANDMARKS: tuple[str, ...] = (
     "eye_left",
@@ -60,7 +60,7 @@ def _check_point(label: str, key, pt, width: int, height: int) -> Point:
     # plain ints and floats take the fast test; the slow one admits their
     # subclasses, such as numpy's float64, but never a bool
     if not (type(x) in _COORDINATE_TYPES and type(y) in _COORDINATE_TYPES
-            or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))):
+            or is_number(x) and is_number(y)):
         raise ValueError(f"{name} must be an array of two numbers, got {pt!r}")
     try:
         x, y = float(x), float(y)
@@ -83,11 +83,9 @@ def _keep_outline(face: FaceInput, outline: tuple[Point, ...], array: np.ndarray
     stretched face meets them again. Next to the field, the face keeps
     ``array``, made read-only, as ``_outline_array``: the one the
     self-intersection test ran on, which the pair engine fills. Its
-    ``_prepared`` is the pair engine's memo, empty here: by canvas size
-    (width, height), the face's six feature values there, in
-    CANONICAL_FEATURES order, its outline array there, and a dict from
-    raster scale to its mask. A face is frozen, so an entry never goes
-    stale.
+    ``_prepared`` is the pair engine's memo, created empty here; the
+    engine (scoring._prepared) alone reads and fills it. A face is
+    frozen, so an entry never goes stale.
     """
     if outline[0] == outline[-1]:
         raise ValueError("outline must not repeat its first vertex (closure is implicit)")

@@ -1,4 +1,4 @@
-"""Small 2D helpers and the two number checks shared by the package."""
+"""Small 2D helpers and the number checks shared by the package."""
 
 from __future__ import annotations
 
@@ -10,9 +10,14 @@ import numpy as np
 Point = tuple[float, float]
 
 
+def is_number(value) -> bool:
+    """True for an int or a float, or a subclass such as numpy's float64, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def finite_number(label: str, value) -> float:
     """``value`` as a float; it must be an int or a float (not a bool) and finite."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_number(value):
         try:
             number = float(value)
         except OverflowError:  # an int too large for a float

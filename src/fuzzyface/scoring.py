@@ -8,11 +8,11 @@ the two with the mixing weight k:
 
     similarity = 100 * (feature_score * k + alpha * (1 - k))
 
-One engine serves two consumers. Its prepare step prepares each face
-(rescale onto the pair's canvas, measure the features, rasterize the
-outline) at most once per canvas size and raster scale, over all calls:
-the face keeps its rescaled outline, its features and its masks in its
-memo. It scores blocks of pairs as
+One engine serves two consumers. Its prepare step, _prepared, prepares
+each face (rescale onto the pair's canvas, measure the features,
+rasterize the outline) at most once per canvas size and raster scale,
+over all calls: the face keeps its feature values and its mask in its
+memo, one entry per (width, height, scale). It scores blocks of pairs as
 numpy columns: an alpha per pair (alpha_from_masks) and an entropy and
 a membership per feature, with the bits of feature_membership. The
 blend is written once (_feature_score and _similarity) and the checks
@@ -24,6 +24,7 @@ columns and keeps only each pair's feature score, alpha and similarity.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
@@ -32,7 +33,7 @@ import numpy as np
 
 from .features import CANONICAL_FEATURES, FaceInput, extract_features, rescale_face
 from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
-from .geometry import whole_number
+from .geometry import is_number, whole_number
 from .silhouette import (
     AlphaMode,
     BinaryMask,
@@ -45,11 +46,6 @@ from .silhouette import (
     pair_canvas,
     rasterize,  # no longer called here; perfbench/run.py --trace 1 wraps this name
 )
-
-
-def _is_number(value) -> bool:
-    """True for an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,8 @@ class ScoringConfig:
     resolution_scale: int | None = None
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.k) and math.isfinite(self.k) and 0.0 <= self.k <= 1.0):
+        # the range test alone refuses NaN, the infinities and an int too large for a float
+        if not (is_number(self.k) and 0.0 <= self.k <= 1.0):
             raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
@@ -115,16 +112,16 @@ class MatchReport:
         # slow to build.
         for row in self.features:
             if not ((type(row.entropy) is type(row.membership) is float
-                     or _is_number(row.entropy) and _is_number(row.membership))
+                     or is_number(row.entropy) and is_number(row.membership))
                     and 0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0):
                 raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
             # like a FeatureVector's values; NaN fails the comparisons
             if not ((type(row.a) is type(row.b) is float
-                     or _is_number(row.a) and _is_number(row.b))
+                     or is_number(row.a) and is_number(row.b))
                     and 0.0 < row.a < math.inf and 0.0 < row.b < math.inf):
                 raise ValueError(f"feature row '{row.name}' measurements must be positive "
                                  f"reals: {row!r}")
-        if not ((type(self.alpha) is float or _is_number(self.alpha))
+        if not ((type(self.alpha) is float or is_number(self.alpha))
                 and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         # k, alpha_mode and kernel pass ScoringConfig's checks, in its words,
@@ -209,94 +206,69 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     return score_pairs([face_a, face_b], [(0, 1)], config)[0]
 
 
-# a prepared face on a pair's canvas: its six feature values and its mask
-# at the pair's raster scale
+# a prepared face on a pair's canvas: its six feature values, in
+# CANONICAL_FEATURES order, and its mask at the pair's raster scale
 _Entry = tuple[tuple[float, ...], BinaryMask]
 
 
-class _Prepared:
-    """The canvases of one call, by size, which prepare the faces of its pairs.
+def _pair_faces(faces: Sequence[FaceInput], pair) -> tuple[FaceInput, FaceInput]:
+    """The two faces a pair names by index: an int, numpy's included, but not a bool."""
+    try:
+        i, j = pair
+        if type(i) is not int or type(j) is not int:  # a plain int skips these tests
+            if isinstance(i, (bool, np.bool_)) or isinstance(j, (bool, np.bool_)):
+                raise TypeError
+            i, j = operator.index(i), operator.index(j)
+        if 0 <= i < len(faces) and 0 <= j < len(faces):
+            return faces[i], faces[j]
+    except (TypeError, ValueError):  # not a pair, or not integers
+        pass
+    raise ValueError(f"pair {pair!r} must be two integer indices into the {len(faces)} faces")
 
-    A prepared face is the face stretched onto a pair's canvas, its six
-    feature values (in CANONICAL_FEATURES order) and its rasterized
-    outline. They are kept in the face's own memo (``face._prepared``):
-    by canvas size, the values, the stretched outline and a dict from
-    raster scale to mask. So a face is stretched and measured once per
-    canvas size, and rasterized once per canvas size and raster scale,
-    over all calls. A block's faces with no mask yet on a canvas are
-    rasterized together, by one fill_outlines call, so N faces that
-    share one canvas are filled once each rather than twice per pair,
-    and a call whose faces all have their masks fills none. Each canvas
-    size is built, with its raster scale, once per call, since the
-    scale depends on the config.
+
+def _prepared(faces: Sequence[FaceInput], block: list[tuple[int, int]],
+              config: ScoringConfig) -> list[tuple[_Entry, _Entry, int]]:
+    """Each pair's two faces, prepared on its pair's canvas, and its raster scale.
+
+    Each face keeps an _Entry per (canvas width, canvas height, raster
+    scale) in its memo, ``face._prepared``, over all calls. The faces of
+    a key with no entry are prepared key by key, in the order the pairs
+    first name them: each is stretched and measured, and the raster frame
+    checked after it, where rasterizing it alone would refuse the frame;
+    then one fill_outlines call fills them all, and only then do they
+    get their entries. Every pair's indices are checked first.
     """
-
-    def __init__(self, faces: Sequence[FaceInput], config: ScoringConfig) -> None:
-        self.faces = faces
-        self.resolution_scale = config.resolution_scale
-        self.canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, scale
-
-    def pairs(self, block: list[tuple[int, int]]) -> list[tuple[_Entry, _Entry, int]]:
-        """Each pair's two faces, prepared on its pair's canvas, and its raster scale.
-
-        The faces of the block with no mask yet on their pair's canvas and
-        scale are prepared canvas by canvas, in the order the pairs first
-        name them.
-        """
-        faces, canvases = self.faces, self.canvases
-        keys = []
-        # size -> faces to prepare, in order; by id, since FaceInput holds a
-        # dict and cannot be hashed, and one face may sit at several indices
-        new: dict[tuple[int, int], dict[int, FaceInput]] = {}
-        for i, j in block:
-            face_a, face_b = faces[i], faces[j]
-            # pair_canvas's size, found without building a Canvas
-            size = (max(face_a.image_width, face_b.image_width),
-                    max(face_a.image_height, face_b.image_height))
-            if size not in canvases:
-                canvas = pair_canvas(face_a, face_b)
-                scale = self.resolution_scale
-                if scale is None:
-                    scale = default_resolution_scale(canvas)
-                canvases[size] = canvas, scale
-            scale = canvases[size][1]
-            for face in (face_a, face_b):
-                entry = face._prepared.get(size)
-                if entry is None or scale not in entry[2]:
-                    new.setdefault(size, {})[id(face)] = face
-            keys.append((face_a._prepared, face_b._prepared, size, scale))
-        for size, pending in new.items():
-            self.prepare(list(pending.values()), size)
-        entries = []
-        for memo_a, memo_b, size, scale in keys:
-            values_a, _, masks_a = memo_a[size]
-            values_b, _, masks_b = memo_b[size]
-            entries.append(((values_a, masks_a[scale]), (values_b, masks_b[scale]), scale))
-        return entries
-
-    def prepare(self, faces: list[FaceInput], size: tuple[int, int]) -> None:
-        """Rasterize ``faces`` on the canvas of ``size``; all or none get a mask there.
-
-        Each face is rescaled and measured in turn, unless its memo holds
-        it there, and its raster frame checked after it, where rasterizing
-        it alone would refuse the frame; a face that passes both keeps its
-        values and outline in its memo. Then one fill_outlines call
-        rasterizes them all, and each face keeps its mask at this scale.
-        """
-        canvas, scale = self.canvases[size]
-        entries = []
-        for face in faces:
-            entry = face._prepared.get(size)
-            if entry is None:
-                stretched = rescale_face(face, canvas.width, canvas.height)
-                entry = (tuple(value for _, value in extract_features(stretched).items),
-                         stretched._outline_array, {})
+    canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, raster scale
+    keyed = []
+    # key -> faces to prepare, in order; by id, since FaceInput holds a
+    # dict and cannot be hashed, and one face may sit at several indices
+    new: dict[tuple[int, int, int], dict[int, FaceInput]] = {}
+    for pair in block:
+        face_a, face_b = _pair_faces(faces, pair)
+        # pair_canvas's size, found without building a Canvas
+        size = (max(face_a.image_width, face_b.image_width),
+                max(face_a.image_height, face_b.image_height))
+        if size not in canvases:
+            canvas = pair_canvas(face_a, face_b)
+            scale = config.resolution_scale
+            canvases[size] = canvas, default_resolution_scale(canvas) if scale is None else scale
+        key = (*size, canvases[size][1])
+        for face in (face_a, face_b):
+            if key not in face._prepared:
+                new.setdefault(key, {})[id(face)] = face
+        keyed.append((face_a._prepared, face_b._prepared, key))
+    for (width, height, scale), pending in new.items():
+        canvas = canvases[width, height][0]
+        measured = []
+        for face in pending.values():
+            stretched = rescale_face(face, width, height)
+            values = tuple(value for _, value in extract_features(stretched).items)
             check_raster_frame(canvas, scale)
-            face._prepared[size] = entry
-            entries.append(entry)
-        masks = fill_outlines([outline for _, outline, _ in entries], canvas, scale)
-        for (_, _, kept), mask in zip(entries, masks):
-            kept[scale] = mask
+            measured.append((face, values, stretched._outline_array))
+        masks = fill_outlines([outline for _, _, outline in measured], canvas, scale)
+        for (face, values, _), mask in zip(measured, masks):
+            face._prepared[width, height, scale] = values, mask
+    return [(memo_a[key], memo_b[key], key[2]) for memo_a, memo_b, key in keyed]
 
 
 # one block of pairs scored up to the blend: the pairs, each pair's two
@@ -306,16 +278,17 @@ _Columns = tuple[list[tuple[int, int]], list[tuple[_Entry, _Entry, int]], np.nda
                  np.ndarray, np.ndarray]
 
 
-def _columns(prepared: _Prepared, block: list[tuple[int, int]], config: ScoringConfig) -> _Columns:
+def _columns(faces: Sequence[FaceInput], block: list[tuple[int, int]],
+             config: ScoringConfig) -> _Columns:
     """Prepare the faces of a block of pairs and take each pair's alpha, entropies and memberships.
 
     Each pair's steps come in compare's order (its two faces, its
     overlap, its features) and raise compare's errors in its words. In
     a block of more than one pair the error raised need not be the first
-    in pair order, since every face is prepared, canvas by canvas, before
-    any pair is scored.
+    in pair order, since every pair's indices are checked and every face
+    is prepared, key by key, before any pair is scored.
     """
-    entries = prepared.pairs(block)
+    entries = _prepared(faces, block, config)
     mode = config.alpha_mode
     alpha = np.array([alpha_from_masks(mask_a, mask_b, mode)
                       for (_, mask_a), (_, mask_b), _ in entries])
@@ -325,7 +298,7 @@ def _columns(prepared: _Prepared, block: list[tuple[int, int]], config: ScoringC
     return block, entries, alpha, entropy, membership
 
 
-def _scored_blocks(prepared: _Prepared, pairs: Iterable[tuple[int, int]],
+def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
                    config: ScoringConfig) -> Iterator[_Columns]:
     """The columns of each block of up to _BLOCK_PAIRS pairs, in pair order.
 
@@ -336,17 +309,17 @@ def _scored_blocks(prepared: _Prepared, pairs: Iterable[tuple[int, int]],
     pairs = iter(pairs)
     while block := list(islice(pairs, _BLOCK_PAIRS)):
         try:
-            columns = _columns(prepared, block, config)
+            columns = _columns(faces, block, config)
         except ValueError:
             for pair in block:
-                yield _columns(prepared, [pair], config)
+                yield _columns(faces, [pair], config)
         else:
             yield columns
 
 
-def _reports(prepared: _Prepared, columns: _Columns, config: ScoringConfig) -> list[MatchReport]:
+def _reports(faces: Sequence[FaceInput], columns: _Columns,
+             config: ScoringConfig) -> list[MatchReport]:
     """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
-    faces = prepared.faces
     names = [name for name, _ in CANONICAL_FEATURES]  # the order of every entry's values
     pairs, entries, alphas, entropies, memberships = columns
     reports = []
@@ -373,18 +346,18 @@ def score_pairs(
     """Score each ``(i, j)`` pair of indices into ``faces``, in the given order.
 
     Each report equals ``compare(faces[i], faces[j], config)`` bit for
-    bit. A face is rescaled and measured at most once per canvas size,
-    and rasterized at most once per canvas size and raster scale, over
-    all calls: each face keeps them in its memo. A bad pair raises the
-    error that compare raises on it; of several, the first in pair
-    order.
+    bit. A face is rescaled, measured and rasterized at most once per
+    canvas size and raster scale, over all calls: each face keeps its
+    values and mask there in its memo. An index is an int, numpy's
+    included, but not a bool. A bad pair raises the error that compare
+    raises on it, or one that names it if its indices are bad; of
+    several, the first in pair order.
     """
     if config is None:
         config = ScoringConfig()
-    prepared = _Prepared(faces, config)
     reports = []
-    for columns in _scored_blocks(prepared, pairs, config):
-        reports += _reports(prepared, columns, config)
+    for columns in _scored_blocks(faces, pairs, config):
+        reports += _reports(faces, columns, config)
     return reports
 
 
@@ -403,14 +376,13 @@ def pair_scores(
     """
     if config is None:
         config = ScoringConfig()
-    prepared = _Prepared(faces, config)
     scores: list[tuple[float, float, float]] = []
-    for columns in _scored_blocks(prepared, pairs, config):
+    for columns in _scored_blocks(faces, pairs, config):
         _, _, alpha, entropy, membership = columns
         # MatchReport's checks on the columns; a bad value fails on NaN too
         if not (((0.0 <= entropy) & (entropy <= 1.0) & (0.0 <= membership) & (membership <= 1.0))
                 .all() and ((0.0 <= alpha) & (alpha <= 1.0)).all()):
-            _reports(prepared, columns, config)  # raises the first bad pair's error
+            _reports(faces, columns, config)  # raises the first bad pair's error
         feature_score = np.fromiter(map(_feature_score, membership.tolist()), float,
                                     len(membership))
         similarity = _similarity(feature_score, alpha, config.k)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyface.geometry import polygon_is_simple
+from fuzzyface.geometry import is_number, polygon_is_simple
 
 
 def reference_is_simple(points):
@@ -150,3 +150,14 @@ def test_near_collinear_polygons_match_the_reference(vertices, seed, decimals):
     if decimals is not None:
         points = np.round(points, decimals)
     assert polygon_is_simple(points) == reference_is_simple(points)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, True), (-3, True), (10 ** 400, True), (0.5, True), (math.nan, True), (math.inf, True),
+    (np.float64(0.5), True), (True, False), (False, False), (np.int64(1), False),
+    (np.float32(0.5), False), ("1", False), (None, False), (1j, False),
+])
+def test_is_number_takes_ints_and_floats_but_no_bool(value, expected):
+    # the one test of a number's kind; finite_number and the range tests
+    # that follow it decide the value
+    assert is_number(value) is expected

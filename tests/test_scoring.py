@@ -360,6 +360,32 @@ class OvershootKernel(TriangleKernel):
         return 1.5 if x < 1.0 else 1.0
 
 
+def counted_fills(monkeypatch) -> list:
+    """Each fill_outlines call of the engine from now on: (outlines, width, height, scale)."""
+    calls = []
+    original = fuzzyface.scoring.fill_outlines
+
+    def counted(outlines, canvas, scale):
+        calls.append((len(outlines), canvas.width, canvas.height, scale))
+        return original(outlines, canvas, scale)
+
+    monkeypatch.setattr(fuzzyface.scoring, "fill_outlines", counted)
+    return calls
+
+
+def counted_stretches(monkeypatch) -> list:
+    """Each rescale_face call of the engine from now on: (face id, width, height)."""
+    calls = []
+    original = fuzzyface.scoring.rescale_face
+
+    def counted(face, width, height):
+        calls.append((face.id, width, height))
+        return original(face, width, height)
+
+    monkeypatch.setattr(fuzzyface.scoring, "rescale_face", counted)
+    return calls
+
+
 class TestScorePairs:
     @settings(max_examples=25, deadline=None)
     @given(**equal_to_compare_cases)
@@ -376,6 +402,8 @@ class TestScorePairs:
          "face 'found' stretched onto 768 x 768"),
         # a membership past 1 on (0, 1), which MatchReport refuses, before (3, 4)
         ([(0, 0), (1, 1), (0, 1), (3, 4)], OvershootKernel(), "outside [0, 1]: FeatureRow"),
+        # a refused stretch before a pair with a bad index
+        ([(0, 1), (3, 4), (0, 9)], TriangleKernel(), "face 'found' stretched onto 768 x 768"),
     ])
     def test_first_error_in_pair_order(self, monkeypatch, block, pairs, kernel, message):
         # both raise what a compare of each pair in turn raises first, though
@@ -393,15 +421,28 @@ class TestScorePairs:
                 score(faces, pairs, config)
             assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize("pair", [(-1, 0), (True, 0), (0, 9), (0,), (0, np.True_),
+                                      (0.0, 1), (0, 1, 2), None])
+    def test_bad_pair_indices_are_refused(self, monkeypatch, block, pair):
+        # named in its words, before a later stretch-refused pair is reached
+        monkeypatch.setattr(fuzzyface.scoring, "_BLOCK_PAIRS", block)
+        faces = [*unequal_faces(), stretch_refused_face(), make_face("big", width=768, height=768)]
+        for score in (score_pairs, pair_scores):
+            with pytest.raises(ValueError) as raised:
+                score(faces, [(0, 1), pair, (2, 3)])
+            assert str(raised.value) == (f"pair {pair!r} must be two integer indices into "
+                                         f"the 4 faces")
+
+    def test_numpy_indices_score_as_ints(self):
+        faces = unequal_faces()
+        pairs = [(0, 1), (1, 0), (1, 1)]
+        numpy_pairs = [(np.int64(0), np.int32(1)), np.array([1, 0]), (np.uint8(1), 1)]
+        for score in (score_pairs, pair_scores):
+            assert repr(score(faces, numpy_pairs)) == repr(score(faces, pairs))
+
     def test_each_face_rasterized_once_per_canvas(self, monkeypatch):
-        calls = []
-        original = fuzzyface.scoring.fill_outlines
-
-        def counted(outlines, canvas, scale):
-            calls.append((len(outlines), canvas.width, canvas.height, scale))
-            return original(outlines, canvas, scale)
-
-        monkeypatch.setattr(fuzzyface.scoring, "fill_outlines", counted)
+        calls = counted_fills(monkeypatch)
         small = [make_face(f"s{i}", width=100, height=100) for i in range(3)]
         big = make_face("big", width=200, height=150)
         faces = small + [big]
@@ -457,7 +498,7 @@ class TestScorePairs:
 
 
 class TestPreparedMemo:
-    """A face keeps its stretched features and outline by canvas size, for later calls."""
+    """A face keeps its features and mask by (canvas width, height, raster scale), for later calls."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000),
@@ -486,30 +527,21 @@ class TestPreparedMemo:
         assert all(face._prepared for face in faces)
 
     def test_each_face_stretched_once_over_calls(self, monkeypatch):
-        calls = []
-        original = fuzzyface.scoring.rescale_face
-
-        def counted(face, width, height):
-            calls.append((face.id, width, height))
-            return original(face, width, height)
-
-        monkeypatch.setattr(fuzzyface.scoring, "rescale_face", counted)
+        calls = counted_stretches(monkeypatch)
         small, big = make_face("s", width=100, height=100), make_face("b", width=200, height=150)
         for _ in range(3):
             compare(small, big)
             score_pairs([big, small], [(0, 1), (1, 1)])
         assert calls == [("s", 200, 150), ("b", 200, 150), ("s", 100, 100)]
-        values, outline, masks = small._prepared[200, 150]
+        # one entry per key, each at the default scale of its canvas
+        assert set(small._prepared) == {(200, 150, 3), (100, 100, 6)}
+        values, mask = small._prepared[200, 150, 3]
         stretched = rescale_face(small, 200, 150)
         assert values == tuple(value for _, value in extract_features(stretched).items)
-        assert np.array_equal(outline, stretched._outline_array)
-        assert not outline.flags.writeable
-        assert set(small._prepared) == {(200, 150), (100, 100)}
-        # and its mask at the default scale of that canvas, as rasterize fills it
-        assert list(masks) == [3]
+        # and its mask, as rasterize fills it
         alone = rasterize(stretched.outline, Canvas(200, 150), 3)
-        assert (masks[3].offset, masks[3].frame) == (alone.offset, alone.frame)
-        assert np.array_equal(masks[3].bits, alone.bits)
+        assert (mask.offset, mask.frame) == (alone.offset, alone.frame)
+        assert np.array_equal(mask.bits, alone.bits)
 
     def test_refused_stretch_keeps_no_entry(self):
         face, big = stretch_refused_face(), make_face("big", width=768, height=768)
@@ -520,8 +552,7 @@ class TestPreparedMemo:
                                       "outline is self-intersecting")
             assert face._prepared == {} and big._prepared == {}
         compare(face, make_face("tall", width=512, height=768))
-        assert set(face._prepared) == {(512, 768)}
-        assert list(face._prepared[512, 768][2]) == [1]  # a mask at the default scale
+        assert set(face._prepared) == {(512, 768, 1)}  # at the default scale
 
     def test_refused_frame_keeps_no_mask(self):
         face, other = make_face("a"), make_face("b")
@@ -532,18 +563,11 @@ class TestPreparedMemo:
             for scorer in (score_pairs, pair_scores):
                 with pytest.raises(ValueError, match="raster frame 10000 x 10000"):
                     scorer([fresh, face], [(0, 1)], huge)
-        assert list(face._prepared[100, 100][2]) == [6]
-        assert fresh._prepared == {}  # nor values: the frame check comes before the store
+        assert set(face._prepared) == {(100, 100, 6)}
+        assert fresh._prepared == {}
 
     def test_each_face_rasterized_once_over_calls(self, monkeypatch):
-        calls = []
-        original = fuzzyface.scoring.fill_outlines
-
-        def counted(outlines, canvas, scale):
-            calls.append((len(outlines), canvas.width, canvas.height, scale))
-            return original(outlines, canvas, scale)
-
-        monkeypatch.setattr(fuzzyface.scoring, "fill_outlines", counted)
+        calls, stretches = counted_fills(monkeypatch), counted_stretches(monkeypatch)
         faces = [make_face("s0"), make_face("s1"), make_face("b", width=200, height=150)]
         pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
         for _ in range(3):
@@ -553,14 +577,35 @@ class TestPreparedMemo:
         # s0 and b on 200x150 at scale 3 (the compare); then s0 and s1 on
         # 100x100 at scale 6, and s1 on 200x150; later calls fill nothing
         assert calls == [(2, 200, 150, 3), (2, 100, 100, 6), (1, 200, 150, 3)]
+        # each face is stretched once per key, as it is filled
+        assert stretches == [("s0", 200, 150), ("b", 200, 150), ("s0", 100, 100),
+                             ("s1", 100, 100), ("s1", 200, 150)]
         calls.clear()
+        stretches.clear()
         for _ in range(2):
             pair_scores(faces, pairs, ScoringConfig(resolution_scale=1))
             compare(faces[1], faces[0], ScoringConfig(resolution_scale=1))
+        # a new scale is a new key: its faces are stretched and filled again
         assert calls == [(2, 100, 100, 1), (3, 200, 150, 1)]
-        assert [{size: sorted(masks) for size, (_, _, masks) in face._prepared.items()}
-                for face in faces] == [{(100, 100): [1, 6], (200, 150): [1, 3]}] * 2 + [
-                    {(200, 150): [1, 3]}]
+        assert stretches == [("s0", 100, 100), ("s1", 100, 100), ("s0", 200, 150),
+                             ("b", 200, 150), ("s1", 200, 150)]
+        assert [sorted(face._prepared) for face in faces] == [
+            [(100, 100, 1), (100, 100, 6), (200, 150, 1), (200, 150, 3)]] * 2 + [
+            [(200, 150, 1), (200, 150, 3)]]
+
+    def test_a_key_keeps_entries_only_when_all_its_faces_pass(self, monkeypatch):
+        calls = counted_fills(monkeypatch)
+        first = make_face("a", width=768, height=768)
+        faces = [first, stretch_refused_face()]
+        for scorer in (score_pairs, pair_scores):
+            # the first face of the key passes, the second is refused
+            with pytest.raises(ValueError, match="face 'found' stretched onto 768 x 768"):
+                scorer(faces, [(0, 1)])
+            assert first._prepared == {} and faces[1]._prepared == {}
+        assert calls == []
+        score_pairs([first], [(0, 0)])  # the face alone is prepared there
+        assert calls == [(1, 768, 768, 1)]
+        assert set(first._prepared) == {(768, 768, 1)}
 
     def test_warm_masks_at_each_scale_score_as_fresh_faces(self):
         faces = dealt_faces(7, [(512, 512), (256, 384), (100, 140), (256, 384)])
@@ -576,8 +621,9 @@ class TestPreparedMemo:
             assert [repr(r) for r in score_pairs(faces, pairs, config)] == reports
             assert repr(pair_scores(faces, pairs, config)) == scores
         # (100, 140) meets canvases of 512, 384 and 140 px: default scales 1, 2 and 4
-        assert {size: sorted(masks) for size, (_, _, masks) in faces[2]._prepared.items()} == {
-            (512, 512): [1, 2], (256, 384): [1, 2], (100, 140): [1, 2, 4]}
+        assert set(faces[2]._prepared) == {(512, 512, 1), (512, 512, 2), (256, 384, 1),
+                                           (256, 384, 2), (100, 140, 1), (100, 140, 2),
+                                           (100, 140, 4)}
 
 
 def dealt_faces(seed, sizes):
@@ -662,6 +708,14 @@ class TestValidation:
     def test_config_k_must_be_a_number(self, k):
         with pytest.raises(ValueError, match="k must lie in"):
             ScoringConfig(k=k)
+
+    @pytest.mark.parametrize("k", [10 ** 400, -10 ** 400, math.inf, math.nan],
+                             ids=["huge", "-huge", "inf", "nan"])
+    def test_k_beyond_any_float_is_refused_in_words(self, k):
+        # an int too large for a float raised OverflowError here once
+        for build in (lambda: ScoringConfig(k=k), lambda: checked_report([1.0], 0.0, k)):
+            with pytest.raises(ValueError, match=r"mixing weight k must lie in \[0, 1\], got"):
+                build()
 
     def test_config_bad_mode(self):
         with pytest.raises(ValueError, match="alpha_mode"):
