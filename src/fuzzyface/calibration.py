@@ -41,10 +41,13 @@ def solve_weight(target: float, feature_score: float, alpha: float) -> float:
 
     Inverts target = feature_score * k + alpha * (1 - k) for k. Requires
     feature_score strictly above alpha; otherwise the sample carries no
-    usable direction and DegenerateSampleError is raised.
+    usable direction and DegenerateSampleError is raised. Each argument
+    must be a finite int or float, not a bool.
     """
-    if not (0.0 < target <= 1.0):
+    if not 0.0 < finite_number("target", target) <= 1.0:
         raise ValueError(f"target must lie in (0, 1], got {target!r}")
+    finite_number("feature_score", feature_score)
+    finite_number("alpha", alpha)
     if feature_score <= alpha:
         raise DegenerateSampleError(
             f"feature_score {feature_score!r} must exceed alpha {alpha!r}"

@@ -265,7 +265,11 @@ class FeatureVector:
 
     def __post_init__(self) -> None:
         for name, value in self.items:
-            if not (math.isfinite(value) and value > 0.0):
+            try:
+                positive = math.isfinite(value) and value > 0.0
+            except (TypeError, OverflowError):  # not a number, or an int too large for a float
+                positive = False
+            if not positive:
                 raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
 
 

@@ -1,10 +1,11 @@
 """End-to-end comparison of two faces into a similarity report.
 
-The pipeline: normalize the pair onto a shared canvas, measure the
-canonical features on both, take the ratio entropy of each feature pair,
-push it through the membership kernel, average the memberships into the
-feature score, rasterize the outlines into the overlap score, and blend
-the two with the mixing weight k:
+The pipeline: normalize the pair onto a shared canvas (normalize_pair:
+the componentwise max of the two image sizes, each face stretched per
+axis), measure the canonical features on both, take the ratio entropy
+of each feature pair, push it through the membership kernel, average
+the memberships into the feature score, rasterize the outlines into the
+overlap score, and blend the two with the mixing weight k:
 
     similarity = 100 * (feature_score * k + alpha * (1 - k))
 
@@ -42,8 +43,6 @@ from .silhouette import (
     check_raster_frame,
     default_resolution_scale,
     fill_outlines,
-    normalize_pair,  # no longer called here; perfbench/run.py --trace 1 wraps this name
-    pair_canvas,
     rasterize,  # no longer called here; perfbench/run.py --trace 1 wraps this name
 )
 
@@ -171,8 +170,10 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
     only on the ratio of a to b. Like every ``FeatureVector`` value, a
     and b must be positive and finite. The pipeline takes these values
     as columns, with entropy_membership; this scalar form is their
-    reference.
+    reference. A numpy scalar is taken as its exact Python value, so a
+    float32 is measured in double precision.
     """
+    a, b = (v.item() if isinstance(v, np.generic) else v for v in (a, b))
     try:
         positive = 0.0 < a < math.inf and 0.0 < b < math.inf
     except TypeError:  # not a number at all, such as a string or None
@@ -193,6 +194,21 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
 # pairs scored as one block of columns, which bounds the columns'
 # temporaries at any number of pairs
 _BLOCK_PAIRS = 4096
+
+
+def normalize_pair(face_a: FaceInput, face_b: FaceInput) -> tuple[Canvas, FaceInput, FaceInput]:
+    """Bring two faces onto one canvas, the componentwise max of their sizes.
+
+    Each input's landmarks and outline are multiplied per axis by
+    canvas_size / its_size, so a smaller capture is stretched up while
+    the larger one is untouched. No further alignment is applied: the
+    shared canvas coordinates are the common frame. The engine takes
+    the same canvas once per size, in _prepared.
+    """
+    canvas = Canvas(max(face_a.image_width, face_b.image_width),
+                    max(face_a.image_height, face_b.image_height))
+    return (canvas, rescale_face(face_a, canvas.width, canvas.height),
+            rescale_face(face_b, canvas.width, canvas.height))
 
 
 def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None = None) -> MatchReport:
@@ -245,11 +261,10 @@ def _prepared(faces: Sequence[FaceInput], block: list[tuple[int, int]],
     new: dict[tuple[int, int, int], dict[int, FaceInput]] = {}
     for pair in block:
         face_a, face_b = _pair_faces(faces, pair)
-        # pair_canvas's size, found without building a Canvas
-        size = (max(face_a.image_width, face_b.image_width),
+        size = (max(face_a.image_width, face_b.image_width),  # normalize_pair's canvas
                 max(face_a.image_height, face_b.image_height))
         if size not in canvases:
-            canvas = pair_canvas(face_a, face_b)
+            canvas = Canvas(*size)
             scale = config.resolution_scale
             canvases[size] = canvas, default_resolution_scale(canvas) if scale is None else scale
         key = (*size, canvases[size][1])

@@ -1,15 +1,15 @@
-"""Canvas normalization, outline rasterization, and the overlap term.
+"""The raster layer: canvas, masks, outline fill, and the overlap term.
 
-Two faces are first brought onto a shared canvas (the componentwise max
-of their image sizes, each input stretched per axis). Outlines are then
-filled into binary masks by even-odd counting at pixel centers, and the
-overlap score is read off the masks. A mask stores only the window of
-rows and columns its outline spans, plus that window's offset; every
-pixel outside the window is outside the outline. One kernel,
-fill_outlines, fills any number of checked outlines on one canvas in a
-single set of numpy passes, up to one np.repeat per window; rasterize
-checks one outline and calls it, and the pair engine calls it once per
-canvas with the faces that have no mask there yet.
+It knows outlines and canvases, not faces: the pair engine (scoring)
+puts two faces on their shared canvas. Outlines are filled into binary
+masks by even-odd counting at pixel centers, and the overlap score is
+read off the masks. A mask stores only the window of rows and columns
+its outline spans, plus that window's offset; every pixel outside the
+window is outside the outline. One kernel, fill_outlines, fills any
+number of checked outlines on one canvas in a single set of numpy
+passes, up to one np.repeat per window; rasterize checks one outline
+and calls it, and the pair engine calls it once per canvas with the
+faces that have no mask there yet.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .features import FaceInput, rescale_face
 from .geometry import polygon_is_simple, whole_number
 
 # the default raster keeps the longer canvas side at least this many pixels
@@ -49,7 +48,7 @@ class AlphaMode(str, Enum):
 
 @dataclass(frozen=True)
 class Canvas:
-    """Shared frame of a pair, width x height pixels; see pair_canvas."""
+    """Shared frame of a pair, width x height pixels; see scoring.normalize_pair."""
 
     width: int
     height: int
@@ -108,27 +107,6 @@ class BinaryMask:
     @cached_property
     def area(self) -> int:
         return int(np.count_nonzero(self.bits))
-
-
-def pair_canvas(face_a: FaceInput, face_b: FaceInput) -> Canvas:
-    """The canvas two faces share: the componentwise max of their sizes."""
-    width = max(face_a.image_width, face_b.image_width)
-    height = max(face_a.image_height, face_b.image_height)
-    return Canvas(width, height)
-
-
-def normalize_pair(face_a: FaceInput, face_b: FaceInput) -> tuple[Canvas, FaceInput, FaceInput]:
-    """Bring two faces onto one canvas sized to the larger input.
-
-    Each input's landmarks and outline are multiplied per axis by
-    canvas_size / its_size, so a smaller capture is stretched up while
-    the larger one is untouched. No further alignment is applied: the
-    shared canvas coordinates are the common frame.
-    """
-    canvas = pair_canvas(face_a, face_b)
-    norm_a = rescale_face(face_a, canvas.width, canvas.height)
-    norm_b = rescale_face(face_b, canvas.width, canvas.height)
-    return canvas, norm_a, norm_b
 
 
 def default_resolution_scale(canvas: Canvas) -> int:

@@ -187,7 +187,11 @@ class EvalReport:
     accuracy_at_threshold: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.auc <= 1.0):
+        try:
+            in_range = 0.0 <= self.auc <= 1.0
+        except TypeError:  # not a number at all, such as a string or None
+            in_range = False
+        if not in_range:
             raise ValueError(f"auc must lie in [0, 1], got {self.auc!r}")
         for (f0, t0), (f1, t1) in zip(self.roc_points, self.roc_points[1:]):
             if f1 < f0 or t1 < t0:
@@ -202,13 +206,30 @@ class EvalReport:
         }
 
 
+def _score_array(label: str, scores) -> np.ndarray:
+    """``scores`` as a float array; each must be a finite int or float, not a bool or a string.
+
+    The array is checked as a whole, by its dtype and np.isfinite:
+    report_from_scores has checked each score already.
+    """
+    array = np.asarray(scores)
+    if array.dtype.kind not in "iuf":  # bools, strings, None and ints too large for int64 or uint64
+        raise ValueError(f"{label} must be ints or floats, got an array of {array.dtype}")
+    array = array.astype(float, copy=False)
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"{label} must be finite, got {array[~finite].tolist()[0]!r}")
+    return array
+
+
 def rank_auc(genuine_scores, impostor_scores) -> float:
     """Probability a random genuine score outranks a random impostor score.
 
-    Computed exactly via midranks; ties count one half.
+    Computed exactly via midranks; ties count one half. Each score must
+    be a finite int or float.
     """
-    g = np.asarray(genuine_scores, dtype=float)
-    m = np.asarray(impostor_scores, dtype=float)
+    g = _score_array("genuine_scores", genuine_scores)
+    m = _score_array("impostor_scores", impostor_scores)
     if g.size == 0 or m.size == 0:
         raise ValueError("rank AUC needs both genuine and impostor scores")
     scores = np.concatenate([g, m])
@@ -224,10 +245,10 @@ def roc_points(genuine_scores, impostor_scores) -> list[tuple[float, float]]:
     """(false-accept-rate, true-accept-rate) at every distinct threshold.
 
     Acceptance is score >= threshold; the curve starts at (0, 0) and
-    ends at (1, 1).
+    ends at (1, 1). Each score must be a finite int or float.
     """
-    g = np.sort(np.asarray(genuine_scores, dtype=float))
-    m = np.sort(np.asarray(impostor_scores, dtype=float))
+    g = np.sort(_score_array("genuine_scores", genuine_scores))
+    m = np.sort(_score_array("impostor_scores", impostor_scores))
     if g.size == 0 or m.size == 0:
         raise ValueError("ROC needs both genuine and impostor scores")
     thresholds = np.unique(np.concatenate([g, m]))[::-1]

@@ -19,9 +19,9 @@ def test_reference_entropy_is_not_public():
 
 
 # names imported only for perfbench/run.py --trace 1, which wraps them by
-# name (ROADMAP item 4)
-TRACER_ONLY_IMPORTS = {("cli", "atomic_write_text"), ("scoring", "normalize_pair"),
-                       ("scoring", "rasterize"), ("synthbench", "compare")}
+# name (ROADMAP item 5)
+TRACER_ONLY_IMPORTS = {("cli", "atomic_write_text"), ("scoring", "rasterize"),
+                       ("synthbench", "compare")}
 
 
 def test_every_import_is_used():
@@ -58,3 +58,23 @@ def test_no_private_name_is_imported_from_a_sibling():
                 imported += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                              if alias.name.startswith("_")]
     assert imported == []
+
+
+# each module imports only modules before it: the raster layer knows no
+# faces, and the pair engine knows no benchmark or file format
+MODULE_ORDER = ["geometry", "silhouette", "features", "fuzzymath", "calibration", "scoring",
+                "synthbench", "fileio", "cli"]
+
+
+def test_each_module_imports_only_modules_before_it():
+    package = Path(fuzzyface.__file__).parent
+    assert sorted(MODULE_ORDER) == sorted(path.stem for path in package.glob("*.py")
+                                          if path.stem != "__init__")
+    backward = []
+    for position, module in enumerate(MODULE_ORDER):
+        for node in ast.walk(ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                backward += [f"{module} imports {target}" for target in targets
+                             if target not in MODULE_ORDER[:position]]
+    assert backward == []

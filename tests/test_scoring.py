@@ -34,11 +34,9 @@ from fuzzyface import (
     score_pairs,
 )
 from fuzzyface.fileio import dump_json
-from fuzzyface.scoring import entropy_membership, pair_scores
+from fuzzyface.scoring import entropy_membership, normalize_pair, pair_scores
 from fuzzyface.features import extract_features, rescale_face
-from fuzzyface.silhouette import (
-    Canvas, alpha_from_masks, default_resolution_scale, normalize_pair, rasterize,
-)
+from fuzzyface.silhouette import Canvas, alpha_from_masks, default_resolution_scale, rasterize
 
 IMAGE_SIZES = ((512, 512), (256, 384), (768, 512), (384, 768), (100, 140))
 
@@ -463,14 +461,13 @@ class TestScorePairs:
     @pytest.mark.parametrize("scorer", [score_pairs, pair_scores])
     def test_each_canvas_built_once(self, monkeypatch, scorer):
         calls = []
-        original = fuzzyface.scoring.pair_canvas
+        original = fuzzyface.scoring.Canvas
 
-        def counted(face_a, face_b):
-            canvas = original(face_a, face_b)
-            calls.append((canvas.width, canvas.height))
-            return canvas
+        def counted(width, height):
+            calls.append((width, height))
+            return original(width, height)
 
-        monkeypatch.setattr(fuzzyface.scoring, "pair_canvas", counted)
+        monkeypatch.setattr(fuzzyface.scoring, "Canvas", counted)
         faces = dealt_faces(3, [(512, 512), (256, 384), (768, 512), (384, 768), (100, 140),
                                 (256, 384)])
         pairs = [(i, j) for i in range(6) for j in range(6)]

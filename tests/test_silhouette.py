@@ -1,4 +1,8 @@
-"""Canvas normalization, rasterization against area oracles, and overlap modes."""
+"""The raster layer: rasterization against area oracles and the overlap modes.
+
+Also the canvas normalization that gives the raster layer its canvas,
+scoring.normalize_pair.
+"""
 
 import math
 import re
