@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .geometry import finite_number
+from .geometry import finite_number, python_number
 
 
 class DegenerateSampleError(ValueError):
@@ -34,6 +34,7 @@ class CalibrationSample:
         for label, value in (("feature_score", self.feature_score), ("alpha", self.alpha)):
             if not 0.0 <= finite_number(label, value) <= 1.0:
                 raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
+            object.__setattr__(self, label, python_number(value))
 
 
 def solve_weight(target: float, feature_score: float, alpha: float) -> float:
@@ -48,6 +49,7 @@ def solve_weight(target: float, feature_score: float, alpha: float) -> float:
         raise ValueError(f"target must lie in (0, 1], got {target!r}")
     finite_number("feature_score", feature_score)
     finite_number("alpha", alpha)
+    target, feature_score, alpha = map(python_number, (target, feature_score, alpha))
     if feature_score <= alpha:
         raise DegenerateSampleError(
             f"feature_score {feature_score!r} must exceed alpha {alpha!r}"

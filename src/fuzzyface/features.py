@@ -96,10 +96,15 @@ def _keep_outline(face: FaceInput, outline: tuple[Point, ...], array: np.ndarray
     vars(face).update(outline=outline, _outline_array=array, _prepared={})
 
 
-def _check_image_size(width, height) -> None:
+def _check_image_size(width, height) -> tuple[int, int]:
+    """The two sides as Python ints; each must be an int (numpy's too) from 1 to MAX_IMAGE_SIDE."""
+    sides = []
     for label, value in (("image width", width), ("image height", height)):
-        if whole_number(label, value, 1) > MAX_IMAGE_SIDE:
+        side = whole_number(label, value, 1)
+        if side > MAX_IMAGE_SIDE:
             raise ValueError(f"{label} must be at most {MAX_IMAGE_SIDE}")  # value may be huge
+        sides.append(side)
+    return sides[0], sides[1]
 
 
 class _Landmarks(dict):
@@ -143,7 +148,9 @@ class FaceInput:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"face id must be a non-empty string, got {self.id!r}")
-        _check_image_size(self.image_width, self.image_height)
+        width, height = _check_image_size(self.image_width, self.image_height)
+        if width is not self.image_width or height is not self.image_height:  # numpy ints
+            vars(self).update(image_width=width, image_height=height)
 
         try:
             named_points = dict(self.landmarks).items()
@@ -199,7 +206,7 @@ def rescale_face(face: FaceInput, width: int, height: int) -> FaceInput:
         return face
     try:
         # the size first: a huge or non-integer side would break the division
-        _check_image_size(width, height)
+        width, height = _check_image_size(width, height)
         sx = width / face.image_width
         sy = height / face.image_height
         points = (np.concatenate((np.array([*face.landmarks.values()]), face._outline_array))

@@ -294,8 +294,9 @@ class CalibratedModel:
                              f"got {k1!r}, {k!r}, {k2!r}")
         if k != (k1 + k2) / 2.0:
             raise ValueError(f"field 'k' must be the midpoint of k1 and k2, got {k!r}")
-        whole_number("field 'n'", self.n, 1)
-        whole_number("field 'skipped'", self.skipped, 0)
+        for key, minimum in (("n", 1), ("skipped", 0)):
+            value = whole_number(f"field '{key}'", getattr(self, key), minimum)
+            object.__setattr__(self, key, value)
         ScoringConfig(k, self.alpha_mode, self.kernel)  # its alpha_mode and kernel checks
 
     @classmethod

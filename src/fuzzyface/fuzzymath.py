@@ -10,7 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .geometry import finite_number
+from .geometry import finite_number, python_number
+
+
+def _keep_python_numbers(kernel) -> None:
+    """Store each of a kernel's checked fields that is a numpy scalar as its Python value."""
+    for f in fields(kernel):
+        object.__setattr__(kernel, f.name, python_number(getattr(kernel, f.name)))
 
 
 @dataclass(frozen=True)
@@ -27,6 +33,7 @@ class BellKernel:
     def __post_init__(self) -> None:
         if finite_number("bell peak", self.r) <= 0.0:
             raise ValueError(f"bell peak must be a positive real, got {self.r!r}")
+        _keep_python_numbers(self)
 
     def evaluate(self, x: float) -> float:
         u = ((x - self.r) / self.r) ** 2
@@ -47,6 +54,7 @@ class TriangleKernel:
     def __post_init__(self) -> None:
         for name in ("p", "r", "q"):
             finite_number(f"triangle breakpoint '{name}'", getattr(self, name))
+        _keep_python_numbers(self)
         if not (self.p < self.r < self.q):
             raise ValueError(
                 f"triangle breakpoints must satisfy p < r < q, got {self.p}, {self.r}, {self.q}"
@@ -75,6 +83,7 @@ class TrapezoidKernel:
     def __post_init__(self) -> None:
         for name in ("p", "s", "t", "q"):
             finite_number(f"trapezoid breakpoint '{name}'", getattr(self, name))
+        _keep_python_numbers(self)
         if not (self.p < self.s <= self.t < self.q):
             raise ValueError(
                 "trapezoid breakpoints must satisfy p < s <= t < q, "

@@ -10,13 +10,27 @@ import numpy as np
 Point = tuple[float, float]
 
 
+def python_number(value):
+    """A numpy integer or floating scalar as its Python int or float (``.item()``); else ``value``.
+
+    The number checks below take a numpy scalar as this value, which is
+    exact, and the classes that store a checked number store it. An
+    np.bool_ is neither, so it stays itself and is refused.
+    """
+    return value.item() if isinstance(value, (np.integer, np.floating)) else value
+
+
 def is_number(value) -> bool:
-    """True for an int or a float, or a subclass such as numpy's float64, but not a bool."""
+    """True for an int or a float, numpy's integer and floating scalars included, but not a bool."""
+    if type(value) is not float:
+        value = python_number(value)
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def finite_number(label: str, value) -> float:
-    """``value`` as a float; it must be an int or a float (not a bool) and finite."""
+    """``value`` as a float; it must be an int or a float (numpy's too, not a bool) and finite."""
+    if type(value) is float and math.isfinite(value):
+        return value
     if is_number(value):
         try:
             number = float(value)
@@ -29,10 +43,11 @@ def finite_number(label: str, value) -> float:
 
 
 def whole_number(label: str, value, minimum: int) -> int:
-    """``value`` itself; it must be an int (not a bool) of at least ``minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    """``value`` as a Python int: an int (numpy's too, not a bool) of at least ``minimum``."""
+    number = value if type(value) is int else python_number(value)
+    if not isinstance(number, int) or isinstance(number, bool) or number < minimum:
         raise ValueError(f"{label} must be an integer >= {minimum}, got {value!r}")
-    return value
+    return number
 
 
 def distance(a: Point, b: Point) -> float:

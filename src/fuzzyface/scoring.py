@@ -14,12 +14,15 @@ each face (rescale onto the pair's canvas, measure the features,
 rasterize the outline) at most once per canvas size and raster scale,
 over all calls: the face keeps its feature values and its mask in its
 memo, one entry per (width, height, scale). It scores blocks of pairs as
-numpy columns: an alpha per pair (alpha_from_masks) and an entropy and
-a membership per feature, with the bits of feature_membership. The
-blend is written once (_feature_score and _similarity) and the checks
-once, in MatchReport. score_pairs turns each block into MatchReports,
-and compare is its one-pair case; pair_scores blends each block as
-columns and keeps only each pair's feature score, alpha and similarity.
+numpy columns: the two mask areas and their intersection per pair
+(overlap_counts, or packed_overlap_counts for a key with many pairs),
+and an entropy and a membership per feature, with the bits of
+feature_membership. The blend is written once (_feature_score and
+_similarity) and the checks once, in MatchReport. score_pairs turns each
+block into MatchReports, reading each alpha off its counts with
+alpha_from_counts, and compare is its one-pair case; pair_scores takes
+the alphas and the blend as columns and keeps only each pair's feature
+score, alpha and similarity.
 """
 
 from __future__ import annotations
@@ -34,17 +37,20 @@ import numpy as np
 
 from .features import CANONICAL_FEATURES, FaceInput, extract_features, rescale_face
 from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
-from .geometry import is_number, whole_number
+from .geometry import is_number, python_number, whole_number
 from .silhouette import (
     AlphaMode,
     BinaryMask,
     Canvas,
-    alpha_from_masks,
+    alpha_from_counts,
     check_raster_frame,
     default_resolution_scale,
     fill_outlines,
-    rasterize,  # no longer called here; perfbench/run.py --trace 1 wraps this name
+    overlap_counts,
+    packed_overlap_counts,
 )
+# not called here; perfbench/run.py --trace 1 wraps these names
+from .silhouette import alpha_from_masks, rasterize
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,20 @@ class ScoringConfig:
     resolution_scale: int | None = None
 
     def __post_init__(self) -> None:
-        # the range test alone refuses NaN, the infinities and an int too large for a float
-        if not (is_number(self.k) and 0.0 <= self.k <= 1.0):
-            raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
+        # the range test alone refuses NaN, the infinities and an int too large
+        # for a float; a numpy scalar is kept as its Python value
+        k = self.k
+        if not (type(k) is float and 0.0 <= k <= 1.0):
+            k = python_number(k)
+            if not (is_number(k) and 0.0 <= k <= 1.0):
+                raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
+            object.__setattr__(self, "k", k)
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
         check_entropy_kernel(self.kernel)
         if self.resolution_scale is not None:
-            whole_number("resolution_scale", self.resolution_scale, 1)
+            object.__setattr__(self, "resolution_scale",
+                               whole_number("resolution_scale", self.resolution_scale, 1))
 
 
 @dataclass(frozen=True)
@@ -105,31 +117,34 @@ class MatchReport:
                              f"and {self.b_id!r}")
         if len(self.features) < 1:
             raise ValueError("a report needs at least one feature row")
-        # The range tests alone would let a hand-built bool through and raise
-        # TypeError on a string. score_pairs passes floats, which skip the
-        # full type test: a call per value made each report half again as
-        # slow to build.
+        # score_pairs passes floats in range, which skip the full test in
+        # _checked_row: a call per value made each report half again as
+        # slow to build. A numpy scalar is kept as its Python value.
         for row in self.features:
-            if not ((type(row.entropy) is type(row.membership) is float
-                     or is_number(row.entropy) and is_number(row.membership))
-                    and 0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0):
-                raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
-            # like a FeatureVector's values; NaN fails the comparisons
-            if not ((type(row.a) is type(row.b) is float
-                     or is_number(row.a) and is_number(row.b))
+            if not (type(row.a) is type(row.b) is type(row.entropy) is type(row.membership) is float
+                    and 0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0
                     and 0.0 < row.a < math.inf and 0.0 < row.b < math.inf):
-                raise ValueError(f"feature row '{row.name}' measurements must be positive "
-                                 f"reals: {row!r}")
-        if not ((type(self.alpha) is float or is_number(self.alpha))
-                and 0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+                rows = tuple(map(_checked_row, self.features))
+                if any(map(operator.is_not, rows, self.features)):
+                    object.__setattr__(self, "features", rows)
+                break
+        alpha = self.alpha
+        if not (type(alpha) is float and 0.0 <= alpha <= 1.0):
+            alpha = python_number(alpha)
+            if not (is_number(alpha) and 0.0 <= alpha <= 1.0):
+                raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+            object.__setattr__(self, "alpha", alpha)
         # k, alpha_mode and kernel pass ScoringConfig's checks, in its words,
         # so a similarity lies in [0, 100] and to_dict can write the report
-        ScoringConfig(self.k, self.alpha_mode, self.kernel)
-        whole_number("resolution_scale", self.resolution_scale, 1)
+        k = ScoringConfig(self.k, self.alpha_mode, self.kernel).k
+        if k is not self.k:
+            object.__setattr__(self, "k", k)
+        scale = whole_number("resolution_scale", self.resolution_scale, 1)
+        if scale is not self.resolution_scale:
+            object.__setattr__(self, "resolution_scale", scale)
         feature_score = _feature_score([row.membership for row in self.features])
         object.__setattr__(self, "feature_score", feature_score)
-        object.__setattr__(self, "similarity", _similarity(feature_score, self.alpha, self.k))
+        object.__setattr__(self, "similarity", _similarity(feature_score, alpha, k))
 
     @property
     def n(self) -> int:
@@ -150,6 +165,26 @@ class MatchReport:
             "kernel": kernel_to_dict(self.kernel),
             "resolution_scale": self.resolution_scale,
         }
+
+
+def _checked_row(row: FeatureRow) -> FeatureRow:
+    """The row, with each numpy scalar as its Python value; raises unless MatchReport takes it.
+
+    A bool is refused and a string is refused in words, where the range
+    tests alone would let a bool through and raise TypeError on a string.
+    """
+    given = (row.a, row.b, row.entropy, row.membership)
+    a, b, entropy, membership = values = tuple(map(python_number, given))
+    if not (is_number(entropy) and is_number(membership)
+            and 0.0 <= entropy <= 1.0 and 0.0 <= membership <= 1.0):
+        raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
+    # like a FeatureVector's values; NaN fails the comparisons
+    if not (is_number(a) and is_number(b) and 0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"feature row '{row.name}' measurements must be positive "
+                         f"reals: {row!r}")
+    if all(map(operator.is_, values, given)):
+        return row
+    return FeatureRow(row.name, *values)
 
 
 def _feature_score(memberships: Sequence[float]) -> float:
@@ -180,13 +215,17 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
         positive = False
     if not positive:
         raise ValueError(f"feature measurements must be positive reals, got {a!r} and {b!r}")
-    total = a + b
-    h = 0.0
-    for v in (a, b):
-        # p is 0.0 past a ratio of about 1e323 or when a + b overflows;
-        # log2 then raises ValueError
-        p = v / total
-        h -= p * math.log2(p)
+    try:
+        total = a + b  # an int beyond a float plus a float overflows
+        h = 0.0
+        for v in (a, b):
+            # p is 0.0 past a ratio of about 1e323 or when a + b overflows;
+            # log2 then raises ValueError
+            p = v / total
+            h -= p * math.log2(p)
+    except (OverflowError, ValueError):
+        raise ValueError(f"feature measurements {a!r} and {b!r} have no entropy in floats: "
+                         f"their sum overflows or a share rounds to 0") from None
     entropy = min(h, 1.0)  # each term is non-negative, so only the top can collect float dust
     return entropy, kernel.evaluate(entropy)
 
@@ -225,10 +264,11 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
 # a prepared face on a pair's canvas: its six feature values, in
 # CANONICAL_FEATURES order, and its mask at the pair's raster scale
 _Entry = tuple[tuple[float, ...], BinaryMask]
+_FEATURE_NAMES = tuple(name for name, _ in CANONICAL_FEATURES)  # the order of the values
 
 
-def _pair_faces(faces: Sequence[FaceInput], pair) -> tuple[FaceInput, FaceInput]:
-    """The two faces a pair names by index: an int, numpy's included, but not a bool."""
+def _pair_indices(faces: Sequence[FaceInput], pair) -> tuple[int, int]:
+    """The two indices of a pair into ``faces``: ints, numpy's included, but not bools."""
     try:
         i, j = pair
         if type(i) is not int or type(j) is not int:  # a plain int skips these tests
@@ -236,15 +276,20 @@ def _pair_faces(faces: Sequence[FaceInput], pair) -> tuple[FaceInput, FaceInput]
                 raise TypeError
             i, j = operator.index(i), operator.index(j)
         if 0 <= i < len(faces) and 0 <= j < len(faces):
-            return faces[i], faces[j]
+            return i, j
     except (TypeError, ValueError):  # not a pair, or not integers
         pass
     raise ValueError(f"pair {pair!r} must be two integer indices into the {len(faces)} faces")
 
 
+# a block's pairs of one key, (width, height, scale): each pair's position
+# in the block and its two face indices, three ints a pair, end to end
+_KeyPairs = dict[tuple[int, int, int], list[int]]
+
+
 def _prepared(faces: Sequence[FaceInput], block: list[tuple[int, int]],
-              config: ScoringConfig) -> list[tuple[_Entry, _Entry, int]]:
-    """Each pair's two faces, prepared on its pair's canvas, and its raster scale.
+              config: ScoringConfig) -> tuple[list[tuple[_Entry, _Entry, int]], _KeyPairs]:
+    """Each pair's two faces, prepared on its pair's canvas, and its raster scale; each key's pairs.
 
     Each face keeps an _Entry per (canvas width, canvas height, raster
     scale) in its memo, ``face._prepared``, over all calls. The faces of
@@ -252,15 +297,20 @@ def _prepared(faces: Sequence[FaceInput], block: list[tuple[int, int]],
     first name them: each is stretched and measured, and the raster frame
     checked after it, where rasterizing it alone would refuse the frame;
     then one fill_outlines call fills them all, and only then do they
-    get their entries. Every pair's indices are checked first.
+    get their entries. Every pair's indices are checked first. A block of
+    more than one pair also lists each key's pairs, for _overlaps; a
+    block of one lists none.
     """
     canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, raster scale
     keyed = []
     # key -> faces to prepare, in order; by id, since FaceInput holds a
     # dict and cannot be hashed, and one face may sit at several indices
     new: dict[tuple[int, int, int], dict[int, FaceInput]] = {}
+    key_pairs: _KeyPairs = {}
+    listed = len(block) > 1
     for pair in block:
-        face_a, face_b = _pair_faces(faces, pair)
+        i, j = _pair_indices(faces, pair)
+        face_a, face_b = faces[i], faces[j]
         size = (max(face_a.image_width, face_b.image_width),  # normalize_pair's canvas
                 max(face_a.image_height, face_b.image_height))
         if size not in canvases:
@@ -271,6 +321,8 @@ def _prepared(faces: Sequence[FaceInput], block: list[tuple[int, int]],
         for face in (face_a, face_b):
             if key not in face._prepared:
                 new.setdefault(key, {})[id(face)] = face
+        if listed:
+            key_pairs.setdefault(key, []).extend((len(keyed), i, j))
         keyed.append((face_a._prepared, face_b._prepared, key))
     for (width, height, scale), pending in new.items():
         canvas = canvases[width, height][0]
@@ -283,19 +335,69 @@ def _prepared(faces: Sequence[FaceInput], block: list[tuple[int, int]],
         masks = fill_outlines([outline for _, _, outline in measured], canvas, scale)
         for (face, values, _), mask in zip(measured, masks):
             face._prepared[width, height, scale] = values, mask
-    return [(memo_a[key], memo_b[key], key[2]) for memo_a, memo_b, key in keyed]
+    entries = [(memo_a[key], memo_b[key], key[2]) for memo_a, memo_b, key in keyed]
+    return entries, key_pairs
+
+
+def _overlaps(faces: Sequence[FaceInput], entries: list[tuple[_Entry, _Entry, int]],
+              key_pairs: _KeyPairs) -> np.ndarray:
+    """Each pair's overlap_counts, ``(area_a, area_b, intersection)``, as an (n, 3) array.
+
+    A key's pairs are counted together, by packed_overlap_counts, when
+    they number at least twice its faces. Packing a mask costs about as
+    much as counting one pair alone (5-12 and 6-8 us), and a packed pair
+    costs about 1-1.5 us, so a smaller key, such as the genuine pairs of
+    a manifest, gains nothing. Its pairs, and the pair of a block of one,
+    are counted one at a time, by overlap_counts.
+    """
+    counts = packed = None
+    for (width, height, scale), pairs in key_pairs.items():
+        firsts, seconds = pairs[1::3], pairs[2::3]
+        indices = dict.fromkeys(firsts + seconds)  # the key's faces, in order
+        if len(firsts) < 2 * len(indices):
+            continue
+        if counts is None:
+            counts = np.empty((len(entries), 3), dtype=np.int64)
+            packed = np.zeros(len(entries), dtype=bool)
+        slots = dict(zip(indices, range(len(indices))))
+        counts[pairs[::3]] = packed_overlap_counts(
+            [faces[k]._prepared[width, height, scale][1] for k in indices],
+            [slots[i] for i in firsts], [slots[j] for j in seconds])
+        packed[pairs[::3]] = True
+    if counts is None:
+        return np.array([overlap_counts(mask_a, mask_b) for (_, mask_a), (_, mask_b), _ in entries])
+    for p in np.flatnonzero(~packed).tolist():
+        (_, mask_a), (_, mask_b), _ = entries[p]
+        counts[p] = overlap_counts(mask_a, mask_b)
+    return counts
+
+
+def _alphas(counts: np.ndarray, mode: AlphaMode) -> np.ndarray:
+    """alpha_from_masks of each pair's counts, bit for bit: the same divisions of the same ints.
+
+    Every count is below 2**53, so each converts to a float exactly, and
+    a quotient of two such floats is the correctly rounded one of the
+    ints, as Python's int division gives it. The areas are positive, so
+    no branch divides by zero.
+    """
+    area_a, area_b, inter = counts.T
+    if mode is AlphaMode.LITERAL:
+        return np.where(area_a != inter, (area_a - inter) / area_a,
+                        np.where(area_b != inter, (area_b - inter) / area_b, 1.0))
+    return inter / (area_a + area_b - inter)
 
 
 # one block of pairs scored up to the blend: the pairs, each pair's two
-# prepared faces and raster scale, and its alpha, entropies and
-# memberships (a row per pair, a column per feature)
+# prepared faces and raster scale, its overlap_counts (area_a, area_b,
+# intersection: a row per pair), and its entropies and memberships (a row
+# per pair, a column per feature)
 _Columns = tuple[list[tuple[int, int]], list[tuple[_Entry, _Entry, int]], np.ndarray,
                  np.ndarray, np.ndarray]
 
 
 def _columns(faces: Sequence[FaceInput], block: list[tuple[int, int]],
              config: ScoringConfig) -> _Columns:
-    """Prepare the faces of a block of pairs and take each pair's alpha, entropies and memberships.
+    """Prepare a block's faces and take each pair's overlap counts, entropies and memberships.
 
     Each pair's steps come in compare's order (its two faces, its
     overlap, its features) and raise compare's errors in its words. In
@@ -303,14 +405,12 @@ def _columns(faces: Sequence[FaceInput], block: list[tuple[int, int]],
     in pair order, since every pair's indices are checked and every face
     is prepared, key by key, before any pair is scored.
     """
-    entries = _prepared(faces, block, config)
-    mode = config.alpha_mode
-    alpha = np.array([alpha_from_masks(mask_a, mask_b, mode)
-                      for (_, mask_a), (_, mask_b), _ in entries])
+    entries, key_pairs = _prepared(faces, block, config)
+    counts = _overlaps(faces, entries, key_pairs)
     entropy, membership = entropy_membership(np.array([values for (values, _), _, _ in entries]),
                                              np.array([values for _, (values, _), _ in entries]),
                                              config.kernel)
-    return block, entries, alpha, entropy, membership
+    return block, entries, counts, entropy, membership
 
 
 def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
@@ -335,18 +435,20 @@ def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
 def _reports(faces: Sequence[FaceInput], columns: _Columns,
              config: ScoringConfig) -> list[MatchReport]:
     """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
-    names = [name for name, _ in CANONICAL_FEATURES]  # the order of every entry's values
-    pairs, entries, alphas, entropies, memberships = columns
+    pairs, entries, counts, entropies, memberships = columns
+    mode = config.alpha_mode
     reports = []
-    for (i, j), ((values_a, _), (values_b, _), scale), alpha, entropy, membership in zip(
-            pairs, entries, alphas.tolist(), entropies.tolist(), memberships.tolist()):
+    for (i, j), ((values_a, _), (values_b, _), scale), (area_a, area_b, inter), entropy, \
+            membership in zip(pairs, entries, counts.tolist(), entropies.tolist(),
+                              memberships.tolist()):
         reports.append(MatchReport(
             a_id=faces[i].id,
             b_id=faces[j].id,
-            features=tuple(map(FeatureRow, names, values_a, values_b, entropy, membership)),
-            alpha=alpha,
+            features=tuple(map(FeatureRow, _FEATURE_NAMES, values_a, values_b, entropy,
+                               membership)),
+            alpha=alpha_from_counts(area_a, area_b, inter, mode),
             k=config.k,
-            alpha_mode=config.alpha_mode,
+            alpha_mode=mode,
             kernel=config.kernel,
             resolution_scale=scale,
         ))
@@ -393,7 +495,8 @@ def pair_scores(
         config = ScoringConfig()
     scores: list[tuple[float, float, float]] = []
     for columns in _scored_blocks(faces, pairs, config):
-        _, _, alpha, entropy, membership = columns
+        _, _, counts, entropy, membership = columns
+        alpha = _alphas(counts, config.alpha_mode)
         # MatchReport's checks on the columns; a bad value fails on NaN too
         if not (((0.0 <= entropy) & (entropy <= 1.0) & (0.0 <= membership) & (membership <= 1.0))
                 .all() and ((0.0 <= alpha) & (alpha <= 1.0)).all()):

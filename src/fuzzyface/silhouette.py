@@ -3,13 +3,15 @@
 It knows outlines and canvases, not faces: the pair engine (scoring)
 puts two faces on their shared canvas. Outlines are filled into binary
 masks by even-odd counting at pixel centers, and the overlap score is
-read off the masks. A mask stores only the window of rows and columns
-its outline spans, plus that window's offset; every pixel outside the
-window is outside the outline. One kernel, fill_outlines, fills any
-number of checked outlines on one canvas in a single set of numpy
-passes, up to one np.repeat per window; rasterize checks one outline
-and calls it, and the pair engine calls it once per canvas with the
-faces that have no mask there yet.
+read off the masks' areas and intersection: one pair's by
+overlap_counts, many pairs' on one canvas by packed_overlap_counts. A
+mask stores only the window of rows and columns its outline spans, plus
+that window's offset; every pixel outside the window is outside the
+outline. One kernel, fill_outlines, fills any number of checked
+outlines on one canvas in a single set of numpy passes, up to one
+np.repeat per window; rasterize checks one outline and calls it, and
+the pair engine calls it once per canvas with the faces that have no
+mask there yet.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ class Canvas:
     height: int
 
     def __post_init__(self) -> None:
-        whole_number("canvas width", self.width, 1)
-        whole_number("canvas height", self.height, 1)
+        width = whole_number("canvas width", self.width, 1)
+        height = whole_number("canvas height", self.height, 1)
+        if width is not self.width or height is not self.height:  # numpy ints, kept as ints
+            vars(self).update(width=width, height=height)
 
 
 def _pair(label: str, value) -> tuple:
@@ -87,22 +91,20 @@ class BinaryMask:
         bits = np.asarray(self.bits, dtype=bool)
         if bits.ndim != 2:
             raise ValueError(f"mask bits must be a 2D array, got shape {bits.shape}")
-        whole_number("mask scale", self.scale, 1)
+        scale = whole_number("mask scale", self.scale, 1)
         frame = bits.shape if self.frame is None else self.frame
         rows, cols = _pair("mask frame", frame)
-        whole_number("mask frame side", rows, 0)
-        whole_number("mask frame side", cols, 0)
+        rows = whole_number("mask frame side", rows, 0)
+        cols = whole_number("mask frame side", cols, 0)
         row, col = _pair("mask offset", self.offset)
-        whole_number("mask offset", row, 0)
-        whole_number("mask offset", col, 0)
+        row = whole_number("mask offset", row, 0)
+        col = whole_number("mask offset", col, 0)
         if row + bits.shape[0] > rows or col + bits.shape[1] > cols:
             raise ValueError(
                 f"mask window {bits.shape} at {self.offset} does not fit the frame {frame}"
             )
         bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "offset", (row, col))
-        object.__setattr__(self, "frame", (rows, cols))
+        vars(self).update(bits=bits, scale=scale, offset=(row, col), frame=(rows, cols))
 
     @cached_property
     def area(self) -> int:
@@ -307,21 +309,27 @@ def _empty_mask(scale: int, frame: tuple[int, int]) -> BinaryMask:
     return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
 
 
-def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.COMPLEMENT) -> float:
-    """Overlap score of two masks on one canvas and scale, in [0, 1].
+def _different_canvases(a: BinaryMask, b: BinaryMask) -> ValueError:
+    return ValueError(f"masks are on different canvases: {a.frame} at scale {a.scale} "
+                      f"vs {b.frame} at scale {b.scale}")
 
-    Only the overlap of the two windows is counted: the leftovers of
-    LITERAL mode are each area minus the intersection.
+
+_ZERO_AREA = "mask has zero area; outline did not cover any pixel center"
+
+
+def overlap_counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
+    """``(area_a, area_b, intersection)`` of two masks on one canvas and scale, in pixels.
+
+    Only the overlap of the two windows is counted. Masks on different
+    frames or scales, and an empty mask, are refused: they have no
+    overlap score.
     """
     if a.frame != b.frame or a.scale != b.scale:
-        raise ValueError(
-            f"masks are on different canvases: {a.frame} at scale {a.scale} "
-            f"vs {b.frame} at scale {b.scale}"
-        )
+        raise _different_canvases(a, b)
     area_a = a.area
     area_b = b.area
     if area_a == 0 or area_b == 0:
-        raise ValueError("mask has zero area; outline did not cover any pixel center")
+        raise ValueError(_ZERO_AREA)
     (ra, ca), (rb, cb) = a.offset, b.offset
     row0, col0 = max(ra, rb), max(ca, cb)
     row1 = min(ra + a.bits.shape[0], rb + b.bits.shape[0])
@@ -332,6 +340,106 @@ def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.C
             a.bits[row0 - ra:row1 - ra, col0 - ca:col1 - ca]
             & b.bits[row0 - rb:row1 - rb, col0 - cb:col1 - cb]
         ))
+    return area_a, area_b, inter
+
+
+def _word_row_bits(words: np.ndarray) -> np.ndarray:
+    """The set bits of each row of a 2D uint64 array, by np.bitwise_count (numpy 2.0 on)."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+# the masks and multiplier of the SWAR popcount, and its shifts
+_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
+                                              0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+_S1, _S2, _S4, _S56 = (np.uint64(v) for v in (1, 2, 4, 56))
+
+
+def _swar_row_bits(words: np.ndarray) -> np.ndarray:
+    """The set bits of each row of a 2D uint64 array, which it overwrites, for numpy before 2.0.
+
+    Each word's bits are summed in pairs, nibbles and bytes, and the
+    multiply adds its eight byte counts into the top byte; numpy wraps
+    an integer array's overflow without a warning.
+    """
+    shifted = words >> _S1
+    shifted &= _M1
+    words -= shifted
+    np.right_shift(words, _S2, out=shifted)
+    shifted &= _M2
+    words &= _M2
+    words += shifted
+    np.right_shift(words, _S4, out=shifted)
+    words += shifted
+    words &= _M4
+    words *= _H01
+    words >>= _S56
+    return words.sum(axis=1, dtype=np.int64)
+
+
+# the popcount of a gather, which may overwrite it
+_row_bits = _word_row_bits if hasattr(np, "bitwise_count") else _swar_row_bits
+
+_WORD = 64  # pixels packed into one uint64
+# the bytes of a band of the union as bools, and the words one gather
+# takes: with the band's packed words, the two gathers and the popcount,
+# the count's temporaries stay under 1 MiB together
+_BAND_BYTES = 2 ** 18
+_GATHER_WORDS = 2 ** 14
+
+
+def packed_overlap_counts(masks: Sequence[BinaryMask], first, second) -> np.ndarray:
+    """overlap_counts of ``masks[first[p]]`` and ``masks[second[p]]`` for each p: an (n, 3) array.
+
+    The masks, one or more, share one canvas and scale. Each is pasted
+    onto the union of their windows, with its columns padded to 64-pixel
+    words aligned to the frame, and packed into uint64 words; a pair's
+    intersection is the set bits of the AND of its two masks' words,
+    counted for many pairs at once. The counts are exact integers, equal
+    to overlap_counts'. The union is taken in bands of rows, at least
+    one, so that the temporaries stay under 1 MiB whatever the canvas.
+    """
+    for mask in masks:
+        if mask.frame != masks[0].frame or mask.scale != masks[0].scale:
+            raise _different_canvases(masks[0], mask)
+    areas = np.array([mask.area for mask in masks], dtype=np.int64)
+    if not areas.all():
+        raise ValueError(_ZERO_AREA)
+    first, second = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
+    # the union's rows, and its columns from col0 on in whole words
+    row0 = min(mask.offset[0] for mask in masks)
+    row1 = max(mask.offset[0] + mask.bits.shape[0] for mask in masks)
+    col0 = min(mask.offset[1] for mask in masks) // _WORD * _WORD
+    words = -(-max(mask.offset[1] + mask.bits.shape[1] for mask in masks) // _WORD) - col0 // _WORD
+    band = min(row1 - row0, max(1, _BAND_BYTES // (len(masks) * words * _WORD)))
+    chunk = max(1, _GATHER_WORDS // (band * words))  # pairs per gather
+    pasted = np.empty(len(masks) * band * words * _WORD, dtype=bool)
+    inter = np.zeros(len(first), dtype=np.int64)
+    for top in range(row0, row1, band):
+        height = min(band, row1 - top)
+        union = pasted[:len(masks) * height * words * _WORD].reshape(len(masks), height, -1)
+        union[...] = False
+        for m, mask in enumerate(masks):
+            (row, col), (rows, cols) = mask.offset, mask.bits.shape
+            lo, hi = max(row, top), min(row + rows, top + height)
+            if lo < hi:
+                union[m, lo - top:hi - top, col - col0:col - col0 + cols] = \
+                    mask.bits[lo - row:hi - row]
+        # each row is whole words, so the flat packing keeps them apart
+        span = height * words  # words of each mask in the band
+        packed = np.packbits(union, bitorder="little").view(np.uint64).reshape(len(masks), span)
+        for p0 in range(0, len(first), chunk):
+            both = packed[first[p0:p0 + chunk]]
+            both &= packed[second[p0:p0 + chunk]]
+            inter[p0:p0 + chunk] += _row_bits(both)
+    return np.column_stack((areas[first], areas[second], inter))
+
+
+def alpha_from_counts(area_a: int, area_b: int, inter: int,
+                      mode: AlphaMode = AlphaMode.COMPLEMENT) -> float:
+    """Overlap score, in [0, 1], of two masks of these positive areas and intersection.
+
+    The leftovers of LITERAL mode are each area minus the intersection.
+    """
     if mode is AlphaMode.LITERAL:
         if area_a != inter:
             return (area_a - inter) / area_a
@@ -341,3 +449,8 @@ def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.C
     if mode is AlphaMode.COMPLEMENT:
         return inter / (area_a + area_b - inter)
     raise ValueError(f"unknown alpha mode {mode!r}")
+
+
+def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.COMPLEMENT) -> float:
+    """Overlap score of two masks on one canvas and scale, in [0, 1], from their overlap_counts."""
+    return alpha_from_counts(*overlap_counts(a, b), mode)

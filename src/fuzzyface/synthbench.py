@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import REQUIRED_LANDMARKS, FaceInput, extract_features
-from .geometry import finite_number, whole_number
+from .geometry import finite_number, is_number, python_number, whole_number
 from .scoring import ScoringConfig, pair_scores
 from .scoring import compare  # not called here; perfbench/run.py --trace 1 wraps this name
 
@@ -82,13 +82,13 @@ class PopulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        whole_number("identity_count", self.identity_count, 1)
-        whole_number("captures_per_identity", self.captures_per_identity, 1)
+        for label, minimum in (("identity_count", 1), ("captures_per_identity", 1), ("seed", 0)):
+            object.__setattr__(self, label, whole_number(label, getattr(self, label), minimum))
         for label in ("identity_sigma", "capture_sigma", "outline_sigma"):
             value = getattr(self, label)
             if finite_number(label, value) < 0.0:
                 raise ValueError(f"{label} must be a non-negative real, got {value!r}")
-        whole_number("seed", self.seed, 0)
+            object.__setattr__(self, label, python_number(value))
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,19 @@ class EvalReport:
             in_range = False
         if not in_range:
             raise ValueError(f"auc must lie in [0, 1], got {self.auc!r}")
-        for (f0, t0), (f1, t1) in zip(self.roc_points, self.roc_points[1:]):
-            if f1 < f0 or t1 < t0:
-                raise ValueError("roc points must be monotone non-decreasing")
+        far0 = tar0 = -math.inf
+        for point in self.roc_points:
+            try:
+                far, tar = point
+            except (TypeError, ValueError):  # not a pair
+                far = tar = None
+            # report_from_scores passes rising floats, which skip the full test
+            if not (type(far) is type(tar) is float and far0 <= far and tar0 <= tar):
+                if not (is_number(far) and is_number(tar)):
+                    raise ValueError(f"each roc point must be a pair of numbers, got {point!r}")
+                if far < far0 or tar < tar0:  # NaN passes, as it always has
+                    raise ValueError("roc points must be monotone non-decreasing")
+            far0, tar0 = far, tar
 
     def to_dict(self) -> dict:
         return {
@@ -209,12 +219,17 @@ class EvalReport:
 def _score_array(label: str, scores) -> np.ndarray:
     """``scores`` as a float array; each must be a finite int or float, not a bool or a string.
 
-    The array is checked as a whole, by its dtype and np.isfinite:
-    report_from_scores has checked each score already.
+    An array is checked as a whole, by its dtype and np.isfinite, so the
+    arrays report_from_scores passes, whose scores it has checked, cost
+    no pass in Python. Any other sequence is also checked for bools,
+    which numpy would take as 1.0 and 0.0 among floats.
     """
     array = np.asarray(scores)
     if array.dtype.kind not in "iuf":  # bools, strings, None and ints too large for int64 or uint64
         raise ValueError(f"{label} must be ints or floats, got an array of {array.dtype}")
+    if not isinstance(scores, np.ndarray) and any(
+            isinstance(score, (bool, np.bool_)) for score in scores):
+        raise ValueError(f"{label} must be ints or floats, not bools, got {scores!r}")
     array = array.astype(float, copy=False)
     finite = np.isfinite(array)
     if not finite.all():

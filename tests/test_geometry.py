@@ -154,10 +154,12 @@ def test_near_collinear_polygons_match_the_reference(vertices, seed, decimals):
 
 @pytest.mark.parametrize("value, expected", [
     (0, True), (-3, True), (10 ** 400, True), (0.5, True), (math.nan, True), (math.inf, True),
-    (np.float64(0.5), True), (True, False), (False, False), (np.int64(1), False),
-    (np.float32(0.5), False), ("1", False), (None, False), (1j, False),
+    (np.float64(0.5), True), (True, False), (False, False), (np.int64(1), True),
+    (np.float32(0.5), True), ("1", False), (None, False), (1j, False),
+    (np.uint64(2 ** 64 - 1), True), (np.True_, False),
 ])
 def test_is_number_takes_ints_and_floats_but_no_bool(value, expected):
     # the one test of a number's kind; finite_number and the range tests
-    # that follow it decide the value
+    # that follow it decide the value. A numpy integer or floating scalar is
+    # taken as its Python value.
     assert is_number(value) is expected

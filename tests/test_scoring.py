@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 from statistics import fmean
 
 import numpy as np
@@ -37,6 +38,7 @@ from fuzzyface.fileio import dump_json
 from fuzzyface.scoring import entropy_membership, normalize_pair, pair_scores
 from fuzzyface.features import extract_features, rescale_face
 from fuzzyface.silhouette import Canvas, alpha_from_masks, default_resolution_scale, rasterize
+from fuzzyface.synthbench import labeled_pairs
 
 IMAGE_SIZES = ((512, 512), (256, 384), (768, 512), (384, 768), (100, 140))
 
@@ -492,6 +494,90 @@ class TestScorePairs:
     def test_empty_pair_list(self):
         assert score_pairs([make_face()], [], ScoringConfig()) == []
         assert pair_scores([make_face()], [], ScoringConfig()) == []
+
+
+def counted_overlaps(monkeypatch) -> list:
+    """The engine's overlap counts from now on: "alone" per pair, ("packed", pairs, masks) per key."""
+    calls = []
+    alone, packed = fuzzyface.scoring.overlap_counts, fuzzyface.scoring.packed_overlap_counts
+
+    def counted_alone(a, b):
+        calls.append("alone")
+        return alone(a, b)
+
+    def counted_packed(masks, first, second):
+        calls.append(("packed", len(first), len(masks)))
+        return packed(masks, first, second)
+
+    monkeypatch.setattr(fuzzyface.scoring, "overlap_counts", counted_alone)
+    monkeypatch.setattr(fuzzyface.scoring, "packed_overlap_counts", counted_packed)
+    return calls
+
+
+class TestOverlapCounting:
+    """A key's pairs are counted packed when they number at least twice its faces."""
+
+    def test_a_one_pair_compare_is_counted_alone(self, monkeypatch):
+        calls = counted_overlaps(monkeypatch)
+        compare(*unequal_faces())
+        compare(make_face("a"), make_face("b"))  # one canvas, two faces
+        assert calls == ["alone", "alone"]
+
+    def test_genuine_pairs_are_counted_alone(self, monkeypatch):
+        # the CLI calibrate's block: 30 genuine pairs over 30 faces on one canvas
+        population = generate_population(PopulationConfig(10, 3, seed=4))
+        pairs = [(i, j) for i, j, label in labeled_pairs(population) if label == "genuine"]
+        calls = counted_overlaps(monkeypatch)
+        pair_scores([labeled.face for labeled in population], pairs)
+        assert calls == ["alone"] * 30
+
+    def test_all_pairs_of_one_canvas_are_packed(self, monkeypatch):
+        faces = dealt_faces(5, [(512, 512)] * 6)
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        expected = [repr(compare(faces[i], faces[j])) for i, j in pairs]
+        calls = counted_overlaps(monkeypatch)
+        assert [repr(report) for report in score_pairs(faces, pairs)] == expected
+        assert calls == [("packed", 15, 6)]
+
+    def test_one_canvas_example_is_packed(self, monkeypatch):
+        # test_equals_per_pair_compare's ONE_CANVAS example takes the packed
+        # path in score_pairs and pair_scores, and its compares count alone
+        calls = counted_overlaps(monkeypatch)
+        assert_scores_equal_compare(**ONE_CANVAS)
+        pairs = len(EQUAL_TO_COMPARE_PAIRS)
+        assert calls == [("packed", pairs, 6)] + ["alone"] * pairs + [("packed", pairs, 6)]
+
+    def test_a_block_packs_one_key_and_counts_another_alone(self, monkeypatch):
+        faces = [*dealt_faces(6, [(300, 300)] * 5), make_face("big", width=400, height=420)]
+        pairs = [(0, 5)] + [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(5, 5)]
+        expected = repr([compare(faces[i], faces[j]) for i, j in pairs])
+        calls = counted_overlaps(monkeypatch)
+        assert repr(score_pairs(faces, pairs)) == expected
+        # the ten pairs of the 300 px canvas over five faces; the others, on
+        # canvases of one or two faces, alone
+        assert calls == [("packed", 10, 5), "alone", "alone"]
+
+    @pytest.mark.parametrize("popcount", ["native", "swar"])
+    def test_packed_temporaries_stay_under_a_mebibyte(self, monkeypatch, popcount):
+        # eight faces of about 1000 x 950 px on a 4096 px canvas: their masks
+        # hold about 7 MB, which the count takes in bands
+        faces = [rescale_face(labeled.face, 4096, 4096)
+                 for labeled in generate_population(PopulationConfig(4, 2, seed=8))]
+        pair_scores(faces, [(i, i) for i in range(8)])  # the masks, made beforehand
+        masks = sum(face._prepared[4096, 4096, 1][1].bits.nbytes for face in faces)
+        assert masks > 6 * 2 ** 20
+        pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        if popcount == "swar":  # numpy before 2.0
+            monkeypatch.setattr(fuzzyface.silhouette, "_row_bits",
+                                fuzzyface.silhouette._swar_row_bits)
+        tracemalloc.start()
+        try:
+            scores = pair_scores(faces, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert repr(scores) == repr([pair_scores(faces, [pair])[0] for pair in pairs])
 
 
 class TestPreparedMemo:

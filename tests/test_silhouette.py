@@ -7,6 +7,7 @@ scoring.normalize_pair.
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fuzzyface import (
     normalize_pair,
     rasterize,
 )
-from fuzzyface import silhouette
+from fuzzyface import scoring, silhouette
 from fuzzyface.features import FaceInput, rescale_face
 from fuzzyface.geometry import polygon_is_simple
 
@@ -655,3 +656,85 @@ class TestAlpha:
         m = BinaryMask(np.ones((3, 3), dtype=bool))
         with pytest.raises(ValueError, match="alpha mode"):
             alpha_from_masks(m, m, "iou")
+
+
+# a mask window: rows and columns (the columns start at, before or past a
+# 64-pixel word's edge, and may span several words), its offset, and a seed
+# for its pixels
+windows = st.tuples(st.integers(1, 6), st.integers(1, 150),
+                    st.integers(0, 10), st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 129, 200]),
+                    st.integers(0, 2 ** 32 - 1))
+FRAME = (20, 360)
+
+
+def window_mask(rows, cols, row, col, seed):
+    """A mask on FRAME with a random window of at least one pixel, or one pixel alone."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random((rows, cols)) < rng.choice([0.0, 0.3, 1.0])
+    bits[rng.integers(rows), rng.integers(cols)] = True
+    return BinaryMask(bits, 1, (row, col), FRAME)
+
+
+class TestPackedOverlapCounts:
+    """packed_overlap_counts equals overlap_counts, pair by pair, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(windows, min_size=1, max_size=7), data=st.data(),
+           swar=st.booleans(), small=st.booleans())
+    # one-pixel windows on either side of a word's edge, a window nested in
+    # a wider one, and one disjoint from all
+    @example(shapes=[(1, 1, 0, 63, 0), (1, 1, 0, 64, 0), (3, 140, 2, 0, 1), (1, 1, 3, 65, 3),
+                     (2, 2, 8, 200, 2)], data=None, swar=False, small=False)
+    def test_counts_equal_overlap_counts(self, shapes, data, swar, small):
+        # disjoint, nested and one-pixel windows, empty intersections and self
+        # pairs; with the SWAR popcount (numpy before 2.0) and with bands of
+        # one row and gathers of one pair
+        masks = [window_mask(*shape) for shape in shapes]
+        if data is None:  # the explicit example: every ordered pair
+            pairs = [(i, j) for i in range(len(masks)) for j in range(len(masks))]
+        else:
+            index = st.integers(0, len(masks) - 1)
+            pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
+        first, second = (np.array(column) for column in zip(*pairs))
+        with (mock.patch.object(silhouette, "_row_bits", silhouette._swar_row_bits if swar
+                                else silhouette._row_bits),
+              mock.patch.object(silhouette, "_BAND_BYTES", 1 if small else silhouette._BAND_BYTES),
+              mock.patch.object(silhouette, "_GATHER_WORDS",
+                                1 if small else silhouette._GATHER_WORDS)):
+            counts = silhouette.packed_overlap_counts(masks, first, second)
+        expected = [silhouette.overlap_counts(masks[i], masks[j]) for i, j in pairs]
+        assert counts.tolist() == [list(row) for row in expected]
+        # the pair engine's alphas of these counts are alpha_from_masks', to the bit
+        for mode in AlphaMode:
+            alphas = scoring._alphas(counts, mode).tolist()
+            assert list(map(repr, alphas)) == [repr(alpha_from_masks(masks[i], masks[j], mode))
+                                               for i, j in pairs]
+
+    def test_refuses_what_overlap_counts_refuses(self):
+        full = BinaryMask(np.ones((2, 2), dtype=bool), 1, (0, 0), (4, 4))
+        empty = BinaryMask(np.zeros((0, 0), dtype=bool), 1, (0, 0), (4, 4))
+        with pytest.raises(ValueError, match="mask has zero area"):
+            silhouette.packed_overlap_counts([full, empty], [0], [0])
+        for other in (BinaryMask(np.ones((2, 2), dtype=bool), 1, (0, 0), (4, 5)),
+                      BinaryMask(np.ones((2, 2), dtype=bool), 2, (0, 0), (4, 4))):
+            with pytest.raises(ValueError, match="different canvases"):
+                silhouette.packed_overlap_counts([full, other], [0], [1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=20))
+    @example([0, 2 ** 64 - 1, 1, 2 ** 63])
+    def test_popcounts_count_set_bits(self, values):
+        # the SWAR popcount runs on any numpy, so the floor's popcount is
+        # tested on every job; np.bitwise_count where numpy has it
+        words = np.array(values, dtype=np.uint64)
+        expected = [bin(value).count("1") for value in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the multiply wraps without a warning
+            assert silhouette._swar_row_bits(words[:, None].copy()).tolist() == expected
+            assert silhouette._swar_row_bits(words[None, :].copy()).tolist() == [sum(expected)]
+        if hasattr(np, "bitwise_count"):
+            assert silhouette._word_row_bits(words[:, None]).tolist() == expected
+
+    def test_swar_counts_before_numpy_2(self):
+        assert silhouette._row_bits is (silhouette._word_row_bits if hasattr(np, "bitwise_count")
+                                        else silhouette._swar_row_bits)
