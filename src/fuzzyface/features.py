@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, distance, is_number, midpoint, polygon_is_simple, whole_number
+from .geometry import (Point, distance, finite_number, is_number, midpoint, polygon_is_simple,
+                       python_number, whole_number)
 
 REQUIRED_LANDMARKS: tuple[str, ...] = (
     "eye_left",
@@ -266,18 +267,25 @@ CANONICAL_FEATURES: tuple[tuple[str, FeatureFn], ...] = (
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Ordered (name, value) measurements for one face; values > 0."""
+    """Ordered (name, value) measurements for one face; values > 0.
+
+    Each value is a finite int or float (numpy's too, never a bool),
+    stored as its Python number.
+    """
 
     items: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
+        floats = True
         for name, value in self.items:
-            try:
-                positive = math.isfinite(value) and value > 0.0
-            except (TypeError, OverflowError):  # not a number, or an int too large for a float
-                positive = False
-            if not positive:
-                raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
+            # extract_features passes positive floats, which skip the full test
+            if not (type(value) is float and 0.0 < value < math.inf):
+                if not finite_number(f"feature '{name}'", value) > 0.0:
+                    raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
+                floats = False
+        if not floats:  # an int or a numpy scalar is kept as its Python number
+            object.__setattr__(self, "items", tuple(
+                (name, python_number(value)) for name, value in self.items))
 
 
 def extract_features(face: FaceInput) -> FeatureVector:

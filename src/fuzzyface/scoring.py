@@ -208,12 +208,8 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
     reference. A numpy scalar is taken as its exact Python value, so a
     float32 is measured in double precision.
     """
-    a, b = (v.item() if isinstance(v, np.generic) else v for v in (a, b))
-    try:
-        positive = 0.0 < a < math.inf and 0.0 < b < math.inf
-    except TypeError:  # not a number at all, such as a string or None
-        positive = False
-    if not positive:
+    a, b = python_number(a), python_number(b)
+    if not (is_number(a) and is_number(b) and 0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"feature measurements must be positive reals, got {a!r} and {b!r}")
     try:
         total = a + b  # an int beyond a float plus a float overflows

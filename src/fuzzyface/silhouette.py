@@ -343,42 +343,6 @@ def overlap_counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
     return area_a, area_b, inter
 
 
-def _word_row_bits(words: np.ndarray) -> np.ndarray:
-    """The set bits of each row of a 2D uint64 array, by np.bitwise_count (numpy 2.0 on)."""
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-
-# the masks and multiplier of the SWAR popcount, and its shifts
-_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
-                                              0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-_S1, _S2, _S4, _S56 = (np.uint64(v) for v in (1, 2, 4, 56))
-
-
-def _swar_row_bits(words: np.ndarray) -> np.ndarray:
-    """The set bits of each row of a 2D uint64 array, which it overwrites, for numpy before 2.0.
-
-    Each word's bits are summed in pairs, nibbles and bytes, and the
-    multiply adds its eight byte counts into the top byte; numpy wraps
-    an integer array's overflow without a warning.
-    """
-    shifted = words >> _S1
-    shifted &= _M1
-    words -= shifted
-    np.right_shift(words, _S2, out=shifted)
-    shifted &= _M2
-    words &= _M2
-    words += shifted
-    np.right_shift(words, _S4, out=shifted)
-    words += shifted
-    words &= _M4
-    words *= _H01
-    words >>= _S56
-    return words.sum(axis=1, dtype=np.int64)
-
-
-# the popcount of a gather, which may overwrite it
-_row_bits = _word_row_bits if hasattr(np, "bitwise_count") else _swar_row_bits
-
 _WORD = 64  # pixels packed into one uint64
 # the bytes of a band of the union as bools, and the words one gather
 # takes: with the band's packed words, the two gathers and the popcount,
@@ -430,7 +394,7 @@ def packed_overlap_counts(masks: Sequence[BinaryMask], first, second) -> np.ndar
         for p0 in range(0, len(first), chunk):
             both = packed[first[p0:p0 + chunk]]
             both &= packed[second[p0:p0 + chunk]]
-            inter[p0:p0 + chunk] += _row_bits(both)
+            inter[p0:p0 + chunk] += np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     return np.column_stack((areas[first], areas[second], inter))
 
 

@@ -173,7 +173,12 @@ def generate_population(config: PopulationConfig) -> list[LabeledFace]:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Verification statistics over all genuine and impostor pairs."""
+    """Verification statistics over all genuine and impostor pairs.
+
+    Every number is a finite int or float (numpy's too, never a bool),
+    stored as its Python number; threshold lies in [0, 100], auc and
+    accuracy_at_threshold in [0, 1]. Roc points may hold NaN.
+    """
 
     genuine_scores: tuple[float, ...]
     impostor_scores: tuple[float, ...]
@@ -187,13 +192,19 @@ class EvalReport:
     accuracy_at_threshold: float
 
     def __post_init__(self) -> None:
-        try:
-            in_range = 0.0 <= self.auc <= 1.0
-        except TypeError:  # not a number at all, such as a string or None
-            in_range = False
-        if not in_range:
-            raise ValueError(f"auc must lie in [0, 1], got {self.auc!r}")
+        for label in ("genuine_scores", "impostor_scores"):
+            scores = getattr(self, label)
+            # report_from_scores passes tuples of finite floats, which skip the full test
+            if not (type(scores) is tuple and set(map(type, scores)) <= {float}
+                    and math.isfinite(sum(scores))):
+                object.__setattr__(self, label, tuple(
+                    _in_range(f"{label}[{i}]", score) for i, score in enumerate(scores)))
+        for label, bounds in (("genuine_mean", ()), ("genuine_stddev", ()), ("impostor_mean", ()),
+                              ("impostor_stddev", ()), ("auc", (0, 1)), ("threshold", (0, 100)),
+                              ("accuracy_at_threshold", (0, 1))):
+            object.__setattr__(self, label, _in_range(label, getattr(self, label), *bounds))
         far0 = tar0 = -math.inf
+        floats = True
         for point in self.roc_points:
             try:
                 far, tar = point
@@ -205,7 +216,10 @@ class EvalReport:
                     raise ValueError(f"each roc point must be a pair of numbers, got {point!r}")
                 if far < far0 or tar < tar0:  # NaN passes, as it always has
                     raise ValueError("roc points must be monotone non-decreasing")
+                floats = False
             far0, tar0 = far, tar
+        object.__setattr__(self, "roc_points", tuple(self.roc_points) if floats else tuple(
+            (python_number(far), python_number(tar)) for far, tar in self.roc_points))
 
     def to_dict(self) -> dict:
         return {
@@ -216,25 +230,36 @@ class EvalReport:
         }
 
 
+def _in_range(label: str, value, low=-math.inf, high=math.inf):
+    """``value`` as its Python number; it must be a finite int or float (not a bool) in [low, high]."""
+    if not low <= finite_number(label, value) <= high:
+        raise ValueError(f"{label} must lie in [{low}, {high}], got {value!r}")
+    return python_number(value)
+
+
 def _score_array(label: str, scores) -> np.ndarray:
     """``scores`` as a float array; each must be a finite int or float, not a bool or a string.
 
-    An array is checked as a whole, by its dtype and np.isfinite, so the
-    arrays report_from_scores passes, whose scores it has checked, cost
-    no pass in Python. Any other sequence is also checked for bools,
-    which numpy would take as 1.0 and 0.0 among floats.
+    An int or float array, and a sequence of plain floats, is checked as
+    a whole, by np.isfinite, so the scores report_from_scores passes
+    cost no pass in Python. Otherwise, or if one is not finite, each
+    score is checked by finite_number, and the first bad one is named
+    by ``label`` and its position; an int too large for int64 is taken
+    at its float if that is finite.
     """
-    array = np.asarray(scores)
-    if array.dtype.kind not in "iuf":  # bools, strings, None and ints too large for int64 or uint64
-        raise ValueError(f"{label} must be ints or floats, got an array of {array.dtype}")
-    if not isinstance(scores, np.ndarray) and any(
-            isinstance(score, (bool, np.bool_)) for score in scores):
-        raise ValueError(f"{label} must be ints or floats, not bools, got {scores!r}")
-    array = array.astype(float, copy=False)
-    finite = np.isfinite(array)
-    if not finite.all():
-        raise ValueError(f"{label} must be finite, got {array[~finite].tolist()[0]!r}")
-    return array
+    if isinstance(scores, np.ndarray):
+        if scores.ndim != 1:
+            raise ValueError(f"{label} must be a sequence or a 1-D array, got shape {scores.shape}")
+        whole = scores.dtype.kind in "iuf"
+    else:
+        scores = tuple(scores)
+        whole = set(map(type, scores)) <= {float}
+    if whole:
+        array = np.asarray(scores, dtype=float)
+        if np.isfinite(array).all():
+            return array
+    return np.array([finite_number(f"{label} {i}", score) for i, score in enumerate(scores)],
+                    dtype=float)
 
 
 def rank_auc(genuine_scores, impostor_scores) -> float:
@@ -274,14 +299,13 @@ def roc_points(genuine_scores, impostor_scores) -> list[tuple[float, float]]:
 
 def report_from_scores(genuine_scores, impostor_scores, threshold: float) -> EvalReport:
     """Assemble the verification report from already computed score lists."""
-    g = np.asarray([finite_number(f"genuine score {i}", s) for i, s in enumerate(genuine_scores)])
-    m = np.asarray([finite_number(f"impostor score {i}", s) for i, s in enumerate(impostor_scores)])
+    g = _score_array("genuine score", genuine_scores)
+    m = _score_array("impostor score", impostor_scores)
     if g.size == 0:
         raise ValueError("no genuine scores to evaluate")
     if m.size == 0:
         raise ValueError("no impostor scores to evaluate")
-    if not 0.0 <= finite_number("threshold", threshold) <= 100.0:
-        raise ValueError(f"threshold must lie in [0, 100], got {threshold!r}")
+    _in_range("threshold", threshold, 0, 100)
     accepted = int(np.count_nonzero(g >= threshold))
     rejected = int(np.count_nonzero(m < threshold))
     return EvalReport(

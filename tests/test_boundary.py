@@ -1,19 +1,31 @@
 """Numbers at the public boundary: a bad one is refused in words, and good ones keep their bits."""
 
+import dataclasses
 import math
+import numbers
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuzzyface import (
     BellKernel,
+    CalibrationSample,
+    Canvas,
     EvalReport,
     FeatureVector,
+    PopulationConfig,
+    ScoringConfig,
+    TrapezoidKernel,
+    TriangleKernel,
     feature_membership,
     rank_auc,
+    report_from_scores,
     roc_points,
     solve_weight,
 )
+from fuzzyface.fileio import dump_json
 
 NAN, INF = math.nan, math.inf
 f64 = np.float64
@@ -42,8 +54,8 @@ CALLS = [
     ("roc_points genuine", lambda v: roc_points([v], [0.5]), "genuine_scores", list(BAD)),
     ("roc_points impostor", lambda v: roc_points([1.0], [v]), "impostor_scores", list(BAD)),
     ("FeatureVector", lambda v: FeatureVector((("a", 1.0), ("b", v))), "feature 'b'",
-     ["10**400", "'0.9'", "None"]),
-    ("EvalReport auc", eval_report, "auc", ["'0.9'", "None"]),
+     ["nan", "inf", "10**400", "'0.9'", "True", "None"]),
+    ("EvalReport auc", eval_report, "auc", ["nan", "inf", "'0.9'", "True", "None"]),
 ]
 
 
@@ -99,3 +111,105 @@ def bits(value):
 ])
 def test_good_numbers_keep_their_bits(call, expected):
     assert bits(call()) == bits(expected)
+
+
+# every kind of value a number argument may meet: numpy's integer and
+# floating scalars of every width, bools, ints past 64 bits, NaN, the
+# infinities, and values that are not numbers
+NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+NUMPY_FLOATS = [(np.float16, 16), (np.float32, 32), (np.float64, 64)]
+EXTREMES = [True, False, np.True_, np.False_, 2 ** 70, 10 ** 400, NAN, INF, -INF, "0.5", None,
+            np.longdouble(0.5)]
+ANY_NUMBER = st.one_of(
+    *[st.integers(np.iinfo(kind).min, np.iinfo(kind).max).map(kind) for kind in NUMPY_INTEGERS],
+    *[st.floats(width=width).map(kind) for kind, width in NUMPY_FLOATS],
+    st.integers(-2 ** 80, 2 ** 80), st.floats(), st.sampled_from(EXTREMES),
+)
+
+
+def report_with(field, value):
+    """A valid EvalReport with ``value`` put in for one of its numbers."""
+    numbers = dict(genuine_scores=(1.0,), impostor_scores=(0.0,), genuine_mean=1.0,
+                   genuine_stddev=0.0, impostor_mean=0.0, impostor_stddev=0.0,
+                   roc_points=((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)), auc=1.0, threshold=50.0,
+                   accuracy_at_threshold=1.0)
+    if field.endswith("_scores"):
+        value = (value,)
+    elif field == "roc_points":
+        value = ((0.0, 0.0), (value, value), (1.0, 1.0))
+    return EvalReport(**{**numbers, field: value})
+
+
+# each public name that takes a number, with the value put in at each of
+# its number arguments in turn
+TAKES = {
+    "ScoringConfig k": lambda v: ScoringConfig(k=v),
+    "ScoringConfig resolution_scale": lambda v: ScoringConfig(resolution_scale=v),
+    "BellKernel": lambda v: BellKernel(v),
+    **{f"TriangleKernel {name}": lambda v, name=name: TriangleKernel(**{name: v})
+       for name in ("p", "r", "q")},
+    **{f"TrapezoidKernel {name}": lambda v, name=name: TrapezoidKernel(**{name: v})
+       for name in ("p", "s", "t", "q")},
+    "CalibrationSample feature_score": lambda v: CalibrationSample(v, 0.1),
+    "CalibrationSample alpha": lambda v: CalibrationSample(0.5, v),
+    "solve_weight target": lambda v: solve_weight(v, 0.9, 0.1),
+    "solve_weight feature_score": lambda v: solve_weight(1.0, v, 0.0),
+    "solve_weight alpha": lambda v: solve_weight(1.0, 0.9, v),
+    **{f"PopulationConfig {name}": lambda v, name=name: PopulationConfig(
+        **{"identity_count": 2, "captures_per_identity": 2, name: v})
+       for name in ("identity_count", "captures_per_identity", "identity_sigma",
+                    "capture_sigma", "outline_sigma", "seed")},
+    "Canvas width": lambda v: Canvas(v, 10),
+    "Canvas height": lambda v: Canvas(10, v),
+    "feature_membership a": lambda v: feature_membership(v, 0.5, BellKernel()),
+    "feature_membership b": lambda v: feature_membership(0.5, v, BellKernel()),
+    "FeatureVector": lambda v: FeatureVector((("a", 1.0), ("b", v))),
+    **{f"EvalReport {field}": lambda v, field=field: report_with(field, v)
+       for field in EvalReport.__dataclass_fields__},
+    "rank_auc genuine": lambda v: rank_auc([v, 0.5], [0.25]),
+    "rank_auc impostor": lambda v: rank_auc([0.5], [v, 0.25]),
+    "roc_points genuine": lambda v: roc_points([v, 0.5], [0.25]),
+    "roc_points impostor": lambda v: roc_points([0.5], [v, 0.25]),
+    "report_from_scores genuine": lambda v: report_from_scores([v], [0.25], 50.0),
+    "report_from_scores impostor": lambda v: report_from_scores([0.5], [v], 50.0),
+    "report_from_scores threshold": lambda v: report_from_scores([0.5], [0.25], v),
+}
+
+
+def stored_numbers(value):
+    """Every number held in ``value``, through its tuples, lists, dicts and dataclass fields."""
+    if isinstance(value, (numbers.Number, np.generic)):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        items = value
+    elif isinstance(value, dict):
+        items = list(value.values())
+    elif dataclasses.is_dataclass(value):
+        items = list(vars(value).values())
+    else:  # a string, None or an enum member
+        return []
+    return [number for item in items for number in stored_numbers(item)]
+
+
+def with_extremes(test):
+    for value in EXTREMES:
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("call", TAKES.values(), ids=TAKES.keys())
+@settings(max_examples=40, deadline=None)
+@with_extremes
+@given(value=ANY_NUMBER)
+def test_a_number_is_taken_as_a_python_number_or_refused_in_words(call, value):
+    # never an OverflowError, an IndexError or a bare TypeError
+    try:
+        result = call(value)
+    except ValueError as error:
+        assert str(error)
+        return
+    stored = stored_numbers(result)
+    assert all(type(number) in (int, float) for number in stored), result
+    dump_json(stored)
+    if isinstance(result, EvalReport):
+        dump_json(result.to_dict())

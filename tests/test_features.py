@@ -370,3 +370,11 @@ class TestPairFeatures:
             FeatureVector((("interocular", 0.0),))
         with pytest.raises(ValueError, match="positive"):
             FeatureVector((("interocular", 60.0), ("mouth_width", -1.0)))
+
+    def test_a_bool_is_refused_and_a_numpy_value_kept_as_python(self):
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="feature 'x' must be a finite number"):
+                FeatureVector((("x", flag),))
+        items = FeatureVector((("a", 2.5), ("b", np.float32(0.5)), ("c", np.int64(3)))).items
+        assert items == (("a", 2.5), ("b", 0.5), ("c", 3))
+        assert [type(value) for _, value in items] == [float, float, int]

@@ -557,8 +557,7 @@ class TestOverlapCounting:
         # canvases of one or two faces, alone
         assert calls == [("packed", 10, 5), "alone", "alone"]
 
-    @pytest.mark.parametrize("popcount", ["native", "swar"])
-    def test_packed_temporaries_stay_under_a_mebibyte(self, monkeypatch, popcount):
+    def test_packed_temporaries_stay_under_a_mebibyte(self):
         # eight faces of about 1000 x 950 px on a 4096 px canvas: their masks
         # hold about 7 MB, which the count takes in bands
         faces = [rescale_face(labeled.face, 4096, 4096)
@@ -567,9 +566,6 @@ class TestOverlapCounting:
         masks = sum(face._prepared[4096, 4096, 1][1].bits.nbytes for face in faces)
         assert masks > 6 * 2 ** 20
         pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-        if popcount == "swar":  # numpy before 2.0
-            monkeypatch.setattr(fuzzyface.silhouette, "_row_bits",
-                                fuzzyface.silhouette._swar_row_bits)
         tracemalloc.start()
         try:
             scores = pair_scores(faces, pairs)

@@ -680,15 +680,14 @@ class TestPackedOverlapCounts:
 
     @settings(max_examples=60, deadline=None)
     @given(shapes=st.lists(windows, min_size=1, max_size=7), data=st.data(),
-           swar=st.booleans(), small=st.booleans())
+           small=st.booleans())
     # one-pixel windows on either side of a word's edge, a window nested in
     # a wider one, and one disjoint from all
     @example(shapes=[(1, 1, 0, 63, 0), (1, 1, 0, 64, 0), (3, 140, 2, 0, 1), (1, 1, 3, 65, 3),
-                     (2, 2, 8, 200, 2)], data=None, swar=False, small=False)
-    def test_counts_equal_overlap_counts(self, shapes, data, swar, small):
+                     (2, 2, 8, 200, 2)], data=None, small=False)
+    def test_counts_equal_overlap_counts(self, shapes, data, small):
         # disjoint, nested and one-pixel windows, empty intersections and self
-        # pairs; with the SWAR popcount (numpy before 2.0) and with bands of
-        # one row and gathers of one pair
+        # pairs; also with bands of one row and gathers of one pair
         masks = [window_mask(*shape) for shape in shapes]
         if data is None:  # the explicit example: every ordered pair
             pairs = [(i, j) for i in range(len(masks)) for j in range(len(masks))]
@@ -696,9 +695,7 @@ class TestPackedOverlapCounts:
             index = st.integers(0, len(masks) - 1)
             pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
         first, second = (np.array(column) for column in zip(*pairs))
-        with (mock.patch.object(silhouette, "_row_bits", silhouette._swar_row_bits if swar
-                                else silhouette._row_bits),
-              mock.patch.object(silhouette, "_BAND_BYTES", 1 if small else silhouette._BAND_BYTES),
+        with (mock.patch.object(silhouette, "_BAND_BYTES", 1 if small else silhouette._BAND_BYTES),
               mock.patch.object(silhouette, "_GATHER_WORDS",
                                 1 if small else silhouette._GATHER_WORDS)):
             counts = silhouette.packed_overlap_counts(masks, first, second)
@@ -724,17 +721,9 @@ class TestPackedOverlapCounts:
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=20))
     @example([0, 2 ** 64 - 1, 1, 2 ** 63])
     def test_popcounts_count_set_bits(self, values):
-        # the SWAR popcount runs on any numpy, so the floor's popcount is
-        # tested on every job; np.bitwise_count where numpy has it
+        # the packed count's popcount, np.bitwise_count, summed along a row
         words = np.array(values, dtype=np.uint64)
         expected = [bin(value).count("1") for value in values]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the multiply wraps without a warning
-            assert silhouette._swar_row_bits(words[:, None].copy()).tolist() == expected
-            assert silhouette._swar_row_bits(words[None, :].copy()).tolist() == [sum(expected)]
-        if hasattr(np, "bitwise_count"):
-            assert silhouette._word_row_bits(words[:, None]).tolist() == expected
-
-    def test_swar_counts_before_numpy_2(self):
-        assert silhouette._row_bits is (silhouette._word_row_bits if hasattr(np, "bitwise_count")
-                                        else silhouette._swar_row_bits)
+        assert np.bitwise_count(words).tolist() == expected
+        row = np.bitwise_count(words[None, :]).sum(axis=1, dtype=np.int64)
+        assert row.tolist() == [sum(expected)]

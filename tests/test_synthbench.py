@@ -7,6 +7,7 @@ import pytest
 
 import fuzzyface as ff
 from fuzzyface import synthbench
+from fuzzyface.fileio import dump_json
 from fuzzyface import (
     EvalReport,
     GenerationError,
@@ -136,6 +137,24 @@ class TestRankAuc:
             rank_auc([], [1.0])
 
 
+    def test_an_int_past_64_bits_is_taken_at_its_float(self):
+        # numpy makes such a list an array of objects, which was refused
+        assert rank_auc([2 ** 70, 1], [0.5]) == rank_auc([float(2 ** 70), 1.0], [0.5]) == 1.0
+        assert roc_points([2 ** 70], [0.5]) == roc_points([float(2 ** 70)], [0.5])
+        assert roc_points(np.array([2 ** 70], dtype=object), [0.5]) == roc_points([1e21], [0.5])
+        with pytest.raises(ValueError, match="genuine_scores 0 must be a finite number"):
+            rank_auc([10 ** 400], [0.5])
+
+    @pytest.mark.parametrize("scores", [np.array(0.5), np.ones((2, 2))])
+    def test_an_array_must_be_one_dimensional(self, scores):
+        # a 0-d array raised TypeError, and a 2-D one numpy's concatenate error
+        for call in (rank_auc, roc_points):
+            with pytest.raises(ValueError, match=r"genuine_scores must be a sequence or a 1-D "):
+                call(scores, [0.25])
+        with pytest.raises(ValueError, match=r"genuine score must be a sequence or a 1-D "):
+            report_from_scores(scores, [0.25], 50.0)
+
+
 class TestRocPoints:
     def test_endpoints(self):
         points = roc_points([3.0, 5.0], [1.0, 2.0])
@@ -205,6 +224,37 @@ class TestReportFromScores:
                 roc_points=((0.0, 0.5), (0.0, 0.2), (1.0, 1.0)),
                 auc=1.0, threshold=50.0, accuracy_at_threshold=1.0,
             )
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("genuine_scores", ("a",), "genuine_scores[0] must be a finite number, got 'a'"),
+        ("impostor_scores", (True,), "impostor_scores[0] must be a finite number, got True"),
+        ("impostor_scores", (np.inf,), "impostor_scores[0] must be a finite number, got inf"),
+        ("genuine_mean", "x", "genuine_mean must be a finite number, got 'x'"),
+        ("genuine_stddev", None, "genuine_stddev must be a finite number, got None"),
+        ("impostor_mean", np.nan, "impostor_mean must be a finite number, got nan"),
+        ("auc", True, "auc must be a finite number, got True"),
+        ("auc", 1.5, "auc must lie in [0, 1], got 1.5"),
+        ("threshold", 100.5, "threshold must lie in [0, 100], got 100.5"),
+        ("accuracy_at_threshold", -0.25, "accuracy_at_threshold must lie in [0, 1], got -0.25"),
+    ])
+    def test_every_number_of_a_report_is_checked(self, field, value, message):
+        # such a report was written, "auc": true and all
+        report = report_from_scores([95.0, 85.0], [80.0, 90.0], threshold=88.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EvalReport(**{**vars(report), field: value})
+
+    def test_numpy_numbers_are_kept_as_python_numbers(self):
+        report = EvalReport((np.float32(0.5), 2), (np.int64(1),), np.float64(0.25), 0, 0.0, 0.0,
+                            ((0.0, np.float32(0.5)), (np.float16(1.0), 1)), np.float32(0.5),
+                            np.int8(90), 0.0)
+        assert report.to_dict() == {
+            "genuine_scores": [0.5, 2], "impostor_scores": [1], "genuine_mean": 0.25,
+            "genuine_stddev": 0, "impostor_mean": 0.0, "impostor_stddev": 0.0,
+            "roc_points": [[0.0, 0.5], [1.0, 1]], "auc": 0.5, "threshold": 90,
+            "accuracy_at_threshold": 0.0}
+        assert "np." not in repr(report)
+        dump_json(report.to_dict())  # raised TypeError on float32
 
 
 class TestEvaluate:
