@@ -3,12 +3,26 @@
 A kernel maps a value onto [0, 1] according to how close it sits to its
 peak. Scoring feeds it the entropy of a feature's two-value ratio
 (``scoring.feature_membership``), which lies in [0, 1].
+
+Each kernel has two forms. ``evaluate`` maps one value, on Python
+floats: it is the reference. ``evaluate_column`` maps a float array of
+them at once, with no Python frame per value, and gives evaluate's bits
+for every value of magnitude below 2**53, so for every entropy. The
+basic operations (differences, quotients) and the comparisons run in
+numpy, which rounds them as Python does. The bell's square and
+exponential stay libm calls on Python floats, through a C-level
+``map``: ``u * u`` and np.exp differ from ``u ** 2`` and math.exp in
+the last bit on some inputs. Python's floats overflow to inf and NaN
+without a word, so the columns silence numpy's warnings about them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
+
+import numpy as np
 
 from .geometry import finite_number, python_number
 
@@ -39,6 +53,14 @@ class BellKernel:
         u = ((x - self.r) / self.r) ** 2
         return (1.0 - u) * math.exp(-u)
 
+    def evaluate_column(self, x: np.ndarray) -> np.ndarray:
+        """evaluate of each element of a 1-D float array, bit for bit."""
+        r = float(self.r)  # Python's arithmetic takes an int peak at its float
+        with np.errstate(over="ignore", invalid="ignore"):
+            # math.pow(q, 2.0) and evaluate's q ** 2 are both libm's pow(q, 2.0)
+            u = np.fromiter(map(math.pow, ((x - r) / r).tolist(), repeat(2.0)), float, len(x))
+            return (1.0 - u) * np.fromiter(map(math.exp, (-u).tolist()), float, len(x))
+
 
 @dataclass(frozen=True)
 class TriangleKernel:
@@ -66,6 +88,15 @@ class TriangleKernel:
         if x <= self.r:
             return (x - self.p) / (self.r - self.p)
         return (self.q - x) / (self.q - self.r)
+
+    def evaluate_column(self, x: np.ndarray) -> np.ndarray:
+        """evaluate of each element of a 1-D float array, bit for bit, below 2**53 in magnitude."""
+        # each span in evaluate's types, an int one exact, then at its float
+        p, r, q, rise, fall = map(float, (self.p, self.r, self.q, self.r - self.p,
+                                          self.q - self.r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where((x <= p) | (x > q), 0.0,
+                            np.where(x <= r, (x - p) / rise, (q - x) / fall))
 
 
 @dataclass(frozen=True)
@@ -98,6 +129,15 @@ class TrapezoidKernel:
         if x <= self.t:
             return 1.0
         return (self.q - x) / (self.q - self.t)
+
+    def evaluate_column(self, x: np.ndarray) -> np.ndarray:
+        """evaluate of each element of a 1-D float array, bit for bit, below 2**53 in magnitude."""
+        p, s, t, q, rise, fall = map(float, (self.p, self.s, self.t, self.q, self.s - self.p,
+                                             self.q - self.t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where((x <= p) | (x > q), 0.0,
+                            np.where(x <= s, (x - p) / rise,
+                                     np.where(x <= t, 1.0, (q - x) / fall)))
 
 
 MembershipKernel = BellKernel | TriangleKernel | TrapezoidKernel

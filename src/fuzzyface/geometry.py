@@ -14,10 +14,17 @@ def python_number(value):
     """A numpy integer or floating scalar as its Python int or float (``.item()``); else ``value``.
 
     The number checks below take a numpy scalar as this value, which is
-    exact, and the classes that store a checked number store it. An
-    np.bool_ is neither, so it stays itself and is refused.
+    exact, and the classes that store a checked number store it. A long
+    double that ``.item()`` keeps, being wider than a float, is taken at
+    its float when that equals it; else it stays itself and is refused,
+    as an np.bool_ is.
     """
-    return value.item() if isinstance(value, (np.integer, np.floating)) else value
+    if not isinstance(value, (np.integer, np.floating)):
+        return value
+    number = value.item()
+    if isinstance(number, np.floating) and float(number) == number:
+        return float(number)
+    return number
 
 
 def is_number(value) -> bool:

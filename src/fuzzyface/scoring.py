@@ -13,11 +13,16 @@ One engine serves two consumers. Its prepare step, _prepared, prepares
 each face (rescale onto the pair's canvas, measure the features,
 rasterize the outline) at most once per canvas size and raster scale,
 over all calls: the face keeps its feature values and its mask in its
-memo, one entry per (width, height, scale). It scores blocks of pairs as
+memo, one entry per key, (width, height, scale). It groups a block's
+pairs by key with arrays, not a loop over pairs, and gives each key's
+faces slots: rows of one value matrix, and masks. It scores the block as
 numpy columns: the two mask areas and their intersection per pair
 (overlap_counts, or packed_overlap_counts for a key with many pairs),
-and an entropy and a membership per feature, with the bits of
-feature_membership. The blend is written once (_feature_score and
+and an entropy and a membership per feature, from one gather of each
+pair's two value rows, with the bits of feature_membership: math.log2,
+and the bell kernel's square and exponential, stay libm calls on Python
+floats, and a block of pairs makes no Python frame per value (the
+kernel's evaluate_column). The blend is written once (_feature_score and
 _similarity) and the checks once, in MatchReport. score_pairs turns each
 block into MatchReports, reading each alpha off its counts with
 alpha_from_counts, and compare is its one-pair case; pair_scores takes
@@ -31,11 +36,12 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .features import CANONICAL_FEATURES, FaceInput, extract_features, rescale_face
+from .features import (CANONICAL_FEATURES, MAX_IMAGE_SIDE, FaceInput, extract_features,
+                       rescale_face)
 from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
 from .geometry import is_number, python_number, whole_number
 from .silhouette import (
@@ -135,8 +141,13 @@ class MatchReport:
                 raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
             object.__setattr__(self, "alpha", alpha)
         # k, alpha_mode and kernel pass ScoringConfig's checks, in its words,
-        # so a similarity lies in [0, 100] and to_dict can write the report
-        k = ScoringConfig(self.k, self.alpha_mode, self.kernel).k
+        # so a similarity lies in [0, 100] and to_dict can write the report;
+        # with a float k in range and a mode, only its kernel check is left
+        k = self.k
+        if type(k) is float and 0.0 <= k <= 1.0 and isinstance(self.alpha_mode, AlphaMode):
+            check_entropy_kernel(self.kernel)
+        else:
+            k = ScoringConfig(k, self.alpha_mode, self.kernel).k
         if k is not self.k:
             object.__setattr__(self, "k", k)
         scale = whole_number("resolution_scale", self.resolution_scale, 1)
@@ -254,13 +265,14 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     result does not depend on image size. Deterministic for fixed inputs
     and config.
     """
-    return score_pairs([face_a, face_b], [(0, 1)], config)[0]
+    if config is None:
+        config = ScoringConfig()
+    faces = [face_a, face_b]  # score_pairs' one block, without its generator
+    return _reports(_columns(faces, [(0, 1)], config), config)[0]
 
 
-# a prepared face on a pair's canvas: its six feature values, in
-# CANONICAL_FEATURES order, and its mask at the pair's raster scale
-_Entry = tuple[tuple[float, ...], BinaryMask]
-_FEATURE_NAMES = tuple(name for name, _ in CANONICAL_FEATURES)  # the order of the values
+_FEATURE_NAMES = tuple(name for name, _ in CANONICAL_FEATURES)  # the order of a face's values
+_SIDES = MAX_IMAGE_SIDE + 1  # a canvas (width, height) is coded as width * _SIDES + height
 
 
 def _pair_indices(faces: Sequence[FaceInput], pair) -> tuple[int, int]:
@@ -278,65 +290,120 @@ def _pair_indices(faces: Sequence[FaceInput], pair) -> tuple[int, int]:
     raise ValueError(f"pair {pair!r} must be two integer indices into the {len(faces)} faces")
 
 
-# a block's pairs of one key, (width, height, scale): each pair's position
-# in the block and its two face indices, three ints a pair, end to end
-_KeyPairs = dict[tuple[int, int, int], list[int]]
+def _block_indices(faces: Sequence[FaceInput], block: list) -> np.ndarray:
+    """The block's pairs as an (n, 2) int array, each checked as _pair_indices checks it."""
+    # pairs of plain ints in range, as the CLI and evaluate pass them, are
+    # checked at once; by type, since a bool is an int
+    if set(map(type, block)) <= {tuple, list} and set(map(len, block)) == {2}:
+        flat = list(chain.from_iterable(block))
+        if set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < len(faces):
+            return np.array(flat, dtype=np.intp).reshape(-1, 2)
+    return np.array([_pair_indices(faces, pair) for pair in block], dtype=np.intp)
 
 
-def _prepared(faces: Sequence[FaceInput], block: list[tuple[int, int]],
-              config: ScoringConfig) -> tuple[list[tuple[_Entry, _Entry, int]], _KeyPairs]:
-    """Each pair's two faces, prepared on its pair's canvas, and its raster scale; each key's pairs.
+def _first_seen(codes: np.ndarray, group=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes of a flat array in the order they first appear, and each code's place.
 
-    Each face keeps an _Entry per (canvas width, canvas height, raster
-    scale) in its memo, ``face._prepared``, over all calls. The faces of
-    a key with no entry are prepared key by key, in the order the pairs
-    first name them: each is stretched and measured, and the raster frame
-    checked after it, where rasterizing it alone would refuse the frame;
-    then one fill_outlines call fills them all, and only then do they
-    get their entries. Every pair's indices are checked first. A block of
-    more than one pair also lists each key's pairs, for _overlaps; a
-    block of one lists none.
+    With ``group``, a function of the codes, the distinct codes are
+    ordered by group, and within a group by first appearance.
     """
-    canvases: dict[tuple[int, int], tuple[Canvas, int]] = {}  # size -> canvas, raster scale
-    keyed = []
-    # key -> faces to prepare, in order; by id, since FaceInput holds a
-    # dict and cannot be hashed, and one face may sit at several indices
-    new: dict[tuple[int, int, int], dict[int, FaceInput]] = {}
-    key_pairs: _KeyPairs = {}
-    listed = len(block) > 1
-    for pair in block:
-        i, j = _pair_indices(faces, pair)
-        face_a, face_b = faces[i], faces[j]
-        size = (max(face_a.image_width, face_b.image_width),  # normalize_pair's canvas
-                max(face_a.image_height, face_b.image_height))
-        if size not in canvases:
-            canvas = Canvas(*size)
-            scale = config.resolution_scale
-            canvases[size] = canvas, default_resolution_scale(canvas) if scale is None else scale
-        key = (*size, canvases[size][1])
-        for face in (face_a, face_b):
-            if key not in face._prepared:
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first) if group is None else np.lexsort((first, group(distinct)))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    return distinct[order], place[inverse]
+
+
+# A block's prepared faces. A key is a canvas size and raster scale,
+# (width, height, scale), and a slot is one face on one key's canvas: the
+# face, its six feature values, in CANONICAL_FEATURES order, as a row of
+# the values array, and its mask. Each key has a run of slots, the runs
+# end to end in key order. Each pair has its key and its two slots.
+_Prepared = tuple[
+    list[tuple[int, int, int]],  # keys, in the order the pairs first meet them
+    list[int],  # each key's number of slots
+    list[FaceInput],  # each slot's face
+    np.ndarray,  # values: (slots, 6)
+    Sequence[BinaryMask],  # each slot's mask
+    np.ndarray,  # (n,): each pair's key
+    np.ndarray,  # (n, 2): each pair's two slots
+]
+
+
+def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> _Prepared:
+    """Each pair's key, and each key's faces prepared on its canvas, with their slots.
+
+    The pairs are grouped by key with arrays: each pair's canvas is
+    normalize_pair's, the componentwise max of its faces' sizes, and
+    each key's canvas is built once, in the order the pairs first meet
+    them. A key's faces take their slots in the order its pairs first
+    name them, one slot per index. Every pair's indices are checked
+    first. A block of one pair takes its one key without sorting, and a
+    slot for each side.
+
+    Each face keeps its (values, mask) entry per key in its memo,
+    ``face._prepared``, over all calls. The faces of a key with no entry
+    are prepared key by key, in slot order: each is stretched and
+    measured, and the raster frame checked after it, where rasterizing
+    it alone would refuse the frame; then one fill_outlines call fills
+    them all, and only then do they get their entries.
+    """
+    if len(block) == 1:
+        i, j = _pair_indices(faces, block[0])
+        slot_faces = [faces[i], faces[j]]
+        sizes = [(max(slot_faces[0].image_width, slot_faces[1].image_width),
+                  max(slot_faces[0].image_height, slot_faces[1].image_height))]
+        slot_keys, key_slots = [0, 0], [2]  # each slot's key, and each key's slots
+        pair_keys, slots = np.zeros(1, dtype=np.intp), np.array([[0, 1]])
+    else:
+        indices = _block_indices(faces, block)
+        named, at = np.unique(indices.ravel(), return_inverse=True)
+        named = [faces[k] for k in named.tolist()]
+        widths = np.array([face.image_width for face in named])[at.reshape(-1, 2)]
+        heights = np.array([face.image_height for face in named])[at.reshape(-1, 2)]
+        codes, pair_keys = _first_seen(widths.max(axis=1) * _SIDES + heights.max(axis=1))
+        sizes = [divmod(code, _SIDES) for code in codes.tolist()]
+        n = len(faces)
+        # a slot is coded key * n + face index, and grouped by key
+        codes, slots = _first_seen((pair_keys[:, None] * n + indices).ravel(),
+                                   lambda code: code // n)
+        slots = slots.reshape(-1, 2)
+        slot_faces = [faces[k] for k in (codes % n).tolist()]
+        slot_keys = codes // n
+        key_slots = np.bincount(slot_keys, minlength=len(sizes)).tolist()
+        slot_keys = slot_keys.tolist()
+    keys, canvases = [], {}
+    for size in sizes:
+        canvas = Canvas(*size)
+        scale = config.resolution_scale
+        keys.append((*size, default_resolution_scale(canvas) if scale is None else scale))
+        canvases[keys[-1]] = canvas
+    slot_keys = [keys[k] for k in slot_keys]
+    entries = [face._prepared.get(key) for key, face in zip(slot_keys, slot_faces)]
+    if None in entries:
+        # key -> faces to prepare, in order; by id, since FaceInput holds a
+        # dict and cannot be hashed, and one face may sit at several indices
+        new: dict[tuple[int, int, int], dict[int, FaceInput]] = {}
+        for key, face, entry in zip(slot_keys, slot_faces, entries):
+            if entry is None:
                 new.setdefault(key, {})[id(face)] = face
-        if listed:
-            key_pairs.setdefault(key, []).extend((len(keyed), i, j))
-        keyed.append((face_a._prepared, face_b._prepared, key))
-    for (width, height, scale), pending in new.items():
-        canvas = canvases[width, height][0]
-        measured = []
-        for face in pending.values():
-            stretched = rescale_face(face, width, height)
-            values = tuple(value for _, value in extract_features(stretched).items)
-            check_raster_frame(canvas, scale)
-            measured.append((face, values, stretched._outline_array))
-        masks = fill_outlines([outline for _, _, outline in measured], canvas, scale)
-        for (face, values, _), mask in zip(measured, masks):
-            face._prepared[width, height, scale] = values, mask
-    entries = [(memo_a[key], memo_b[key], key[2]) for memo_a, memo_b, key in keyed]
-    return entries, key_pairs
+        for key, pending in new.items():
+            width, height, scale = key
+            measured = []
+            for face in pending.values():
+                stretched = rescale_face(face, width, height)
+                values = tuple(value for _, value in extract_features(stretched).items)
+                check_raster_frame(canvases[key], scale)
+                measured.append((face, values, stretched._outline_array))
+            masks = fill_outlines([outline for _, _, outline in measured], canvases[key], scale)
+            for (face, values, _), mask in zip(measured, masks):
+                face._prepared[key] = values, mask
+        entries = [face._prepared[key] for key, face in zip(slot_keys, slot_faces)]
+    values, masks = zip(*entries)
+    return keys, key_slots, slot_faces, np.array(values), masks, pair_keys, slots
 
 
-def _overlaps(faces: Sequence[FaceInput], entries: list[tuple[_Entry, _Entry, int]],
-              key_pairs: _KeyPairs) -> np.ndarray:
+def _overlaps(prepared: _Prepared) -> np.ndarray:
     """Each pair's overlap_counts, ``(area_a, area_b, intersection)``, as an (n, 3) array.
 
     A key's pairs are counted together, by packed_overlap_counts, when
@@ -346,25 +413,26 @@ def _overlaps(faces: Sequence[FaceInput], entries: list[tuple[_Entry, _Entry, in
     a manifest, gains nothing. Its pairs, and the pair of a block of one,
     are counted one at a time, by overlap_counts.
     """
+    _, key_slots, _, _, masks, pair_keys, slots = prepared
     counts = packed = None
-    for (width, height, scale), pairs in key_pairs.items():
-        firsts, seconds = pairs[1::3], pairs[2::3]
-        indices = dict.fromkeys(firsts + seconds)  # the key's faces, in order
-        if len(firsts) < 2 * len(indices):
-            continue
-        if counts is None:
-            counts = np.empty((len(entries), 3), dtype=np.int64)
-            packed = np.zeros(len(entries), dtype=bool)
-        slots = dict(zip(indices, range(len(indices))))
-        counts[pairs[::3]] = packed_overlap_counts(
-            [faces[k]._prepared[width, height, scale][1] for k in indices],
-            [slots[i] for i in firsts], [slots[j] for j in seconds])
-        packed[pairs[::3]] = True
+    if len(slots) > 1:  # one pair never packs: it is fewer than twice its faces
+        start = 0
+        for k, pairs in enumerate(np.bincount(pair_keys, minlength=len(key_slots)).tolist()):
+            end = start + key_slots[k]
+            if pairs >= 2 * key_slots[k]:
+                if counts is None:
+                    counts = np.empty((len(slots), 3), dtype=np.int64)
+                    packed = np.zeros(len(slots), dtype=bool)
+                at = np.flatnonzero(pair_keys == k)
+                counts[at] = packed_overlap_counts(masks[start:end], slots[at, 0] - start,
+                                                   slots[at, 1] - start)
+                packed[at] = True
+            start = end
     if counts is None:
-        return np.array([overlap_counts(mask_a, mask_b) for (_, mask_a), (_, mask_b), _ in entries])
-    for p in np.flatnonzero(~packed).tolist():
-        (_, mask_a), (_, mask_b), _ = entries[p]
-        counts[p] = overlap_counts(mask_a, mask_b)
+        return np.array([overlap_counts(masks[a], masks[b]) for a, b in slots.tolist()])
+    alone = np.flatnonzero(~packed)
+    for p, (a, b) in zip(alone.tolist(), slots[alone].tolist()):
+        counts[p] = overlap_counts(masks[a], masks[b])
     return counts
 
 
@@ -383,30 +451,29 @@ def _alphas(counts: np.ndarray, mode: AlphaMode) -> np.ndarray:
     return inter / (area_a + area_b - inter)
 
 
-# one block of pairs scored up to the blend: the pairs, each pair's two
-# prepared faces and raster scale, its overlap_counts (area_a, area_b,
-# intersection: a row per pair), and its entropies and memberships (a row
-# per pair, a column per feature)
-_Columns = tuple[list[tuple[int, int]], list[tuple[_Entry, _Entry, int]], np.ndarray,
-                 np.ndarray, np.ndarray]
+# one block of pairs scored up to the blend: its prepared faces, each
+# pair's two value rows (the first faces' rows, then the second faces':
+# a row per pair, a column per feature), its overlap_counts (area_a,
+# area_b, intersection: a row per pair), and its entropies and
+# memberships (a row per pair, a column per feature)
+_Columns = tuple[_Prepared, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _columns(faces: Sequence[FaceInput], block: list[tuple[int, int]],
-             config: ScoringConfig) -> _Columns:
+def _columns(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> _Columns:
     """Prepare a block's faces and take each pair's overlap counts, entropies and memberships.
 
-    Each pair's steps come in compare's order (its two faces, its
-    overlap, its features) and raise compare's errors in its words. In
-    a block of more than one pair the error raised need not be the first
-    in pair order, since every pair's indices are checked and every face
-    is prepared, key by key, before any pair is scored.
+    Each pair's two value rows are one gather of its slots' rows. Each
+    pair's steps come in compare's order (its two faces, its overlap, its
+    features) and raise compare's errors in its words. In a block of
+    more than one pair the error raised need not be the first in pair
+    order, since every pair's indices are checked and every face is
+    prepared, key by key, before any pair is scored.
     """
-    entries, key_pairs = _prepared(faces, block, config)
-    counts = _overlaps(faces, entries, key_pairs)
-    entropy, membership = entropy_membership(np.array([values for (values, _), _, _ in entries]),
-                                             np.array([values for _, (values, _), _ in entries]),
-                                             config.kernel)
-    return block, entries, counts, entropy, membership
+    prepared = _prepared(faces, block, config)
+    values, slots = prepared[3], prepared[6]
+    counts = _overlaps(prepared)
+    pair_values = values[slots.T]  # each pair's two rows: (2, n, 6)
+    return (prepared, pair_values, counts, *entropy_membership(pair_values, config.kernel))
 
 
 def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
@@ -428,25 +495,26 @@ def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
             yield columns
 
 
-def _reports(faces: Sequence[FaceInput], columns: _Columns,
-             config: ScoringConfig) -> list[MatchReport]:
+def _reports(columns: _Columns, config: ScoringConfig) -> list[MatchReport]:
     """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
-    pairs, entries, counts, entropies, memberships = columns
+    (keys, _, slot_faces, _, _, pair_keys, slots), pair_values, counts, entropies, \
+        memberships = columns
+    values_a, values_b = pair_values.tolist()
+    ids = [face.id for face in slot_faces]
     mode = config.alpha_mode
     reports = []
-    for (i, j), ((values_a, _), (values_b, _), scale), (area_a, area_b, inter), entropy, \
-            membership in zip(pairs, entries, counts.tolist(), entropies.tolist(),
-                              memberships.tolist()):
+    for (a, b), key, row_a, row_b, (area_a, area_b, inter), entropy, membership in zip(
+            slots.tolist(), pair_keys.tolist(), values_a, values_b,
+            counts.tolist(), entropies.tolist(), memberships.tolist()):
         reports.append(MatchReport(
-            a_id=faces[i].id,
-            b_id=faces[j].id,
-            features=tuple(map(FeatureRow, _FEATURE_NAMES, values_a, values_b, entropy,
-                               membership)),
+            a_id=ids[a],
+            b_id=ids[b],
+            features=tuple(map(FeatureRow, _FEATURE_NAMES, row_a, row_b, entropy, membership)),
             alpha=alpha_from_counts(area_a, area_b, inter, mode),
             k=config.k,
             alpha_mode=mode,
             kernel=config.kernel,
-            resolution_scale=scale,
+            resolution_scale=keys[key][2],
         ))
     return reports
 
@@ -470,7 +538,7 @@ def score_pairs(
         config = ScoringConfig()
     reports = []
     for columns in _scored_blocks(faces, pairs, config):
-        reports += _reports(faces, columns, config)
+        reports += _reports(columns, config)
     return reports
 
 
@@ -496,9 +564,10 @@ def pair_scores(
         # MatchReport's checks on the columns; a bad value fails on NaN too
         if not (((0.0 <= entropy) & (entropy <= 1.0) & (0.0 <= membership) & (membership <= 1.0))
                 .all() and ((0.0 <= alpha) & (alpha <= 1.0)).all()):
-            _reports(faces, columns, config)  # raises the first bad pair's error
-        feature_score = np.fromiter(map(_feature_score, membership.tolist()), float,
-                                    len(membership))
+            _reports(columns, config)  # raises the first bad pair's error
+        # _feature_score of each row: its fsum over its length
+        feature_score = np.fromiter(map(math.fsum, membership.tolist()), float,
+                                    len(membership)) / membership.shape[1]
         similarity = _similarity(feature_score, alpha, config.k)
         scores += zip(feature_score.tolist(), alpha.tolist(), similarity.tolist())
     return scores
@@ -509,22 +578,26 @@ def _mapped(fn, column: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, column.tolist()), float, len(column))
 
 
-def entropy_membership(a: np.ndarray, b: np.ndarray,
+def entropy_membership(values: np.ndarray,
                        kernel: MembershipKernel) -> tuple[np.ndarray, np.ndarray]:
-    """feature_membership of each element pair of two arrays, bit for bit, unchecked.
+    """feature_membership of each ``(values[0], values[1])`` element pair, bit for bit, unchecked.
 
     The basic operations (sums, quotients, products, differences) are
     correctly rounded, so numpy's equal math's; ``0.0 - x`` is
-    np.subtract, since ``-x`` would turn 0.0 into -0.0. math.log2 and
-    the kernel's own evaluate run on Python floats (np.log2 and np.exp
-    differ from math in the last bit on some inputs). Raises ValueError
+    np.subtract, since ``-x`` would turn 0.0 into -0.0. math.log2 runs on
+    Python floats (np.log2 differs from it in the last bit on some
+    inputs). The memberships of a block of pairs are the kernel's
+    evaluate_column, which keeps evaluate's bits; those of one pair, as
+    in compare, are its evaluate of each value, since six frames cost
+    less than the column form's fixed numpy calls. Raises ValueError
     where feature_membership would: a share that is 0.0. The values
     must be positive and finite, as a FeatureVector's are.
     """
-    shape, a, b = a.shape, a.ravel(), b.ravel()
     with np.errstate(over="ignore"):  # a + b overflows to inf, as in Python, without a warning
-        total = a + b
-    shares = np.concatenate((a / total, b / total))
-    terms = shares * _mapped(math.log2, shares)
-    entropy = np.minimum(np.subtract(0.0, terms[:len(a)]) - terms[len(a):], 1.0)
-    return entropy.reshape(shape), _mapped(kernel.evaluate, entropy).reshape(shape)
+        total = values[0] + values[1]
+    shares = values / total
+    terms = shares * _mapped(math.log2, shares.ravel()).reshape(shares.shape)
+    entropy = np.minimum(np.subtract(0.0, terms[0]) - terms[1], 1.0)
+    flat = entropy.ravel()
+    membership = kernel.evaluate_column(flat) if len(entropy) > 1 else _mapped(kernel.evaluate, flat)
+    return entropy, membership.reshape(entropy.shape)

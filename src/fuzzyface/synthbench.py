@@ -176,8 +176,9 @@ class EvalReport:
     """Verification statistics over all genuine and impostor pairs.
 
     Every number is a finite int or float (numpy's too, never a bool),
-    stored as its Python number; threshold lies in [0, 100], auc and
-    accuracy_at_threshold in [0, 1]. Roc points may hold NaN.
+    stored as its Python number; threshold lies in [0, 100], and auc,
+    accuracy_at_threshold and each roc point's two rates in [0, 1], so
+    dump_json writes the report as strict JSON.
     """
 
     genuine_scores: tuple[float, ...]
@@ -203,18 +204,22 @@ class EvalReport:
                               ("impostor_stddev", ()), ("auc", (0, 1)), ("threshold", (0, 100)),
                               ("accuracy_at_threshold", (0, 1))):
             object.__setattr__(self, label, _in_range(label, getattr(self, label), *bounds))
-        far0 = tar0 = -math.inf
+        far0 = tar0 = 0.0
         floats = True
-        for point in self.roc_points:
+        for i, point in enumerate(self.roc_points):
             try:
                 far, tar = point
             except (TypeError, ValueError):  # not a pair
                 far = tar = None
-            # report_from_scores passes rising floats, which skip the full test
-            if not (type(far) is type(tar) is float and far0 <= far and tar0 <= tar):
+            # report_from_scores passes rising floats in [0, 1], which skip
+            # the full test; NaN fails it
+            if not (type(far) is type(tar) is float and far0 <= far <= 1.0
+                    and tar0 <= tar <= 1.0):
                 if not (is_number(far) and is_number(tar)):
                     raise ValueError(f"each roc point must be a pair of numbers, got {point!r}")
-                if far < far0 or tar < tar0:  # NaN passes, as it always has
+                far = _in_range(f"roc point {i} far", far, 0, 1)
+                tar = _in_range(f"roc point {i} tar", tar, 0, 1)
+                if far < far0 or tar < tar0:
                     raise ValueError("roc points must be monotone non-decreasing")
                 floats = False
             far0, tar0 = far, tar

@@ -1,6 +1,7 @@
 """Numbers at the public boundary: a bad one is refused in words, and good ones keep their bits."""
 
 import dataclasses
+import json
 import math
 import numbers
 
@@ -197,11 +198,29 @@ def with_extremes(test):
     return test
 
 
+def strict_json(text):
+    """The document in ``text``, refusing NaN and the infinities, which are not JSON (RFC 8259)."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def outcome(call, value):
+    """What ``call`` gives on ``value``: its result's repr, or that it refused the value."""
+    try:
+        return repr(call(value))
+    except ValueError:
+        return "refused"
+
+
 @pytest.mark.parametrize("call", TAKES.values(), ids=TAKES.keys())
 @settings(max_examples=40, deadline=None)
 @with_extremes
 @given(value=ANY_NUMBER)
 def test_a_number_is_taken_as_a_python_number_or_refused_in_words(call, value):
+    if isinstance(value, np.longdouble):  # np.longdouble(0.5): taken as its float
+        assert outcome(call, value) == outcome(call, float(value))
     # never an OverflowError, an IndexError or a bare TypeError
     try:
         result = call(value)
@@ -210,6 +229,16 @@ def test_a_number_is_taken_as_a_python_number_or_refused_in_words(call, value):
         return
     stored = stored_numbers(result)
     assert all(type(number) in (int, float) for number in stored), result
-    dump_json(stored)
+    strict_json(dump_json(stored))
     if isinstance(result, EvalReport):
-        dump_json(result.to_dict())
+        strict_json(dump_json(result.to_dict()))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="a long double is a double here")
+@pytest.mark.parametrize("call", TAKES.values(), ids=TAKES.keys())
+def test_a_long_double_past_a_float_is_refused_in_words(call):
+    # .item() keeps a long double wider than a float, and one third in it
+    # has no float equal to it
+    with pytest.raises(ValueError, match=r"\w"):
+        call(np.longdouble(1) / 3)

@@ -1,6 +1,7 @@
 """The end-to-end comparison pipeline and its report invariants."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -53,6 +54,23 @@ any_kernel = st.one_of(
         lambda v: TrapezoidKernel(*sorted(v))),
     st.sampled_from(list(DEFAULT_KERNELS.values())),
 )
+# kernels with int breakpoints, each type's own rule kept
+int_kernel = st.one_of(
+    st.integers(1, 10).map(BellKernel),
+    st.lists(st.integers(-10, 10), min_size=3, max_size=3, unique=True).map(
+        lambda v: TriangleKernel(*sorted(v))),
+    st.lists(st.integers(-10, 10), min_size=4, max_size=4).map(sorted).filter(
+        lambda v: v[0] < v[1] <= v[2] < v[3]).map(lambda v: TrapezoidKernel(*v)),
+)
+# where evaluate's Python floats overflow without a word, or an int peak
+# rounds to its float, and a column must give the same bits with no warning
+EXTREME_KERNELS = [
+    BellKernel(0.5), BellKernel(2 ** 53 + 1), TriangleKernel(-1e308, 0.5, 1e308),
+    TrapezoidKernel(-1e308, 0.25, 0.75, 1e308), TriangleKernel(0.0, 5e-324, 1.0),
+    TrapezoidKernel(0, 0.5, 0.5, 1),
+    # int spans that a float holds, between ints that a float does not
+    TriangleKernel(1, 2 ** 53 + 1, 2 ** 54), TrapezoidKernel(1, 2 ** 53 + 1, 2 ** 53 + 1, 2 ** 54),
+]
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # independent draws, and pairs a, a * ratio with every ratio up to 1e300
 measurements = st.one_of(
@@ -107,32 +125,52 @@ class TestFeatureMembership:
             return
         assert tuple(map(repr, feature_membership(*ab, kernel))) == tuple(map(repr, expected))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
-    @given(abs_=st.lists(measurements, min_size=1, max_size=12), kernel=any_kernel)
+    @given(abs_=st.lists(measurements, min_size=1, max_size=12),
+           kernel=st.one_of(any_kernel, int_kernel, st.sampled_from(EXTREME_KERNELS)))
     @example(abs_=[(1.0, 1e300)], kernel=BellKernel())
     @example(abs_=[(5e-324, 1e300)], kernel=BellKernel())  # p underflows to 0.0
     @example(abs_=[(1.7e308, 1.7e308)], kernel=BellKernel())  # a + b overflows
     @example(abs_=[(3.0, 3.0 * (1 + 2 ** -52))], kernel=TrapezoidKernel())
     @example(abs_=[(60.0, 66.0), (1.0, 3.0), (2.0, 2.0)], kernel=BellKernel(0.5))
     @example(abs_=[(60.0, 66.0), (1.0, 3.0), (2.0, 2.0)], kernel=BellKernel(1))  # an int peak
+    @example(abs_=[(60.0, 66.0), (1.0, 3.0), (2.0, 2.0)], kernel=BellKernel(2 ** 53 + 1))
+    @example(abs_=[(60.0, 66.0), (1.0, 3.0), (2.0, 2.0)], kernel=TriangleKernel(-1e308, 0.5, 1e308))
+    @example(abs_=[(1.0, 3.0), (2.0, 2.0)], kernel=TriangleKernel(0, 1, 2))  # int breakpoints
+    @example(abs_=[(1.0, 3.0), (2.0, 2.0)], kernel=TrapezoidKernel(-1, 0, 1, 2))
     def test_columns_equal_feature_membership(self, abs_, kernel):
         # the columns of score_pairs and pair_scores against the scalar
         # reference, as a (pairs x 1) block: each value bit for bit, or an
-        # error from both
-        a, b = np.array(abs_).T[:, :, None]
+        # error from both; a block of pairs takes the kernel's column form
+        values = np.array(abs_).T[:, :, None]  # the a and b of each pair
         expected = []
         for pair in abs_:
             try:
                 expected.append(feature_membership(*pair, kernel))
             except ValueError:
                 with pytest.raises(ValueError):
-                    entropy_membership(a, b, kernel)
+                    entropy_membership(values, kernel)
                 return
-        entropy, membership = entropy_membership(a, b, kernel)
-        assert entropy.shape == membership.shape == a.shape
+        entropy, membership = entropy_membership(values, kernel)
+        assert entropy.shape == membership.shape == values.shape[1:]
         assert list(zip(map(repr, entropy.ravel().tolist()),
                         map(repr, membership.ravel().tolist()))) == [
             tuple(map(repr, values)) for values in expected]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(kernel=st.one_of(any_kernel, int_kernel, st.sampled_from(EXTREME_KERNELS)),
+           entropies=st.lists(st.floats(0.0, 1.0), max_size=12))
+    @example(kernel=BellKernel(), entropies=[])
+    def test_kernel_columns_equal_evaluate(self, kernel, entropies):
+        # at the bell's peak and at each breakpoint, a float either side of
+        # it, and drawn entropies: evaluate_column against evaluate, bit for bit
+        points = np.array([float(getattr(kernel, f.name)) for f in dataclasses.fields(kernel)])
+        x = np.concatenate((points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+                            [0.0, 0.5, 1.0], entropies))
+        expected = [kernel.evaluate(value).hex() for value in x.tolist()]
+        assert [value.hex() for value in kernel.evaluate_column(x).tolist()] == expected
 
     @pytest.mark.parametrize("a, b", [
         (0.0, 1.0), (1.0, -2.0), (-1.0, -3.0), (math.nan, 1.0), (1.0, math.inf), ("1", 2.0),
@@ -359,6 +397,9 @@ class OvershootKernel(TriangleKernel):
     def evaluate(self, x: float) -> float:
         return 1.5 if x < 1.0 else 1.0
 
+    def evaluate_column(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x < 1.0, 1.5, 1.0)
+
 
 def counted_fills(monkeypatch) -> list:
     """Each fill_outlines call of the engine from now on: (outlines, width, height, scale)."""
@@ -423,16 +464,17 @@ class TestScorePairs:
 
     @pytest.mark.parametrize("block", [1, 4096])
     @pytest.mark.parametrize("pair", [(-1, 0), (True, 0), (0, 9), (0,), (0, np.True_),
-                                      (0.0, 1), (0, 1, 2), None])
+                                      (0.0, 1), (0, 1, 2), None, (0, 2 ** 70), [1, False]])
     def test_bad_pair_indices_are_refused(self, monkeypatch, block, pair):
         # named in its words, before a later stretch-refused pair is reached
         monkeypatch.setattr(fuzzyface.scoring, "_BLOCK_PAIRS", block)
         faces = [*unequal_faces(), stretch_refused_face(), make_face("big", width=768, height=768)]
         for score in (score_pairs, pair_scores):
-            with pytest.raises(ValueError) as raised:
-                score(faces, [(0, 1), pair, (2, 3)])
-            assert str(raised.value) == (f"pair {pair!r} must be two integer indices into "
-                                         f"the 4 faces")
+            for pairs in ([(0, 1), pair, (2, 3)], [(0, 1), pair]):
+                with pytest.raises(ValueError) as raised:
+                    score(faces, pairs)
+                assert str(raised.value) == (f"pair {pair!r} must be two integer indices into "
+                                             f"the 4 faces")
 
     def test_numpy_indices_score_as_ints(self):
         faces = unequal_faces()
@@ -440,6 +482,42 @@ class TestScorePairs:
         numpy_pairs = [(np.int64(0), np.int32(1)), np.array([1, 0]), (np.uint8(1), 1)]
         for score in (score_pairs, pair_scores):
             assert repr(score(faces, numpy_pairs)) == repr(score(faces, pairs))
+            assert repr(score(faces, [[0, 1], [1, 0], [1, 1]])) == repr(score(faces, pairs))
+
+    @pytest.mark.parametrize("mode", list(AlphaMode))
+    @pytest.mark.parametrize("kernel", DEFAULT_KERNELS.values(), ids=DEFAULT_KERNELS.keys())
+    def test_self_pairs_repeated_faces_and_lone_keys_equal_compare(self, mode, kernel):
+        faces = dealt_faces(9, [(512, 512), (256, 384), (768, 512), (384, 768), (100, 140),
+                                (256, 384)])
+        faces += [faces[1], faces[4]]  # one face at two indices
+        # (0, 0) and (4, 4) are each the one pair of their canvas: keys of
+        # one face; (1, 6), (6, 1), (6, 6) and (1, 1) put one face in two
+        # slots of the 256 x 384 key, and (7, 2) meets face 4 at index 7
+        pairs = [(0, 0), (4, 4), (1, 6), (6, 1), (6, 6), (1, 2), (7, 2), (2, 2), (3, 5),
+                 (0, 3), (5, 1), (1, 1)]
+        config = ScoringConfig(k=0.3, alpha_mode=mode, kernel=kernel)
+        expected = [compare(copy.deepcopy(faces[i]), copy.deepcopy(faces[j]), config)
+                    for i, j in pairs]
+        for _ in range(2):  # cold, then warm
+            assert [repr(r) for r in score_pairs(faces, pairs, config)] == list(map(repr, expected))
+            assert repr(pair_scores(faces, pairs, config)) == repr(
+                [(r.feature_score, r.alpha, r.similarity) for r in expected])
+
+    @pytest.mark.parametrize("count", [2, 36])
+    @pytest.mark.parametrize("kernel", DEFAULT_KERNELS.values(), ids=DEFAULT_KERNELS.keys())
+    @pytest.mark.parametrize("scorer", [score_pairs, pair_scores])
+    def test_a_block_of_pairs_calls_no_evaluate(self, monkeypatch, scorer, kernel, count):
+        # its memberships are the kernel's column form, with no frame per value
+        faces = dealt_faces(3, list(IMAGE_SIZES[:3]) * 2)
+        pairs = [(i, j) for i in range(6) for j in range(6)][:count]
+        config = ScoringConfig(kernel=kernel)
+        expected = repr([scorer(faces, [pair], config)[0] for pair in pairs])
+
+        def refused(self, x):
+            raise AssertionError("evaluate called on a block of pairs")
+
+        monkeypatch.setattr(type(kernel), "evaluate", refused)
+        assert repr(scorer(faces, pairs, config)) == expected
 
     def test_each_face_rasterized_once_per_canvas(self, monkeypatch):
         calls = counted_fills(monkeypatch)

@@ -237,6 +237,13 @@ class TestReportFromScores:
         ("auc", 1.5, "auc must lie in [0, 1], got 1.5"),
         ("threshold", 100.5, "threshold must lie in [0, 100], got 100.5"),
         ("accuracy_at_threshold", -0.25, "accuracy_at_threshold must lie in [0, 1], got -0.25"),
+        # roc rates: dump_json wrote NaN and Infinity, which are not JSON
+        ("roc_points", ((0.0, 0.0), (np.nan, 0.5), (1.0, 1.0)),
+         "roc point 1 far must be a finite number, got nan"),
+        ("roc_points", ((0.0, 0.0), (0.5, np.inf), (1.0, 1.0)),
+         "roc point 1 tar must be a finite number, got inf"),
+        ("roc_points", ((0.0, 0.0), (0.5, 1.5)), "roc point 1 tar must lie in [0, 1], got 1.5"),
+        ("roc_points", ((-0.25, 0.0), (1.0, 1.0)), "roc point 0 far must lie in [0, 1], got -0.25"),
     ])
     def test_every_number_of_a_report_is_checked(self, field, value, message):
         # such a report was written, "auc": true and all
