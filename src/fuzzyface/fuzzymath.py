@@ -74,29 +74,14 @@ class TriangleKernel:
     q: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("p", "r", "q"):
-            finite_number(f"triangle breakpoint '{name}'", getattr(self, name))
-        _keep_python_numbers(self)
-        if not (self.p < self.r < self.q):
-            raise ValueError(
-                f"triangle breakpoints must satisfy p < r < q, got {self.p}, {self.r}, {self.q}"
-            )
+        _check_ramps(self, "triangle", "p < r < q", "p", "r", "r", "q")
 
     def evaluate(self, x: float) -> float:
-        if x <= self.p or x > self.q:
-            return 0.0
-        if x <= self.r:
-            return (x - self.p) / (self.r - self.p)
-        return (self.q - x) / (self.q - self.r)
+        return _ramps(x, self.p, self.r, self.r, self.q)
 
     def evaluate_column(self, x: np.ndarray) -> np.ndarray:
         """evaluate of each element of a 1-D float array, bit for bit, below 2**53 in magnitude."""
-        # each span in evaluate's types, an int one exact, then at its float
-        p, r, q, rise, fall = map(float, (self.p, self.r, self.q, self.r - self.p,
-                                          self.q - self.r))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where((x <= p) | (x > q), 0.0,
-                            np.where(x <= r, (x - p) / rise, (q - x) / fall))
+        return _ramps_column(x, self.p, self.r, self.r, self.q)
 
 
 @dataclass(frozen=True)
@@ -112,32 +97,57 @@ class TrapezoidKernel:
     q: float = 1.1
 
     def __post_init__(self) -> None:
-        for name in ("p", "s", "t", "q"):
-            finite_number(f"trapezoid breakpoint '{name}'", getattr(self, name))
-        _keep_python_numbers(self)
-        if not (self.p < self.s <= self.t < self.q):
-            raise ValueError(
-                "trapezoid breakpoints must satisfy p < s <= t < q, "
-                f"got {self.p}, {self.s}, {self.t}, {self.q}"
-            )
+        _check_ramps(self, "trapezoid", "p < s <= t < q", "p", "s", "t", "q")
 
     def evaluate(self, x: float) -> float:
-        if x <= self.p or x > self.q:
-            return 0.0
-        if x <= self.s:
-            return (x - self.p) / (self.s - self.p)
-        if x <= self.t:
-            return 1.0
-        return (self.q - x) / (self.q - self.t)
+        return _ramps(x, self.p, self.s, self.t, self.q)
 
     def evaluate_column(self, x: np.ndarray) -> np.ndarray:
         """evaluate of each element of a 1-D float array, bit for bit, below 2**53 in magnitude."""
-        p, s, t, q, rise, fall = map(float, (self.p, self.s, self.t, self.q, self.s - self.p,
-                                             self.q - self.t))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where((x <= p) | (x > q), 0.0,
-                            np.where(x <= s, (x - p) / rise,
-                                     np.where(x <= t, 1.0, (q - x) / fall)))
+        return _ramps_column(x, self.p, self.s, self.t, self.q)
+
+
+def _check_ramps(kernel, kind: str, rule: str, *names: str) -> None:
+    """Check a kernel as the trapezoid whose (p, s, t, q) are its fields ``names``.
+
+    The breakpoints must be finite numbers, kept as Python numbers, in
+    order, and the spans that evaluate divides by, s - p and q - t, taken
+    in their own types, finite floats.
+    """
+    for name in dict.fromkeys(names):
+        finite_number(f"{kind} breakpoint '{name}'", getattr(kernel, name))
+    _keep_python_numbers(kernel)
+    p, s, t, q = (getattr(kernel, name) for name in names)
+    if not (p < s <= t < q):
+        raise ValueError(f"{kind} breakpoints must satisfy {rule}, got {kernel!r}")
+    for span, (low, high) in ((s - p, names[:2]), (q - t, names[2:])):
+        try:
+            if math.isfinite(span):
+                continue
+        except OverflowError:  # an int too large for a float
+            pass
+        raise ValueError(f"{kind} breakpoint span {high} - {low} overflows a float: {kernel!r}")
+
+
+def _ramps(x: float, p, s, t, q) -> float:
+    """The trapezoid's membership of x; the triangle's is the trapezoid's with s = t = r."""
+    if x <= p or x > q:
+        return 0.0
+    if x <= s:
+        return (x - p) / (s - p)
+    if x <= t:
+        return 1.0
+    return (q - x) / (q - t)
+
+
+def _ramps_column(x: np.ndarray, p, s, t, q) -> np.ndarray:
+    """_ramps of each element of a 1-D float array, bit for bit, below 2**53 in magnitude."""
+    # each span in _ramps' types, an int one exact, then at its float
+    p, s, t, q, rise, fall = map(float, (p, s, t, q, s - p, q - t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where((x <= p) | (x > q), 0.0,
+                        np.where(x <= s, (x - p) / rise,
+                                 np.where(x <= t, 1.0, (q - x) / fall)))
 
 
 MembershipKernel = BellKernel | TriangleKernel | TrapezoidKernel

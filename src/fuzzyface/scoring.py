@@ -14,20 +14,21 @@ each face (rescale onto the pair's canvas, measure the features,
 rasterize the outline) at most once per canvas size and raster scale,
 over all calls: the face keeps its feature values and its mask in its
 memo, one entry per key, (width, height, scale). It groups a block's
-pairs by key with arrays, not a loop over pairs, and gives each key's
-faces slots: rows of one value matrix, and masks. It scores the block as
-numpy columns: the two mask areas and their intersection per pair
-(overlap_counts, or packed_overlap_counts for a key with many pairs),
-and an entropy and a membership per feature, from one gather of each
-pair's two value rows, with the bits of feature_membership: math.log2,
-and the bell kernel's square and exponential, stay libm calls on Python
-floats, and a block of pairs makes no Python frame per value (the
-kernel's evaluate_column). The blend is written once (_feature_score and
-_similarity) and the checks once, in MatchReport. score_pairs turns each
-block into MatchReports, reading each alpha off its counts with
-alpha_from_counts, and compare is its one-pair case; pair_scores takes
-the alphas and the blend as columns and keeps only each pair's feature
-score, alpha and similarity.
+pairs by key with a sorted np.unique, not a loop over pairs, and gives
+each key's faces slots, key by key in canvas size order and in index
+order within a key: rows of one value matrix, and masks. It scores the
+block as numpy columns: the two mask areas and their intersection per
+pair (overlap_counts, or packed_overlap_counts for a key with many
+pairs), and an entropy and a membership per feature, from one gather of
+each pair's two value rows, with the bits of feature_membership:
+math.log2, and the bell kernel's square and exponential, stay libm
+calls on Python floats, and a block of pairs makes no Python frame per
+value (the kernel's evaluate_column). The blend is written once
+(_feature_score and _similarity) and the checks once, in MatchReport.
+score_pairs turns each block into MatchReports, reading each alpha off
+its counts with alpha_from_counts, and compare is its one-pair case;
+pair_scores takes the alphas (alphas_from_counts) and the blend as
+columns and keeps only each pair's feature score, alpha and similarity.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .silhouette import (
     BinaryMask,
     Canvas,
     alpha_from_counts,
+    alphas_from_counts,
     check_raster_frame,
     default_resolution_scale,
     fill_outlines,
@@ -301,45 +303,19 @@ def _block_indices(faces: Sequence[FaceInput], block: list) -> np.ndarray:
     return np.array([_pair_indices(faces, pair) for pair in block], dtype=np.intp)
 
 
-def _first_seen(codes: np.ndarray, group=None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct codes of a flat array in the order they first appear, and each code's place.
+def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig):
+    """Each pair's key and two slots, and each key's faces prepared on its canvas.
 
-    With ``group``, a function of the codes, the distinct codes are
-    ordered by group, and within a group by first appearance.
-    """
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first) if group is None else np.lexsort((first, group(distinct)))
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    return distinct[order], place[inverse]
-
-
-# A block's prepared faces. A key is a canvas size and raster scale,
-# (width, height, scale), and a slot is one face on one key's canvas: the
-# face, its six feature values, in CANONICAL_FEATURES order, as a row of
-# the values array, and its mask. Each key has a run of slots, the runs
-# end to end in key order. Each pair has its key and its two slots.
-_Prepared = tuple[
-    list[tuple[int, int, int]],  # keys, in the order the pairs first meet them
-    list[int],  # each key's number of slots
-    list[FaceInput],  # each slot's face
-    np.ndarray,  # values: (slots, 6)
-    Sequence[BinaryMask],  # each slot's mask
-    np.ndarray,  # (n,): each pair's key
-    np.ndarray,  # (n, 2): each pair's two slots
-]
-
-
-def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> _Prepared:
-    """Each pair's key, and each key's faces prepared on its canvas, with their slots.
-
-    The pairs are grouped by key with arrays: each pair's canvas is
-    normalize_pair's, the componentwise max of its faces' sizes, and
-    each key's canvas is built once, in the order the pairs first meet
-    them. A key's faces take their slots in the order its pairs first
-    name them, one slot per index. Every pair's indices are checked
-    first. A block of one pair takes its one key without sorting, and a
-    slot for each side.
+    A key is (width, height, scale), and a slot is one face on one key's
+    canvas. The result: the keys, each key's number of slots, each
+    slot's face, the values (a row per slot: the six feature values, in
+    CANONICAL_FEATURES order), the masks, and each pair's key and slots.
+    Every pair's indices are checked first. Each pair's canvas is
+    normalize_pair's, the componentwise max of its faces' sizes; sorted
+    np.unique gives the keys in canvas size order, each canvas built
+    once, and the slots coded key * n + face index: one run per key, one
+    slot per index, in index order. A block of one pair takes its one
+    key without sorting, and a slot for each side.
 
     Each face keeps its (values, mask) entry per key in its memo,
     ``face._prepared``, over all calls. The faces of a key with no entry
@@ -356,17 +332,17 @@ def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig) ->
         slot_keys, key_slots = [0, 0], [2]  # each slot's key, and each key's slots
         pair_keys, slots = np.zeros(1, dtype=np.intp), np.array([[0, 1]])
     else:
+        # each np.unique input is flat, as numpy 2.0's inverse takes its input's shape
         indices = _block_indices(faces, block)
         named, at = np.unique(indices.ravel(), return_inverse=True)
         named = [faces[k] for k in named.tolist()]
         widths = np.array([face.image_width for face in named])[at.reshape(-1, 2)]
         heights = np.array([face.image_height for face in named])[at.reshape(-1, 2)]
-        codes, pair_keys = _first_seen(widths.max(axis=1) * _SIDES + heights.max(axis=1))
+        codes, pair_keys = np.unique(widths.max(axis=1) * _SIDES + heights.max(axis=1),
+                                     return_inverse=True)
         sizes = [divmod(code, _SIDES) for code in codes.tolist()]
         n = len(faces)
-        # a slot is coded key * n + face index, and grouped by key
-        codes, slots = _first_seen((pair_keys[:, None] * n + indices).ravel(),
-                                   lambda code: code // n)
+        codes, slots = np.unique((pair_keys[:, None] * n + indices).ravel(), return_inverse=True)
         slots = slots.reshape(-1, 2)
         slot_faces = [faces[k] for k in (codes % n).tolist()]
         slot_keys = codes // n
@@ -403,7 +379,8 @@ def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig) ->
     return keys, key_slots, slot_faces, np.array(values), masks, pair_keys, slots
 
 
-def _overlaps(prepared: _Prepared) -> np.ndarray:
+def _overlaps(key_slots: list[int], masks: Sequence[BinaryMask], pair_keys: np.ndarray,
+              slots: np.ndarray) -> np.ndarray:
     """Each pair's overlap_counts, ``(area_a, area_b, intersection)``, as an (n, 3) array.
 
     A key's pairs are counted together, by packed_overlap_counts, when
@@ -413,50 +390,27 @@ def _overlaps(prepared: _Prepared) -> np.ndarray:
     a manifest, gains nothing. Its pairs, and the pair of a block of one,
     are counted one at a time, by overlap_counts.
     """
-    _, key_slots, _, _, masks, pair_keys, slots = prepared
-    counts = packed = None
-    if len(slots) > 1:  # one pair never packs: it is fewer than twice its faces
-        start = 0
-        for k, pairs in enumerate(np.bincount(pair_keys, minlength=len(key_slots)).tolist()):
-            end = start + key_slots[k]
-            if pairs >= 2 * key_slots[k]:
-                if counts is None:
-                    counts = np.empty((len(slots), 3), dtype=np.int64)
-                    packed = np.zeros(len(slots), dtype=bool)
-                at = np.flatnonzero(pair_keys == k)
-                counts[at] = packed_overlap_counts(masks[start:end], slots[at, 0] - start,
-                                                   slots[at, 1] - start)
-                packed[at] = True
-            start = end
-    if counts is None:
-        return np.array([overlap_counts(masks[a], masks[b]) for a, b in slots.tolist()])
-    alone = np.flatnonzero(~packed)
-    for p, (a, b) in zip(alone.tolist(), slots[alone].tolist()):
-        counts[p] = overlap_counts(masks[a], masks[b])
+    if len(slots) == 1:  # one pair never packs: it is fewer than twice its faces
+        return np.array([overlap_counts(*masks)])
+    counts = np.empty((len(slots), 3), dtype=np.int64)
+    start = 0
+    for k, pairs in enumerate(np.bincount(pair_keys, minlength=len(key_slots)).tolist()):
+        end = start + key_slots[k]
+        at = np.flatnonzero(pair_keys == k)
+        if pairs >= 2 * key_slots[k]:
+            counts[at] = packed_overlap_counts(masks[start:end], slots[at, 0] - start,
+                                               slots[at, 1] - start)
+        else:
+            counts[at] = [overlap_counts(masks[a], masks[b]) for a, b in slots[at].tolist()]
+        start = end
     return counts
 
 
-def _alphas(counts: np.ndarray, mode: AlphaMode) -> np.ndarray:
-    """alpha_from_masks of each pair's counts, bit for bit: the same divisions of the same ints.
-
-    Every count is below 2**53, so each converts to a float exactly, and
-    a quotient of two such floats is the correctly rounded one of the
-    ints, as Python's int division gives it. The areas are positive, so
-    no branch divides by zero.
-    """
-    area_a, area_b, inter = counts.T
-    if mode is AlphaMode.LITERAL:
-        return np.where(area_a != inter, (area_a - inter) / area_a,
-                        np.where(area_b != inter, (area_b - inter) / area_b, 1.0))
-    return inter / (area_a + area_b - inter)
-
-
-# one block of pairs scored up to the blend: its prepared faces, each
-# pair's two value rows (the first faces' rows, then the second faces':
-# a row per pair, a column per feature), its overlap_counts (area_a,
-# area_b, intersection: a row per pair), and its entropies and
-# memberships (a row per pair, a column per feature)
-_Columns = tuple[_Prepared, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# one block of pairs scored up to the blend: _prepared's keys, slot faces,
+# pair keys and slots; each pair's two value rows (the first faces', then
+# the second faces'); its overlap_counts; and its entropies and memberships
+_Columns = tuple[list[tuple[int, int, int]], list[FaceInput], np.ndarray, np.ndarray,
+                 np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _columns(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> _Columns:
@@ -469,11 +423,11 @@ def _columns(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> 
     order, since every pair's indices are checked and every face is
     prepared, key by key, before any pair is scored.
     """
-    prepared = _prepared(faces, block, config)
-    values, slots = prepared[3], prepared[6]
-    counts = _overlaps(prepared)
+    keys, key_slots, slot_faces, values, masks, pair_keys, slots = _prepared(faces, block, config)
+    counts = _overlaps(key_slots, masks, pair_keys, slots)
     pair_values = values[slots.T]  # each pair's two rows: (2, n, 6)
-    return (prepared, pair_values, counts, *entropy_membership(pair_values, config.kernel))
+    return (keys, slot_faces, pair_keys, slots, pair_values, counts,
+            *entropy_membership(pair_values, config.kernel))
 
 
 def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
@@ -497,8 +451,7 @@ def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
 
 def _reports(columns: _Columns, config: ScoringConfig) -> list[MatchReport]:
     """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
-    (keys, _, slot_faces, _, _, pair_keys, slots), pair_values, counts, entropies, \
-        memberships = columns
+    keys, slot_faces, pair_keys, slots, pair_values, counts, entropies, memberships = columns
     values_a, values_b = pair_values.tolist()
     ids = [face.id for face in slot_faces]
     mode = config.alpha_mode
@@ -559,8 +512,8 @@ def pair_scores(
         config = ScoringConfig()
     scores: list[tuple[float, float, float]] = []
     for columns in _scored_blocks(faces, pairs, config):
-        _, _, counts, entropy, membership = columns
-        alpha = _alphas(counts, config.alpha_mode)
+        *_, counts, entropy, membership = columns
+        alpha = alphas_from_counts(counts, config.alpha_mode)
         # MatchReport's checks on the columns; a bad value fails on NaN too
         if not (((0.0 <= entropy) & (entropy <= 1.0) & (0.0 <= membership) & (membership <= 1.0))
                 .all() and ((0.0 <= alpha) & (alpha <= 1.0)).all()):

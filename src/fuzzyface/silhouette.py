@@ -4,7 +4,10 @@ It knows outlines and canvases, not faces: the pair engine (scoring)
 puts two faces on their shared canvas. Outlines are filled into binary
 masks by even-odd counting at pixel centers, and the overlap score is
 read off the masks' areas and intersection: one pair's by
-overlap_counts, many pairs' on one canvas by packed_overlap_counts. A
+overlap_counts, many pairs' on one canvas by packed_overlap_counts.
+The alpha rule has two forms, as each membership kernel has:
+alpha_from_counts for one pair's counts, the reference, and
+alphas_from_counts for a column of them, with the same bits. A
 mask stores only the window of rows and columns its outline spans, plus
 that window's offset; every pixel outside the window is outside the
 outline. One kernel, fill_outlines, fills any number of checked
@@ -413,6 +416,21 @@ def alpha_from_counts(area_a: int, area_b: int, inter: int,
     if mode is AlphaMode.COMPLEMENT:
         return inter / (area_a + area_b - inter)
     raise ValueError(f"unknown alpha mode {mode!r}")
+
+
+def alphas_from_counts(counts: np.ndarray, mode: AlphaMode = AlphaMode.COMPLEMENT) -> np.ndarray:
+    """alpha_from_counts of each (area_a, area_b, intersection) row of an int array, bit for bit.
+
+    The same divisions of the same ints: every count is below 2**53, so
+    each converts to a float exactly, and a quotient of two such floats
+    is the correctly rounded one of the ints, as Python's int division
+    gives it. The areas are positive, so no branch divides by zero.
+    """
+    area_a, area_b, inter = counts.T
+    if mode is AlphaMode.LITERAL:
+        return np.where(area_a != inter, (area_a - inter) / area_a,
+                        np.where(area_b != inter, (area_b - inter) / area_b, 1.0))
+    return inter / (area_a + area_b - inter)
 
 
 def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.COMPLEMENT) -> float:

@@ -27,6 +27,7 @@ from fuzzyface import (
     solve_weight,
 )
 from fuzzyface.fileio import dump_json
+from fuzzyface.fuzzymath import kernel_from_dict
 
 NAN, INF = math.nan, math.inf
 f64 = np.float64
@@ -61,8 +62,27 @@ CALLS = [
 
 
 @pytest.mark.parametrize("call, label, value", [
-    pytest.param(call, label, BAD[value], id=f"{name}-{value}")
-    for name, call, label, values in CALLS for value in values
+    *[pytest.param(call, label, BAD[value], id=f"{name}-{value}")
+      for name, call, label, values in CALLS for value in values],
+    # breakpoints that are finite, but span more than a float holds: evaluate
+    # raised OverflowError on the ints, and took the float span as inf
+    pytest.param(lambda v: TriangleKernel(-v, v, 17 * v // 10), "triangle breakpoint span r - p",
+                 10 ** 308, id="TriangleKernel-int-span"),
+    # p is the largest int that a float holds, and r - p is one more
+    pytest.param(lambda v: TriangleKernel(-v, 1, 2), "triangle breakpoint span r - p",
+                 2 ** 1024 - 2 ** 970 - 1, id="TriangleKernel-int-span-by-one"),
+    pytest.param(lambda v: TriangleKernel(-v, v, 1.75e308), "triangle breakpoint span r - p",
+                 1.7e308, id="TriangleKernel-float-span"),
+    pytest.param(lambda v: TrapezoidKernel(-v, v, v, 17 * v // 10),
+                 "trapezoid breakpoint span s - p", 10 ** 308, id="TrapezoidKernel-int-span"),
+    pytest.param(lambda v: TrapezoidKernel(-v, 1 - v, 2 - v, v), "trapezoid breakpoint span q - t",
+                 10 ** 308, id="TrapezoidKernel-int-fall"),
+    pytest.param(lambda v: TrapezoidKernel(-1.75e308, -v, -v, v),
+                 "trapezoid breakpoint span q - t", 1.7e308, id="TrapezoidKernel-float-span"),
+    # a model file's kernel: its fields are read as floats
+    pytest.param(lambda v: kernel_from_dict({"type": "triangle", "p": -v, "r": v,
+                                             "q": 17 * v // 10}),
+                 "triangle breakpoint span r - p", 10 ** 308, id="kernel_from_dict-span"),
 ])
 def test_a_bad_number_is_refused_in_words(call, label, value):
     # a ValueError, never a TypeError or an OverflowError, and never a result

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from itertools import accumulate
 from statistics import fmean
 
 import numpy as np
@@ -527,7 +528,7 @@ class TestScorePairs:
         pairs = [(0, 1), (0, 2), (1, 2), (2, 1), (0, 3), (1, 3)]
         score_pairs(faces, pairs, ScoringConfig())
         # one fill per canvas: the three faces on the 100 px canvas, then
-        # faces 0, 3 and 1 on the 200x150 one
+        # faces 0, 1 and 3 on the 200x150 one
         assert calls == [(3, 100, 100, 6), (3, 200, 150, 3)]
         calls.clear()
         # a block whose preparation raises keeps no face of the canvas that
@@ -554,8 +555,8 @@ class TestScorePairs:
         scorer(faces, pairs, ScoringConfig())
         sizes = [(max(faces[i].image_width, faces[j].image_width),
                   max(faces[i].image_height, faces[j].image_height)) for i, j in pairs]
-        # one call per distinct size, in the order the sizes first appear
-        assert calls == list(dict.fromkeys(sizes))
+        # one call per distinct size, in size order: by width, then height
+        assert calls == sorted(set(sizes))
         assert len(calls) < len(pairs)
 
     def test_same_size_faces_are_not_rechecked(self, monkeypatch):
@@ -742,10 +743,11 @@ class TestPreparedMemo:
         for _ in range(2):
             pair_scores(faces, pairs, ScoringConfig(resolution_scale=1))
             compare(faces[1], faces[0], ScoringConfig(resolution_scale=1))
-        # a new scale is a new key: its faces are stretched and filled again
+        # a new scale is a new key: its faces are stretched and filled again,
+        # key by key in canvas size order, and in index order within a key
         assert calls == [(2, 100, 100, 1), (3, 200, 150, 1)]
         assert stretches == [("s0", 100, 100), ("s1", 100, 100), ("s0", 200, 150),
-                             ("b", 200, 150), ("s1", 200, 150)]
+                             ("s1", 200, 150), ("b", 200, 150)]
         assert [sorted(face._prepared) for face in faces] == [
             [(100, 100, 1), (100, 100, 6), (200, 150, 1), (200, 150, 3)]] * 2 + [
             [(200, 150, 1), (200, 150, 3)]]
@@ -781,6 +783,65 @@ class TestPreparedMemo:
         assert set(faces[2]._prepared) == {(512, 512, 1), (512, 512, 2), (256, 384, 1),
                                            (256, 384, 2), (100, 140, 1), (100, 140, 2),
                                            (100, 140, 4)}
+
+
+GROUPING_SIZES = ((100, 100), (140, 100), (100, 140), (120, 90), (90, 120))
+
+
+@st.composite
+def grouping_blocks(draw):
+    """Image sizes, the face that also sits at a second index, and a block of 1, 2 or many pairs."""
+    sizes = draw(st.lists(st.sampled_from(GROUPING_SIZES), min_size=1, max_size=5))
+    twice = draw(st.integers(0, len(sizes) - 1))
+    length = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)))
+    index = st.integers(0, len(sizes))  # the last index is the face at two indices
+    # all plain ints, or each pair's indices of some int type, numpy's included
+    kinds = st.sampled_from([int, np.int64, np.int32, np.uint8]) if draw(st.booleans()) else \
+        st.just(int)
+    pairs = draw(st.lists(st.tuples(index, index, kinds), min_size=length, max_size=length))
+    return sizes, twice, [(kind(i), kind(j)) for i, j, kind in pairs]
+
+
+class TestGrouping:
+    """_prepared groups a block's pairs by key, in key order, each key's slots one run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=grouping_blocks(), resolution_scale=st.sampled_from([None, 1, 2]))
+    # sizes and indices met out of order: the keys and each key's slots still ascend
+    @example(block=([(140, 100), (100, 100)], 0, [(0, 0), (1, 1)]), resolution_scale=None)
+    @example(block=([(100, 100), (100, 100)], 1, [(1, 0), (2, 1), (0, 2)]), resolution_scale=1)
+    @example(block=([(120, 90)], 0, [(np.int64(1), np.int64(0))]), resolution_scale=2)
+    def test_keys_ascend_and_each_key_is_one_run(self, block, resolution_scale):
+        sizes, twice, pairs = block
+        faces = [make_face(f"f{k}", w, h) for k, (w, h) in enumerate(sizes)]
+        faces.append(faces[twice])  # one face at two indices
+        config = ScoringConfig(resolution_scale=resolution_scale)
+        keys, key_slots, slot_faces, values, masks, pair_keys, slots = \
+            fuzzyface.scoring._prepared(faces, pairs, config)
+        assert len(pair_keys) == len(slots) == len(pairs)
+        assert len(slot_faces) == len(values) == len(masks) == sum(key_slots)
+        assert keys == sorted(set(keys))  # distinct and ascending
+        starts = [0, *accumulate(key_slots)]
+        slot_of = {}  # (key, index) -> its slot
+        for (i, j), key, (a, b) in zip(pairs, pair_keys.tolist(), slots.tolist()):
+            # the pair's own faces, on normalize_pair's canvas at the config's scale
+            assert slot_faces[a] is faces[i] and slot_faces[b] is faces[j]
+            width = max(faces[i].image_width, faces[j].image_width)
+            height = max(faces[i].image_height, faces[j].image_height)
+            scale = resolution_scale or default_resolution_scale(Canvas(width, height))
+            assert keys[key] == (width, height, scale)
+            for index, slot in ((i, a), (j, b)):
+                assert starts[key] <= slot < starts[key + 1]  # inside its key's run
+                assert masks[slot] is faces[index]._prepared[keys[key]][1]
+                assert values[slot].tolist() == list(faces[index]._prepared[keys[key]][0])
+                if len(pairs) > 1:
+                    assert slot_of.setdefault((key, int(index)), slot) == slot
+        if len(pairs) == 1:  # a slot for each side, whether or not they are one face
+            assert slots.tolist() == [[0, 1]] and key_slots == [2]
+        else:
+            # one slot per (key, index), in key order, then index order
+            assert sorted(slot_of, key=slot_of.get) == sorted(slot_of)
+            assert sorted(slot_of.values()) == list(range(len(slot_faces)))
 
 
 def dealt_faces(seed, sizes):

@@ -28,7 +28,7 @@ from fuzzyface import (
     normalize_pair,
     rasterize,
 )
-from fuzzyface import scoring, silhouette
+from fuzzyface import silhouette
 from fuzzyface.features import FaceInput, rescale_face
 from fuzzyface.geometry import polygon_is_simple
 
@@ -580,6 +580,20 @@ class TestMaskOps:
             self.make(np.ones((3, 3)), offset=(2, 0), frame=(4, 4))
 
 
+@st.composite
+def overlap_counts_rows(draw):
+    """``(area_a, area_b, intersection)`` of two masks of positive area, their union below 2**53.
+
+    Either area, or both, may equal the intersection (LITERAL mode's three
+    branches), and the counts may lie just below 2**53.
+    """
+    union = draw(st.one_of(st.integers(1, 300), st.integers(2 ** 53 - 300, 2 ** 53 - 1)))
+    only_a = 0 if draw(st.booleans()) else draw(st.integers(0, union - 1))
+    only_b = 0 if draw(st.booleans()) else draw(st.integers(0, union - only_a - (only_a == 0)))
+    inter = union - only_a - only_b
+    return inter + only_a, inter + only_b, inter
+
+
 class TestAlpha:
     def test_concentric_squares(self):
         outer = square_face("a", 5, 15)
@@ -657,6 +671,18 @@ class TestAlpha:
         with pytest.raises(ValueError, match="alpha mode"):
             alpha_from_masks(m, m, "iou")
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(overlap_counts_rows(), min_size=1, max_size=20))
+    # LITERAL's three branches, disjoint masks, and counts just below 2**53
+    @example([(5, 3, 2), (2, 5, 2), (5, 2, 2), (4, 4, 4), (3, 4, 0),
+              (2 ** 53 - 2, 2 ** 53 - 3, 2 ** 53 - 4), (2 ** 53 - 1, 1, 1), (1, 2 ** 53 - 1, 1)])
+    def test_column_form_keeps_the_scalar_bits(self, rows):
+        counts = np.array(rows, dtype=np.int64)
+        for mode in AlphaMode:
+            alphas = silhouette.alphas_from_counts(counts, mode).tolist()
+            assert list(map(repr, alphas)) == [repr(silhouette.alpha_from_counts(*row, mode))
+                                               for row in rows]
+
 
 # a mask window: rows and columns (the columns start at, before or past a
 # 64-pixel word's edge, and may span several words), its offset, and a seed
@@ -703,7 +729,7 @@ class TestPackedOverlapCounts:
         assert counts.tolist() == [list(row) for row in expected]
         # the pair engine's alphas of these counts are alpha_from_masks', to the bit
         for mode in AlphaMode:
-            alphas = scoring._alphas(counts, mode).tolist()
+            alphas = silhouette.alphas_from_counts(counts, mode).tolist()
             assert list(map(repr, alphas)) == [repr(alpha_from_masks(masks[i], masks[j], mode))
                                                for i, j in pairs]
 
