@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .geometry import finite_number, python_number
+from .geometry import finite_number, in_range, python_number
 
 
 class DegenerateSampleError(ValueError):
@@ -32,9 +32,8 @@ class CalibrationSample:
 
     def __post_init__(self) -> None:
         for label, value in (("feature_score", self.feature_score), ("alpha", self.alpha)):
-            if not 0.0 <= finite_number(label, value) <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, label, python_number(value))
+            finite_number(label, value)
+            object.__setattr__(self, label, in_range(label, value, 0, 1))
 
 
 def solve_weight(target: float, feature_score: float, alpha: float) -> float:

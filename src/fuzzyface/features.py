@@ -150,8 +150,7 @@ class FaceInput:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"face id must be a non-empty string, got {self.id!r}")
         width, height = _check_image_size(self.image_width, self.image_height)
-        if width is not self.image_width or height is not self.image_height:  # numpy ints
-            vars(self).update(image_width=width, image_height=height)
+        vars(self).update(image_width=width, image_height=height)  # numpy ints as ints
 
         try:
             named_points = dict(self.landmarks).items()
@@ -276,16 +275,27 @@ class FeatureVector:
     items: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        floats = True
-        for name, value in self.items:
-            # extract_features passes positive floats, which skip the full test
-            if not (type(value) is float and 0.0 < value < math.inf):
-                if not finite_number(f"feature '{name}'", value) > 0.0:
-                    raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
-                floats = False
-        if not floats:  # an int or a numpy scalar is kept as its Python number
-            object.__setattr__(self, "items", tuple(
-                (name, python_number(value)) for name, value in self.items))
+        items = self.items
+        try:
+            if type(items) is tuple:
+                # extract_features passes a tuple of (name, positive float)
+                # tuples, which skip the full test
+                for item in items:
+                    name, value = item
+                    if not (type(item) is tuple and type(value) is float
+                            and 0.0 < value < math.inf):
+                        break
+                else:
+                    return
+            items = [(name, value) for name, value in items]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise ValueError(f"feature items must be (name, value) pairs, got {items!r}") from None
+        for name, value in items:
+            if not finite_number(f"feature '{name}'", value) > 0.0:
+                raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
+        # an int or a numpy scalar is kept as its Python number
+        object.__setattr__(self, "items", tuple(
+            (name, python_number(value)) for name, value in items))
 
 
 def extract_features(face: FaceInput) -> FeatureVector:

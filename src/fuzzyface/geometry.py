@@ -57,6 +57,16 @@ def whole_number(label: str, value, minimum: int) -> int:
     return number
 
 
+def in_range(label: str, value, low, high):
+    """``value`` as its Python number; an int or a float (numpy's too, not a bool) in [low, high]."""
+    if type(value) is float and low <= value <= high:
+        return value
+    number = python_number(value)
+    if is_number(number) and low <= number <= high:
+        return number
+    raise ValueError(f"{label} must lie in [{low}, {high}], got {value!r}")
+
+
 def distance(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 

@@ -44,7 +44,7 @@ import numpy as np
 from .features import (CANONICAL_FEATURES, MAX_IMAGE_SIDE, FaceInput, extract_features,
                        rescale_face)
 from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kernel_to_dict
-from .geometry import is_number, python_number, whole_number
+from .geometry import in_range, is_number, python_number, whole_number
 from .silhouette import (
     AlphaMode,
     BinaryMask,
@@ -76,14 +76,7 @@ class ScoringConfig:
     resolution_scale: int | None = None
 
     def __post_init__(self) -> None:
-        # the range test alone refuses NaN, the infinities and an int too large
-        # for a float; a numpy scalar is kept as its Python value
-        k = self.k
-        if not (type(k) is float and 0.0 <= k <= 1.0):
-            k = python_number(k)
-            if not (is_number(k) and 0.0 <= k <= 1.0):
-                raise ValueError(f"mixing weight k must lie in [0, 1], got {self.k!r}")
-            object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", in_range("mixing weight k", self.k, 0, 1))
         if not isinstance(self.alpha_mode, AlphaMode):
             raise ValueError(f"alpha_mode must be an AlphaMode, got {self.alpha_mode!r}")
         check_entropy_kernel(self.kernel)
@@ -123,24 +116,27 @@ class MatchReport:
                 and self.b_id):
             raise ValueError(f"report ids must be non-empty strings, got {self.a_id!r} "
                              f"and {self.b_id!r}")
+        if type(self.features) is not tuple:
+            if not isinstance(self.features, Sequence):
+                raise ValueError(f"report features must be a sequence of FeatureRows, "
+                                 f"got {self.features!r}")
+            object.__setattr__(self, "features", tuple(self.features))
         if len(self.features) < 1:
             raise ValueError("a report needs at least one feature row")
-        # score_pairs passes floats in range, which skip the full test in
-        # _checked_row: a call per value made each report half again as
-        # slow to build. A numpy scalar is kept as its Python value.
+        # score_pairs passes FeatureRows of floats in range, which skip the
+        # full test in _checked_row: a call per value made each report half
+        # again as slow to build. A numpy scalar is kept as its Python value,
+        # set by object.__setattr__: vars(self) slows every later read (CPython 3.11).
         for row in self.features:
-            if not (type(row.a) is type(row.b) is type(row.entropy) is type(row.membership) is float
+            if not (type(row) is FeatureRow and type(row.a) is type(row.b) is float
+                    and type(row.entropy) is type(row.membership) is float
                     and 0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0
                     and 0.0 < row.a < math.inf and 0.0 < row.b < math.inf):
-                rows = tuple(map(_checked_row, self.features))
-                if any(map(operator.is_not, rows, self.features)):
-                    object.__setattr__(self, "features", rows)
+                object.__setattr__(self, "features", tuple(map(_checked_row, self.features)))
                 break
         alpha = self.alpha
         if not (type(alpha) is float and 0.0 <= alpha <= 1.0):
-            alpha = python_number(alpha)
-            if not (is_number(alpha) and 0.0 <= alpha <= 1.0):
-                raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+            alpha = in_range("alpha", alpha, 0, 1)
             object.__setattr__(self, "alpha", alpha)
         # k, alpha_mode and kernel pass ScoringConfig's checks, in its words,
         # so a similarity lies in [0, 100] and to_dict can write the report;
@@ -150,11 +146,9 @@ class MatchReport:
             check_entropy_kernel(self.kernel)
         else:
             k = ScoringConfig(k, self.alpha_mode, self.kernel).k
-        if k is not self.k:
             object.__setattr__(self, "k", k)
-        scale = whole_number("resolution_scale", self.resolution_scale, 1)
-        if scale is not self.resolution_scale:
-            object.__setattr__(self, "resolution_scale", scale)
+        object.__setattr__(self, "resolution_scale",
+                           whole_number("resolution_scale", self.resolution_scale, 1))
         feature_score = _feature_score([row.membership for row in self.features])
         object.__setattr__(self, "feature_score", feature_score)
         object.__setattr__(self, "similarity", _similarity(feature_score, alpha, k))
@@ -181,13 +175,14 @@ class MatchReport:
 
 
 def _checked_row(row: FeatureRow) -> FeatureRow:
-    """The row, with each numpy scalar as its Python value; raises unless MatchReport takes it.
+    """A new row, each numpy scalar as its Python value; raises unless MatchReport takes it.
 
     A bool is refused and a string is refused in words, where the range
     tests alone would let a bool through and raise TypeError on a string.
     """
-    given = (row.a, row.b, row.entropy, row.membership)
-    a, b, entropy, membership = values = tuple(map(python_number, given))
+    if not isinstance(row, FeatureRow):
+        raise ValueError(f"report features must be FeatureRows, got {row!r}")
+    a, b, entropy, membership = map(python_number, (row.a, row.b, row.entropy, row.membership))
     if not (is_number(entropy) and is_number(membership)
             and 0.0 <= entropy <= 1.0 and 0.0 <= membership <= 1.0):
         raise ValueError(f"feature row '{row.name}' outside [0, 1]: {row!r}")
@@ -195,9 +190,7 @@ def _checked_row(row: FeatureRow) -> FeatureRow:
     if not (is_number(a) and is_number(b) and 0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"feature row '{row.name}' measurements must be positive "
                          f"reals: {row!r}")
-    if all(map(operator.is_, values, given)):
-        return row
-    return FeatureRow(row.name, *values)
+    return FeatureRow(row.name, a, b, entropy, membership)
 
 
 def _feature_score(memberships: Sequence[float]) -> float:

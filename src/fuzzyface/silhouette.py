@@ -59,10 +59,9 @@ class Canvas:
     height: int
 
     def __post_init__(self) -> None:
-        width = whole_number("canvas width", self.width, 1)
-        height = whole_number("canvas height", self.height, 1)
-        if width is not self.width or height is not self.height:  # numpy ints, kept as ints
-            vars(self).update(width=width, height=height)
+        # numpy ints kept as ints; vars(self) would slow every later read (CPython 3.11)
+        object.__setattr__(self, "width", whole_number("canvas width", self.width, 1))
+        object.__setattr__(self, "height", whole_number("canvas height", self.height, 1))
 
 
 def _pair(label: str, value) -> tuple:

@@ -16,12 +16,13 @@ curve, the exact rank AUC, and the accuracy at a decision threshold.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import REQUIRED_LANDMARKS, FaceInput, extract_features
-from .geometry import finite_number, is_number, python_number, whole_number
+from .geometry import finite_number, in_range, is_number, python_number, whole_number
 from .scoring import ScoringConfig, pair_scores
 from .scoring import compare  # not called here; perfbench/run.py --trace 1 wraps this name
 
@@ -198,23 +199,29 @@ class EvalReport:
             # report_from_scores passes tuples of finite floats, which skip the full test
             if not (type(scores) is tuple and set(map(type, scores)) <= {float}
                     and math.isfinite(sum(scores))):
+                if not isinstance(scores, Iterable):
+                    raise ValueError(f"{label} must be a sequence of numbers, got {scores!r}")
                 object.__setattr__(self, label, tuple(
                     _in_range(f"{label}[{i}]", score) for i, score in enumerate(scores)))
         for label, bounds in (("genuine_mean", ()), ("genuine_stddev", ()), ("impostor_mean", ()),
                               ("impostor_stddev", ()), ("auc", (0, 1)), ("threshold", (0, 100)),
                               ("accuracy_at_threshold", (0, 1))):
             object.__setattr__(self, label, _in_range(label, getattr(self, label), *bounds))
+        points = self.roc_points
+        if not isinstance(points, Iterable):
+            raise ValueError(f"roc_points must be a sequence of pairs, got {points!r}")
+        points = tuple(points)
         far0 = tar0 = 0.0
         floats = True
-        for i, point in enumerate(self.roc_points):
+        for i, point in enumerate(points):
             try:
                 far, tar = point
             except (TypeError, ValueError):  # not a pair
                 far = tar = None
-            # report_from_scores passes rising floats in [0, 1], which skip
-            # the full test; NaN fails it
-            if not (type(far) is type(tar) is float and far0 <= far <= 1.0
-                    and tar0 <= tar <= 1.0):
+            # report_from_scores passes tuples of rising floats in [0, 1],
+            # which skip the full test; NaN fails it
+            if not (type(point) is tuple and type(far) is type(tar) is float
+                    and far0 <= far <= 1.0 and tar0 <= tar <= 1.0):
                 if not (is_number(far) and is_number(tar)):
                     raise ValueError(f"each roc point must be a pair of numbers, got {point!r}")
                 far = _in_range(f"roc point {i} far", far, 0, 1)
@@ -223,8 +230,8 @@ class EvalReport:
                     raise ValueError("roc points must be monotone non-decreasing")
                 floats = False
             far0, tar0 = far, tar
-        object.__setattr__(self, "roc_points", tuple(self.roc_points) if floats else tuple(
-            (python_number(far), python_number(tar)) for far, tar in self.roc_points))
+        object.__setattr__(self, "roc_points", points if floats else tuple(
+            (python_number(far), python_number(tar)) for far, tar in points))
 
     def to_dict(self) -> dict:
         return {
@@ -237,9 +244,8 @@ class EvalReport:
 
 def _in_range(label: str, value, low=-math.inf, high=math.inf):
     """``value`` as its Python number; it must be a finite int or float (not a bool) in [low, high]."""
-    if not low <= finite_number(label, value) <= high:
-        raise ValueError(f"{label} must lie in [{low}, {high}], got {value!r}")
-    return python_number(value)
+    finite_number(label, value)
+    return in_range(label, value, low, high)
 
 
 def _score_array(label: str, scores) -> np.ndarray:

@@ -11,11 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyface import (
+    AlphaMode,
     BellKernel,
     CalibrationSample,
     Canvas,
     EvalReport,
+    FeatureRow,
     FeatureVector,
+    MatchReport,
     PopulationConfig,
     ScoringConfig,
     TrapezoidKernel,
@@ -262,3 +265,73 @@ def test_a_long_double_past_a_float_is_refused_in_words(call):
     # has no float equal to it
     with pytest.raises(ValueError, match=r"\w"):
         call(np.longdouble(1) / 3)
+
+
+ROW = FeatureRow("f0", 60.0, 60.0, 1.0, 1.0)
+
+
+def match_report(features):
+    return MatchReport(a_id="a", b_id="b", features=features, alpha=0.5, k=0.5,
+                       alpha_mode=AlphaMode.COMPLEMENT, kernel=BellKernel(), resolution_scale=1)
+
+
+def replaced_report(**fields):
+    return dataclasses.replace(report_from_scores([90.0, 80.0], [10.0, 20.0], 50.0), **fields)
+
+
+# a field of the wrong kind altogether raised a bare TypeError or
+# AttributeError, or a ValueError that named nothing
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: match_report((("f0", 60.0, 60.0, 1.0, 1.0),)),
+                 "report features must be FeatureRows, got ('f0', 60.0, 60.0, 1.0, 1.0)",
+                 id="MatchReport-tuple-row"),
+    pytest.param(lambda: match_report([ROW, None]), "report features must be FeatureRows, got None",
+                 id="MatchReport-None-row"),
+    pytest.param(lambda: match_report(None),
+                 "report features must be a sequence of FeatureRows, got None",
+                 id="MatchReport-None"),
+    pytest.param(lambda: match_report(row for row in [ROW]),
+                 "report features must be a sequence of FeatureRows, got <generator",
+                 id="MatchReport-generator"),
+    pytest.param(lambda: FeatureVector(None), "feature items must be (name, value) pairs, got None",
+                 id="FeatureVector-None"),
+    pytest.param(lambda: FeatureVector((("a",),)),
+                 "feature items must be (name, value) pairs, got (('a',),)",
+                 id="FeatureVector-short-item"),
+    pytest.param(lambda: FeatureVector([("a", 1.0), 2.0]),
+                 "feature items must be (name, value) pairs, got [('a', 1.0), 2.0]",
+                 id="FeatureVector-number-item"),
+    pytest.param(lambda: replaced_report(genuine_scores=None),
+                 "genuine_scores must be a sequence of numbers, got None",
+                 id="EvalReport-genuine_scores"),
+    pytest.param(lambda: replaced_report(impostor_scores=1.0),
+                 "impostor_scores must be a sequence of numbers, got 1.0",
+                 id="EvalReport-impostor_scores"),
+    pytest.param(lambda: replaced_report(roc_points=None),
+                 "roc_points must be a sequence of pairs, got None", id="EvalReport-roc_points"),
+])
+def test_a_field_of_the_wrong_kind_is_refused_in_words(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value).startswith(message)
+
+
+# each type stores tuples, whichever path checked its fields: a list was
+# kept when every value was a plain float (an int made it a tuple), and a
+# generator of roc points was spent by the check, leaving none
+@pytest.mark.parametrize("build, given, expected", [
+    pytest.param(FeatureVector, [("a", 1.0)], (("a", 1.0),), id="FeatureVector-floats"),
+    pytest.param(FeatureVector, (["a", 1.0],), (("a", 1.0),), id="FeatureVector-list-item"),
+    pytest.param(match_report, [ROW], (ROW,), id="MatchReport"),
+    pytest.param(lambda points: replaced_report(roc_points=points),
+                 [[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]], ((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)),
+                 id="EvalReport-roc_points"),
+    pytest.param(lambda points: replaced_report(roc_points=points),
+                 iter([(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)]), ((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)),
+                 id="EvalReport-roc_points-iterator"),
+])
+def test_a_type_built_from_lists_equals_and_hashes_like_one_built_from_tuples(build, given,
+                                                                            expected):
+    from_lists, from_tuples = build(given), build(expected)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyface.geometry import is_number, polygon_is_simple
+from fuzzyface.geometry import in_range, is_number, polygon_is_simple
 
 
 def reference_is_simple(points):
@@ -163,3 +163,31 @@ def test_is_number_takes_ints_and_floats_but_no_bool(value, expected):
     # that follow it decide the value. A numpy integer or floating scalar is
     # taken as its Python value.
     assert is_number(value) is expected
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.25, 0.25), (0, 0), (1, 1), (np.int64(1), 1),
+    (np.float32(0.1), 0.10000000149011612), (np.longdouble(0.5), 0.5),
+])
+def test_in_range_takes_a_number_in_range_as_its_python_number(value, expected):
+    taken = in_range("x", value, 0, 1)
+    assert taken == expected
+    assert type(taken) is type(expected)  # an int stays an int
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (None, "None"), (math.nan, "nan"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (10 ** 400, str(10 ** 400)),
+    (math.nextafter(0.0, -1.0), "-5e-324"), (math.nextafter(1.0, 2.0), "1.0000000000000002"),
+    (-1, "-1"), (2, "2"),
+])
+def test_in_range_refuses_anything_else_in_its_words(value, shown):
+    with pytest.raises(ValueError) as caught:
+        in_range("mixing weight k", value, 0, 1)
+    assert str(caught.value) == f"mixing weight k must lie in [0, 1], got {shown}"
+
+
+def test_in_range_words_its_bounds_as_given():
+    with pytest.raises(ValueError, match=r"^threshold must lie in \[0, 100\], got 100\.5$"):
+        in_range("threshold", 100.5, 0, 100)
+    assert in_range("threshold", 100, 0, 100) == 100

@@ -1,9 +1,11 @@
-"""The package's public names and the imports of its modules."""
+"""The package's public names, the imports of its modules and the words of its range rule."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import fuzzyface
+from fuzzyface.geometry import in_range
 
 
 def test_every_public_name_resolves():
@@ -45,6 +47,20 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used and (path.stem, name) not in TRACER_ONLY_IMPORTS]
     assert unused == []
+
+
+def test_the_range_words_are_written_once():
+    # "must lie in [low, high]" is geometry.in_range's to say; a check that
+    # words it again is a second copy of the range rule, which can drift
+    source, first = inspect.getsourcelines(in_range)
+    inside = {("geometry.py", line) for line in range(first, first + len(source))}
+    found = []
+    for path in sorted(Path(fuzzyface.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr) and "must lie in [" in "".join(
+                    part.value for part in node.values if isinstance(part, ast.Constant)):
+                found.append((path.name, node.lineno))
+    assert len(found) == 1 and set(found) <= inside, found
 
 
 def test_no_private_name_is_imported_from_a_sibling():
