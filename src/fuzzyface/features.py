@@ -268,8 +268,8 @@ CANONICAL_FEATURES: tuple[tuple[str, FeatureFn], ...] = (
 class FeatureVector:
     """Ordered (name, value) measurements for one face; values > 0.
 
-    Each value is a finite int or float (numpy's too, never a bool),
-    stored as its Python number.
+    Each name is a non-empty string. Each value is a finite int or float
+    (numpy's too, never a bool), stored as its Python number.
     """
 
     items: tuple[tuple[str, float], ...]
@@ -282,8 +282,8 @@ class FeatureVector:
                 # tuples, which skip the full test
                 for item in items:
                     name, value = item
-                    if not (type(item) is tuple and type(value) is float
-                            and 0.0 < value < math.inf):
+                    if not (type(item) is tuple and type(name) is str and name
+                            and type(value) is float and 0.0 < value < math.inf):
                         break
                 else:
                     return
@@ -291,6 +291,8 @@ class FeatureVector:
         except (TypeError, ValueError):  # not a sequence of pairs
             raise ValueError(f"feature items must be (name, value) pairs, got {items!r}") from None
         for name, value in items:
+            if not (isinstance(name, str) and name):
+                raise ValueError(f"feature names must be non-empty strings, got {name!r}")
             if not finite_number(f"feature '{name}'", value) > 0.0:
                 raise ValueError(f"feature '{name}' must be a positive real, got {value!r}")
         # an int or a numpy scalar is kept as its Python number

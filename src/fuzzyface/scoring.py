@@ -9,26 +9,28 @@ overlap score, and blend the two with the mixing weight k:
 
     similarity = 100 * (feature_score * k + alpha * (1 - k))
 
-One engine serves two consumers. Its prepare step, _prepared, prepares
-each face (rescale onto the pair's canvas, measure the features,
-rasterize the outline) at most once per canvas size and raster scale,
-over all calls: the face keeps its feature values and its mask in its
-memo, one entry per key, (width, height, scale). It groups a block's
+Each face is prepared (rescaled onto the pair's canvas, its features
+measured, its outline rasterized) at most once per canvas size and
+raster scale, over all calls: _prepare keeps its feature values and its
+mask in its memo, one entry per key, (width, height, scale). compare
+scores one pair on the scalar forms: alpha_from_masks of its two masks
+and feature_membership of each feature. The block engine scores many
+pairs with the same bits. Its prepare step, _prepared, groups a block's
 pairs by key with a sorted np.unique, not a loop over pairs, and gives
 each key's faces slots, key by key in canvas size order and in index
 order within a key: rows of one value matrix, and masks. It scores the
 block as numpy columns: the two mask areas and their intersection per
 pair (overlap_counts, or packed_overlap_counts for a key with many
 pairs), and an entropy and a membership per feature, from one gather of
-each pair's two value rows, with the bits of feature_membership:
-math.log2, and the bell kernel's square and exponential, stay libm
-calls on Python floats, and a block of pairs makes no Python frame per
+each pair's two value rows: math.log2, and the bell kernel's square and
+exponential, stay libm calls on Python floats, with no Python frame per
 value (the kernel's evaluate_column). The blend is written once
 (_feature_score and _similarity) and the checks once, in MatchReport.
 score_pairs turns each block into MatchReports, reading each alpha off
-its counts with alpha_from_counts, and compare is its one-pair case;
-pair_scores takes the alphas (alphas_from_counts) and the blend as
-columns and keeps only each pair's feature score, alpha and similarity.
+its counts with alpha_from_counts; pair_scores takes the alphas
+(alphas_from_counts) and the blend as columns and keeps only each
+pair's feature score, alpha and similarity. A block that fails raises
+what a compare of each of its pairs in turn raises first (_first_error).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import NoReturn
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .silhouette import (
     BinaryMask,
     Canvas,
     alpha_from_counts,
+    alpha_from_masks,
     alphas_from_counts,
     check_raster_frame,
     default_resolution_scale,
@@ -57,8 +61,7 @@ from .silhouette import (
     overlap_counts,
     packed_overlap_counts,
 )
-# not called here; perfbench/run.py --trace 1 wraps these names
-from .silhouette import alpha_from_masks, rasterize
+from .silhouette import rasterize  # not called here; perfbench/run.py --trace 1 wraps this name
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class ScoringConfig:
 
 @dataclass(frozen=True)
 class FeatureRow:
-    """Per-feature trace: both measurements, their entropy, its membership."""
+    """Per-feature trace: its name, both measurements, their entropy, its membership."""
 
     name: str
     a: float
@@ -123,12 +126,13 @@ class MatchReport:
             object.__setattr__(self, "features", tuple(self.features))
         if len(self.features) < 1:
             raise ValueError("a report needs at least one feature row")
-        # score_pairs passes FeatureRows of floats in range, which skip the
-        # full test in _checked_row: a call per value made each report half
+        # the engine passes named FeatureRows of floats in range, which skip
+        # the full test in _checked_row: a call per value made each report half
         # again as slow to build. A numpy scalar is kept as its Python value,
         # set by object.__setattr__: vars(self) slows every later read (CPython 3.11).
         for row in self.features:
-            if not (type(row) is FeatureRow and type(row.a) is type(row.b) is float
+            if not (type(row) is FeatureRow and type(row.name) is str and row.name
+                    and type(row.a) is type(row.b) is float
                     and type(row.entropy) is type(row.membership) is float
                     and 0.0 <= row.entropy <= 1.0 and 0.0 <= row.membership <= 1.0
                     and 0.0 < row.a < math.inf and 0.0 < row.b < math.inf):
@@ -182,6 +186,8 @@ def _checked_row(row: FeatureRow) -> FeatureRow:
     """
     if not isinstance(row, FeatureRow):
         raise ValueError(f"report features must be FeatureRows, got {row!r}")
+    if not (isinstance(row.name, str) and row.name):
+        raise ValueError(f"feature row names must be non-empty strings, got {row.name!r}")
     a, b, entropy, membership = map(python_number, (row.a, row.b, row.entropy, row.membership))
     if not (is_number(entropy) and is_number(membership)
             and 0.0 <= entropy <= 1.0 and 0.0 <= membership <= 1.0):
@@ -253,17 +259,27 @@ def normalize_pair(face_a: FaceInput, face_b: FaceInput) -> tuple[Canvas, FaceIn
 
 
 def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None = None) -> MatchReport:
-    """Run the full pipeline on two faces.
+    """Run the full pipeline on two faces, on the scalar forms.
 
     Features are measured after canvas normalization, so a genuine pair
     photographed at different resolutions still measures equal and the
     result does not depend on image size. Deterministic for fixed inputs
-    and config.
+    and config. Its steps come in order (the two faces, their overlap,
+    their features, the report's checks), and each raises in its own
+    words.
     """
     if config is None:
         config = ScoringConfig()
-    faces = [face_a, face_b]  # score_pairs' one block, without its generator
-    return _reports(_columns(faces, [(0, 1)], config), config)[0]
+    width = max(face_a.image_width, face_b.image_width)
+    height = max(face_a.image_height, face_b.image_height)
+    key, canvas = _key(width, height, config)
+    _prepare(key, canvas, (face_a, face_b))
+    (values_a, mask_a), (values_b, mask_b) = face_a._prepared[key], face_b._prepared[key]
+    alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
+    rows = tuple(FeatureRow(name, a, b, *feature_membership(a, b, config.kernel))
+                 for name, a, b in zip(_FEATURE_NAMES, values_a, values_b))
+    return MatchReport(a_id=face_a.id, b_id=face_b.id, features=rows, alpha=alpha, k=config.k,
+                       alpha_mode=config.alpha_mode, kernel=config.kernel, resolution_scale=key[2])
 
 
 _FEATURE_NAMES = tuple(name for name, _ in CANONICAL_FEATURES)  # the order of a face's values
@@ -296,6 +312,37 @@ def _block_indices(faces: Sequence[FaceInput], block: list) -> np.ndarray:
     return np.array([_pair_indices(faces, pair) for pair in block], dtype=np.intp)
 
 
+def _key(width: int, height: int, config: ScoringConfig) -> tuple[tuple[int, int, int], Canvas]:
+    """The memo key (width, height, scale) of a pair's canvas, and the canvas."""
+    canvas = Canvas(width, height)
+    scale = config.resolution_scale
+    return (width, height, default_resolution_scale(canvas) if scale is None else scale), canvas
+
+
+def _prepare(key: tuple[int, int, int], canvas: Canvas, faces: Iterable[FaceInput]) -> None:
+    """Give each of ``faces`` without one its (values, mask) entry at ``key``, in its memo.
+
+    Those faces, each once and in order, are stretched and measured, and
+    the raster frame is checked after each, where rasterizing it alone
+    would refuse the frame; then one fill_outlines call fills them all,
+    and only then do they get their entries in ``face._prepared``.
+    """
+    # by id, since FaceInput holds a dict and cannot be hashed
+    pending = {id(face): face for face in faces if key not in face._prepared}
+    if not pending:
+        return
+    width, height, scale = key
+    measured = []
+    for face in pending.values():
+        stretched = rescale_face(face, width, height)
+        values = tuple(value for _, value in extract_features(stretched).items)
+        check_raster_frame(canvas, scale)
+        measured.append((face, values, stretched._outline_array))
+    masks = fill_outlines([outline for _, _, outline in measured], canvas, scale)
+    for (face, values, _), mask in zip(measured, masks):
+        face._prepared[key] = values, mask
+
+
 def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig):
     """Each pair's key and two slots, and each key's faces prepared on its canvas.
 
@@ -307,69 +354,31 @@ def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig):
     normalize_pair's, the componentwise max of its faces' sizes; sorted
     np.unique gives the keys in canvas size order, each canvas built
     once, and the slots coded key * n + face index: one run per key, one
-    slot per index, in index order. A block of one pair takes its one
-    key without sorting, and a slot for each side.
-
-    Each face keeps its (values, mask) entry per key in its memo,
-    ``face._prepared``, over all calls. The faces of a key with no entry
-    are prepared key by key, in slot order: each is stretched and
-    measured, and the raster frame checked after it, where rasterizing
-    it alone would refuse the frame; then one fill_outlines call fills
-    them all, and only then do they get their entries.
+    slot per index, in index order. Then _prepare gives each key's faces
+    their entries, key by key.
     """
-    if len(block) == 1:
-        i, j = _pair_indices(faces, block[0])
-        slot_faces = [faces[i], faces[j]]
-        sizes = [(max(slot_faces[0].image_width, slot_faces[1].image_width),
-                  max(slot_faces[0].image_height, slot_faces[1].image_height))]
-        slot_keys, key_slots = [0, 0], [2]  # each slot's key, and each key's slots
-        pair_keys, slots = np.zeros(1, dtype=np.intp), np.array([[0, 1]])
-    else:
-        # each np.unique input is flat, as numpy 2.0's inverse takes its input's shape
-        indices = _block_indices(faces, block)
-        named, at = np.unique(indices.ravel(), return_inverse=True)
-        named = [faces[k] for k in named.tolist()]
-        widths = np.array([face.image_width for face in named])[at.reshape(-1, 2)]
-        heights = np.array([face.image_height for face in named])[at.reshape(-1, 2)]
-        codes, pair_keys = np.unique(widths.max(axis=1) * _SIDES + heights.max(axis=1),
-                                     return_inverse=True)
-        sizes = [divmod(code, _SIDES) for code in codes.tolist()]
-        n = len(faces)
-        codes, slots = np.unique((pair_keys[:, None] * n + indices).ravel(), return_inverse=True)
-        slots = slots.reshape(-1, 2)
-        slot_faces = [faces[k] for k in (codes % n).tolist()]
-        slot_keys = codes // n
-        key_slots = np.bincount(slot_keys, minlength=len(sizes)).tolist()
-        slot_keys = slot_keys.tolist()
-    keys, canvases = [], {}
-    for size in sizes:
-        canvas = Canvas(*size)
-        scale = config.resolution_scale
-        keys.append((*size, default_resolution_scale(canvas) if scale is None else scale))
-        canvases[keys[-1]] = canvas
-    slot_keys = [keys[k] for k in slot_keys]
-    entries = [face._prepared.get(key) for key, face in zip(slot_keys, slot_faces)]
-    if None in entries:
-        # key -> faces to prepare, in order; by id, since FaceInput holds a
-        # dict and cannot be hashed, and one face may sit at several indices
-        new: dict[tuple[int, int, int], dict[int, FaceInput]] = {}
-        for key, face, entry in zip(slot_keys, slot_faces, entries):
-            if entry is None:
-                new.setdefault(key, {})[id(face)] = face
-        for key, pending in new.items():
-            width, height, scale = key
-            measured = []
-            for face in pending.values():
-                stretched = rescale_face(face, width, height)
-                values = tuple(value for _, value in extract_features(stretched).items)
-                check_raster_frame(canvases[key], scale)
-                measured.append((face, values, stretched._outline_array))
-            masks = fill_outlines([outline for _, _, outline in measured], canvases[key], scale)
-            for (face, values, _), mask in zip(measured, masks):
-                face._prepared[key] = values, mask
-        entries = [face._prepared[key] for key, face in zip(slot_keys, slot_faces)]
+    # each np.unique input is flat, as numpy 2.0's inverse takes its input's shape
+    indices = _block_indices(faces, block)
+    named, at = np.unique(indices.ravel(), return_inverse=True)
+    named = [faces[k] for k in named.tolist()]
+    widths = np.array([face.image_width for face in named])[at.reshape(-1, 2)]
+    heights = np.array([face.image_height for face in named])[at.reshape(-1, 2)]
+    codes, pair_keys = np.unique(widths.max(axis=1) * _SIDES + heights.max(axis=1),
+                                 return_inverse=True)
+    n = len(faces)
+    slot_codes, slots = np.unique((pair_keys[:, None] * n + indices).ravel(), return_inverse=True)
+    slot_faces = [faces[k] for k in (slot_codes % n).tolist()]
+    key_slots = np.bincount(slot_codes // n, minlength=len(codes)).tolist()
+    keys, entries, start = [], [], 0
+    for code, count in zip(codes.tolist(), key_slots):
+        key, canvas = _key(*divmod(code, _SIDES), config)
+        key_faces = slot_faces[start:start + count]
+        _prepare(key, canvas, key_faces)
+        keys.append(key)
+        entries += [face._prepared[key] for face in key_faces]
+        start += count
     values, masks = zip(*entries)
-    return keys, key_slots, slot_faces, np.array(values), masks, pair_keys, slots
+    return keys, key_slots, slot_faces, np.array(values), masks, pair_keys, slots.reshape(-1, 2)
 
 
 def _overlaps(key_slots: list[int], masks: Sequence[BinaryMask], pair_keys: np.ndarray,
@@ -380,11 +389,9 @@ def _overlaps(key_slots: list[int], masks: Sequence[BinaryMask], pair_keys: np.n
     they number at least twice its faces. Packing a mask costs about as
     much as counting one pair alone (5-12 and 6-8 us), and a packed pair
     costs about 1-1.5 us, so a smaller key, such as the genuine pairs of
-    a manifest, gains nothing. Its pairs, and the pair of a block of one,
-    are counted one at a time, by overlap_counts.
+    a manifest, gains nothing. Its pairs are counted one at a time, by
+    overlap_counts.
     """
-    if len(slots) == 1:  # one pair never packs: it is fewer than twice its faces
-        return np.array([overlap_counts(*masks)])
     counts = np.empty((len(slots), 3), dtype=np.int64)
     start = 0
     for k, pairs in enumerate(np.bincount(pair_keys, minlength=len(key_slots)).tolist()):
@@ -409,12 +416,10 @@ _Columns = tuple[list[tuple[int, int, int]], list[FaceInput], np.ndarray, np.nda
 def _columns(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> _Columns:
     """Prepare a block's faces and take each pair's overlap counts, entropies and memberships.
 
-    Each pair's two value rows are one gather of its slots' rows. Each
-    pair's steps come in compare's order (its two faces, its overlap, its
-    features) and raise compare's errors in its words. In a block of
-    more than one pair the error raised need not be the first in pair
-    order, since every pair's indices are checked and every face is
-    prepared, key by key, before any pair is scored.
+    Each pair's two value rows are one gather of its slots' rows. Every
+    pair's indices are checked and every face is prepared, key by key,
+    before any pair is scored, so an error raised here need not be the
+    first in pair order: the block's consumers raise _first_error's.
     """
     keys, key_slots, slot_faces, values, masks, pair_keys, slots = _prepared(faces, block, config)
     counts = _overlaps(key_slots, masks, pair_keys, slots)
@@ -423,46 +428,31 @@ def _columns(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> 
             *entropy_membership(pair_values, config.kernel))
 
 
-def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
-                   config: ScoringConfig) -> Iterator[_Columns]:
-    """The columns of each block of up to _BLOCK_PAIRS pairs, in pair order.
+def _first_error(faces: Sequence[FaceInput], block: list, config: ScoringConfig) -> NoReturn:
+    """Raise the first error that a compare of each pair of a failed block raises, in pair order.
 
-    A block in which any step raises ValueError is taken again one pair
-    at a time, so the error raised is the first in pair order, as a
-    compare of each pair in turn raises it.
+    A pair's bad indices raise in _pair_indices' words when it is reached.
+    """
+    for pair in block:
+        i, j = _pair_indices(faces, pair)
+        compare(faces[i], faces[j], config)
+    raise AssertionError(f"a block of {len(block)} pairs failed where each pair scores alone")
+
+
+def _scored_blocks(faces: Sequence[FaceInput], pairs: Iterable[tuple[int, int]],
+                   config: ScoringConfig) -> Iterator[tuple[list, _Columns]]:
+    """Each block of up to _BLOCK_PAIRS pairs, in pair order, and its columns.
+
+    A block in which any step raises ValueError raises _first_error's
+    error instead, so the error raised is the first in pair order.
     """
     pairs = iter(pairs)
     while block := list(islice(pairs, _BLOCK_PAIRS)):
         try:
             columns = _columns(faces, block, config)
         except ValueError:
-            for pair in block:
-                yield _columns(faces, [pair], config)
-        else:
-            yield columns
-
-
-def _reports(columns: _Columns, config: ScoringConfig) -> list[MatchReport]:
-    """The MatchReports of one block; the first bad pair raises, in MatchReport's words."""
-    keys, slot_faces, pair_keys, slots, pair_values, counts, entropies, memberships = columns
-    values_a, values_b = pair_values.tolist()
-    ids = [face.id for face in slot_faces]
-    mode = config.alpha_mode
-    reports = []
-    for (a, b), key, row_a, row_b, (area_a, area_b, inter), entropy, membership in zip(
-            slots.tolist(), pair_keys.tolist(), values_a, values_b,
-            counts.tolist(), entropies.tolist(), memberships.tolist()):
-        reports.append(MatchReport(
-            a_id=ids[a],
-            b_id=ids[b],
-            features=tuple(map(FeatureRow, _FEATURE_NAMES, row_a, row_b, entropy, membership)),
-            alpha=alpha_from_counts(area_a, area_b, inter, mode),
-            k=config.k,
-            alpha_mode=mode,
-            kernel=config.kernel,
-            resolution_scale=keys[key][2],
-        ))
-    return reports
+            _first_error(faces, block, config)
+        yield block, columns
 
 
 def score_pairs(
@@ -482,9 +472,21 @@ def score_pairs(
     """
     if config is None:
         config = ScoringConfig()
+    mode = config.alpha_mode
     reports = []
-    for columns in _scored_blocks(faces, pairs, config):
-        reports += _reports(columns, config)
+    for _, columns in _scored_blocks(faces, pairs, config):
+        keys, slot_faces, pair_keys, slots, pair_values, counts, entropies, memberships = columns
+        values_a, values_b = pair_values.tolist()
+        ids = [face.id for face in slot_faces]
+        # the first bad pair raises, in MatchReport's words
+        for (a, b), key, row_a, row_b, (area_a, area_b, inter), entropy, membership in zip(
+                slots.tolist(), pair_keys.tolist(), values_a, values_b,
+                counts.tolist(), entropies.tolist(), memberships.tolist()):
+            rows = tuple(map(FeatureRow, _FEATURE_NAMES, row_a, row_b, entropy, membership))
+            reports.append(MatchReport(
+                a_id=ids[a], b_id=ids[b], features=rows,
+                alpha=alpha_from_counts(area_a, area_b, inter, mode), k=config.k,
+                alpha_mode=mode, kernel=config.kernel, resolution_scale=keys[key][2]))
     return reports
 
 
@@ -497,31 +499,26 @@ def pair_scores(
 
     The same steps as score_pairs, so each value equals the report's bit
     for bit and each error is the one score_pairs raises, but with the
-    blend taken as columns and no FeatureRow or MatchReport built unless
-    a column fails the report's ranges: for callers that read only the
-    scores, such as evaluate and calibrate.
+    blend taken as columns and no FeatureRow or MatchReport built: for
+    callers that read only the scores, such as evaluate and calibrate. A
+    block whose columns fail the report's ranges raises _first_error's
+    error.
     """
     if config is None:
         config = ScoringConfig()
     scores: list[tuple[float, float, float]] = []
-    for columns in _scored_blocks(faces, pairs, config):
-        *_, counts, entropy, membership = columns
+    for block, (*_, counts, entropy, membership) in _scored_blocks(faces, pairs, config):
         alpha = alphas_from_counts(counts, config.alpha_mode)
         # MatchReport's checks on the columns; a bad value fails on NaN too
         if not (((0.0 <= entropy) & (entropy <= 1.0) & (0.0 <= membership) & (membership <= 1.0))
                 .all() and ((0.0 <= alpha) & (alpha <= 1.0)).all()):
-            _reports(columns, config)  # raises the first bad pair's error
+            _first_error(faces, block, config)
         # _feature_score of each row: its fsum over its length
         feature_score = np.fromiter(map(math.fsum, membership.tolist()), float,
                                     len(membership)) / membership.shape[1]
         similarity = _similarity(feature_score, alpha, config.k)
         scores += zip(feature_score.tolist(), alpha.tolist(), similarity.tolist())
     return scores
-
-
-def _mapped(fn, column: np.ndarray) -> np.ndarray:
-    """``fn`` of each element of a flat float array, on Python floats."""
-    return np.fromiter(map(fn, column.tolist()), float, len(column))
 
 
 def entropy_membership(values: np.ndarray,
@@ -532,18 +529,15 @@ def entropy_membership(values: np.ndarray,
     correctly rounded, so numpy's equal math's; ``0.0 - x`` is
     np.subtract, since ``-x`` would turn 0.0 into -0.0. math.log2 runs on
     Python floats (np.log2 differs from it in the last bit on some
-    inputs). The memberships of a block of pairs are the kernel's
-    evaluate_column, which keeps evaluate's bits; those of one pair, as
-    in compare, are its evaluate of each value, since six frames cost
-    less than the column form's fixed numpy calls. Raises ValueError
-    where feature_membership would: a share that is 0.0. The values
-    must be positive and finite, as a FeatureVector's are.
+    inputs), and the memberships are the kernel's evaluate_column, which
+    keeps evaluate's bits. The values must be positive and finite, as a
+    FeatureVector's are. A share that is 0.0, where feature_membership
+    raises, makes math.log2 raise its own bare ValueError.
     """
     with np.errstate(over="ignore"):  # a + b overflows to inf, as in Python, without a warning
         total = values[0] + values[1]
     shares = values / total
-    terms = shares * _mapped(math.log2, shares.ravel()).reshape(shares.shape)
+    logs = np.fromiter(map(math.log2, shares.ravel().tolist()), float, shares.size)
+    terms = shares * logs.reshape(shares.shape)
     entropy = np.minimum(np.subtract(0.0, terms[0]) - terms[1], 1.0)
-    flat = entropy.ravel()
-    membership = kernel.evaluate_column(flat) if len(entropy) > 1 else _mapped(kernel.evaluate, flat)
-    return entropy, membership.reshape(entropy.shape)
+    return entropy, kernel.evaluate_column(entropy.ravel()).reshape(entropy.shape)

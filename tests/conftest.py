@@ -80,6 +80,17 @@ def zero_area_face(face_id: str = "dot") -> FaceInput:
     return make_face(face_id, outline=((10.0, 10.0), (10.01, 10.0), (10.0, 10.01)))
 
 
+def tiny_eyes_face(face_id: str = "tiny") -> FaceInput:
+    """A valid 100 x 100 face whose eyes are 5e-324 apart.
+
+    Against make_face's interocular distance of 30.0, that share rounds
+    to 0, so the pair's entropy has no float value.
+    """
+    landmarks = standard_landmarks()
+    landmarks["eye_left"], landmarks["eye_right"] = (0.0, 0.0), (5e-324, 0.0)
+    return make_face(face_id, landmarks=landmarks)
+
+
 def scaled_face(face: FaceInput, c: float) -> FaceInput:
     """Scale dimensions and every coordinate by c; c must keep dims integral."""
     w = face.image_width * c

@@ -293,6 +293,25 @@ def replaced_report(**fields):
     pytest.param(lambda: match_report(row for row in [ROW]),
                  "report features must be a sequence of FeatureRows, got <generator",
                  id="MatchReport-generator"),
+    # a name that is not a non-empty string was kept, and to_dict wrote
+    # a None name as null
+    pytest.param(lambda: match_report((FeatureRow(None, 1.0, 1.0, 1.0, 1.0),)),
+                 "feature row names must be non-empty strings, got None",
+                 id="MatchReport-None-name"),
+    pytest.param(lambda: match_report([ROW, FeatureRow("", 60.0, 60.0, 1.0, 1.0)]),
+                 "feature row names must be non-empty strings, got ''",
+                 id="MatchReport-empty-name"),
+    pytest.param(lambda: match_report((FeatureRow(b"f0", 60.0, 60.0, 1.0, 1.0),)),
+                 "feature row names must be non-empty strings, got b'f0'",
+                 id="MatchReport-bytes-name"),
+    pytest.param(lambda: FeatureVector(((1, 1.0),)),
+                 "feature names must be non-empty strings, got 1", id="FeatureVector-int-name"),
+    pytest.param(lambda: FeatureVector((("a", 1.0), ("", 2.0))),
+                 "feature names must be non-empty strings, got ''",
+                 id="FeatureVector-empty-name"),
+    pytest.param(lambda: FeatureVector([(None, np.float64(1.0))]),
+                 "feature names must be non-empty strings, got None",
+                 id="FeatureVector-None-name"),
     pytest.param(lambda: FeatureVector(None), "feature items must be (name, value) pairs, got None",
                  id="FeatureVector-None"),
     pytest.param(lambda: FeatureVector((("a",),)),

@@ -11,7 +11,7 @@ from statistics import fmean
 
 import pytest
 
-from conftest import make_face, stretch_refused_face, zero_area_face
+from conftest import make_face, stretch_refused_face, tiny_eyes_face, zero_area_face
 from fuzzyface import (
     DEFAULT_KERNELS,
     AlphaMode,
@@ -158,6 +158,17 @@ class TestCompare:
         assert result.stderr == ("error: face 'found' stretched onto 768 x 768: "
                                  "outline is self-intersecting\n")
         assert result.stdout == ""
+
+    def test_feature_without_entropy_exits_one_in_words(self, capsys, tmp_path, face_file):
+        # the eyes 5e-324 apart load, and their share against 30.0 rounds to
+        # 0: this printed "error: math domain error"
+        tiny = tmp_path / "tiny.json"
+        save_face(tiny_eyes_face(), tiny)
+        code, out, err = run_cli(capsys, "compare", str(face_file), str(tiny))
+        assert code == 1
+        assert err == ("error: feature measurements 30.0 and 5e-324 have no entropy in floats: "
+                       "their sum overflows or a share rounds to 0\n")
+        assert out == ""
 
     def test_unparsable_face_exits_one(self, tmp_path, face_file):
         bad = tmp_path / "deep.json"

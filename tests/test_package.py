@@ -22,8 +22,8 @@ def test_reference_entropy_is_not_public():
 
 # names imported only for perfbench/run.py --trace 1, which wraps them by
 # name (ROADMAP item 5)
-TRACER_ONLY_IMPORTS = {("cli", "atomic_write_text"), ("scoring", "alpha_from_masks"),
-                       ("scoring", "rasterize"), ("synthbench", "compare")}
+TRACER_ONLY_IMPORTS = {("cli", "atomic_write_text"), ("scoring", "rasterize"),
+                       ("synthbench", "compare")}
 
 
 def test_every_import_is_used():

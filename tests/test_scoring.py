@@ -19,7 +19,7 @@ import fuzzyface.scoring
 import fuzzyface.silhouette
 from conftest import (
     make_face, raster_scale_for, scaled_face, shannon_entropy, standard_landmarks,
-    stretch_refused_face, zero_area_face,
+    stretch_refused_face, tiny_eyes_face, zero_area_face,
 )
 from fuzzyface import (
     DEFAULT_KERNELS,
@@ -331,6 +331,27 @@ class TestCompare:
         expected = 100.0 * (report.feature_score * report.k + report.alpha * (1 - report.k))
         assert report.similarity == pytest.approx(expected, abs=1e-9)
 
+    def test_runs_the_scalar_forms(self, monkeypatch):
+        # alpha_from_masks once, then feature_membership per feature, and
+        # no step of the block engine; cold, then warm
+        faces = unequal_faces()
+        expected = scalar_report(*faces, ScoringConfig())
+        calls = []
+        for name in ("alpha_from_masks", "feature_membership"):
+            original = getattr(fuzzyface.scoring, name)
+            monkeypatch.setattr(fuzzyface.scoring, name, lambda *args, name=name,
+                                original=original: calls.append(name) or original(*args))
+
+        def refused(*args):
+            raise AssertionError("compare called a step of the block engine")
+
+        for name in ("_prepared", "_columns", "_overlaps", "entropy_membership"):
+            monkeypatch.setattr(fuzzyface.scoring, name, refused)
+        for _ in range(2):
+            calls.clear()
+            assert compare(*faces) == expected
+            assert calls == ["alpha_from_masks"] + ["feature_membership"] * 6
+
     def test_report_serializes(self):
         report = compare(make_face("a"), make_face("b"))
         doc = json.loads(json.dumps(report.to_dict()))
@@ -446,13 +467,18 @@ class TestScorePairs:
         ([(0, 0), (1, 1), (0, 1), (3, 4)], OvershootKernel(), "outside [0, 1]: FeatureRow"),
         # a refused stretch before a pair with a bad index
         ([(0, 1), (3, 4), (0, 9)], TriangleKernel(), "face 'found' stretched onto 768 x 768"),
+        # a share that rounds to 0, before a refused stretch: math.log2 of it
+        # raised a bare "math domain error" in compare and both scorers
+        ([(0, 1), (5, 0), (3, 4)], TriangleKernel(),
+         "feature measurements 5e-324 and 30.0 have no entropy in floats: their sum overflows "
+         "or a share rounds to 0"),
     ])
     def test_first_error_in_pair_order(self, monkeypatch, block, pairs, kernel, message):
         # both raise what a compare of each pair in turn raises first, though
         # a block prepares all its faces before it scores any pair
         monkeypatch.setattr(fuzzyface.scoring, "_BLOCK_PAIRS", block)
         faces = [*unequal_faces(), zero_area_face(), stretch_refused_face(),
-                 make_face("big", width=768, height=768)]
+                 make_face("big", width=768, height=768), tiny_eyes_face()]
         config = ScoringConfig(kernel=kernel)
         with pytest.raises(ValueError) as expected:
             for i, j in pairs:
@@ -504,11 +530,12 @@ class TestScorePairs:
             assert repr(pair_scores(faces, pairs, config)) == repr(
                 [(r.feature_score, r.alpha, r.similarity) for r in expected])
 
-    @pytest.mark.parametrize("count", [2, 36])
+    @pytest.mark.parametrize("count", [1, 2, 36])
     @pytest.mark.parametrize("kernel", DEFAULT_KERNELS.values(), ids=DEFAULT_KERNELS.keys())
     @pytest.mark.parametrize("scorer", [score_pairs, pair_scores])
     def test_a_block_of_pairs_calls_no_evaluate(self, monkeypatch, scorer, kernel, count):
-        # its memberships are the kernel's column form, with no frame per value
+        # its memberships are the kernel's column form, with no frame per
+        # value, in a block of one pair too
         faces = dealt_faces(3, list(IMAGE_SIZES[:3]) * 2)
         pairs = [(i, j) for i in range(6) for j in range(6)][:count]
         config = ScoringConfig(kernel=kernel)
@@ -532,8 +559,8 @@ class TestScorePairs:
         assert calls == [(3, 100, 100, 6), (3, 200, 150, 3)]
         calls.clear()
         # a block whose preparation raises keeps no face of the canvas that
-        # raised, and is taken again a pair at a time: the first pair's faces
-        # are filled together, and the second pair raises on its third face
+        # raised, and its pairs are then compared in turn: the first pair's
+        # faces are filled together, and the second pair raises on its third face
         faces = [make_face("a", 768, 768), make_face("b", 768, 768), stretch_refused_face()]
         with pytest.raises(ValueError, match="stretched onto 768 x 768"):
             score_pairs(faces, [(0, 1), (0, 2)], ScoringConfig())
@@ -596,11 +623,12 @@ def counted_overlaps(monkeypatch) -> list:
 class TestOverlapCounting:
     """A key's pairs are counted packed when they number at least twice its faces."""
 
-    def test_a_one_pair_compare_is_counted_alone(self, monkeypatch):
+    def test_a_compare_makes_no_engine_count(self, monkeypatch):
+        # it counts its one pair through alpha_from_masks, outside the engine
         calls = counted_overlaps(monkeypatch)
         compare(*unequal_faces())
         compare(make_face("a"), make_face("b"))  # one canvas, two faces
-        assert calls == ["alone", "alone"]
+        assert calls == []
 
     def test_genuine_pairs_are_counted_alone(self, monkeypatch):
         # the CLI calibrate's block: 30 genuine pairs over 30 faces on one canvas
@@ -620,11 +648,10 @@ class TestOverlapCounting:
 
     def test_one_canvas_example_is_packed(self, monkeypatch):
         # test_equals_per_pair_compare's ONE_CANVAS example takes the packed
-        # path in score_pairs and pair_scores, and its compares count alone
+        # path in score_pairs and pair_scores
         calls = counted_overlaps(monkeypatch)
         assert_scores_equal_compare(**ONE_CANVAS)
-        pairs = len(EQUAL_TO_COMPARE_PAIRS)
-        assert calls == [("packed", pairs, 6)] + ["alone"] * pairs + [("packed", pairs, 6)]
+        assert calls == [("packed", len(EQUAL_TO_COMPARE_PAIRS), 6)] * 2
 
     def test_a_block_packs_one_key_and_counts_another_alone(self, monkeypatch):
         faces = [*dealt_faces(6, [(300, 300)] * 5), make_face("big", width=400, height=420)]
@@ -834,14 +861,11 @@ class TestGrouping:
                 assert starts[key] <= slot < starts[key + 1]  # inside its key's run
                 assert masks[slot] is faces[index]._prepared[keys[key]][1]
                 assert values[slot].tolist() == list(faces[index]._prepared[keys[key]][0])
-                if len(pairs) > 1:
-                    assert slot_of.setdefault((key, int(index)), slot) == slot
-        if len(pairs) == 1:  # a slot for each side, whether or not they are one face
-            assert slots.tolist() == [[0, 1]] and key_slots == [2]
-        else:
-            # one slot per (key, index), in key order, then index order
-            assert sorted(slot_of, key=slot_of.get) == sorted(slot_of)
-            assert sorted(slot_of.values()) == list(range(len(slot_faces)))
+                assert slot_of.setdefault((key, int(index)), slot) == slot
+        # one slot per (key, index), in key order, then index order, in a
+        # block of one pair too
+        assert sorted(slot_of, key=slot_of.get) == sorted(slot_of)
+        assert sorted(slot_of.values()) == list(range(len(slot_faces)))
 
 
 def dealt_faces(seed, sizes):
