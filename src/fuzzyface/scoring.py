@@ -10,21 +10,22 @@ overlap score, and blend the two with the mixing weight k:
     similarity = 100 * (feature_score * k + alpha * (1 - k))
 
 Each face is prepared (rescaled onto the pair's canvas, its features
-measured, its outline rasterized) at most once per canvas size and
-raster scale, over all calls: _prepare keeps its feature values and its
-mask in its memo, one entry per key, (width, height, scale). compare
-scores one pair on the scalar forms: alpha_from_masks of its two masks
-and feature_membership of each feature. The block engine scores many
-pairs with the same bits. Its prepare step, _prepared, groups a block's
-pairs by key with a sorted np.unique, not a loop over pairs, and gives
-each key's faces slots, key by key in canvas size order and in index
-order within a key: rows of one value matrix, and masks. It scores the
-block as numpy columns: the two mask areas and their intersection per
-pair (overlap_counts, or packed_overlap_counts for a key with many
-pairs), and an entropy and a membership per feature, from one gather of
-each pair's two value rows: math.log2, and the bell kernel's square and
-exponential, stay libm calls on Python floats, with no Python frame per
-value (the kernel's evaluate_column). The blend is written once
+measured, its outline filled) at most once per canvas size and raster
+scale, over all calls: _prepare keeps its feature values and its mask's
+words (a PackedMask) in its memo, one entry per key, (width, height,
+scale). compare scores one pair on the scalar forms, from the memo:
+packed_pair_counts of its masks, and feature_membership's entropy and
+the kernel's evaluate per feature. The block engine has the same bits.
+Its prepare step, _prepared, groups a block's pairs by key with a
+sorted np.unique, not a loop over pairs, and gives each key's faces
+slots, key by key in canvas size order and in index order within a key:
+rows of one value matrix, and masks. It scores the block as numpy
+columns: the two mask areas and their intersection per pair
+(packed_overlap_counts of each key's masks), and an entropy and a
+membership per feature, from one gather of each pair's two value rows:
+math.log2, and the bell kernel's square and exponential, stay libm
+calls on Python floats, with no Python frame per value (the kernel's
+evaluate_column). The blend is written once
 (_feature_score and _similarity) and the checks once, in MatchReport.
 score_pairs turns each block into MatchReports, reading each alpha off
 its counts with alpha_from_counts; pair_scores takes the alphas
@@ -50,18 +51,17 @@ from .fuzzymath import BellKernel, MembershipKernel, check_entropy_kernel, kerne
 from .geometry import in_range, is_number, python_number, whole_number
 from .silhouette import (
     AlphaMode,
-    BinaryMask,
     Canvas,
+    PackedMask,
     alpha_from_counts,
-    alpha_from_masks,
     alphas_from_counts,
     check_raster_frame,
-    default_resolution_scale,
+    default_scale_of,
     fill_outlines,
-    overlap_counts,
     packed_overlap_counts,
+    packed_pair_counts,
 )
-from .silhouette import rasterize  # not called here; perfbench/run.py --trace 1 wraps this name
+from .silhouette import alpha_from_masks, rasterize  # only for perfbench/run.py --trace 1
 
 
 @dataclass(frozen=True)
@@ -223,19 +223,30 @@ def feature_membership(a: float, b: float, kernel: MembershipKernel) -> tuple[fl
     a, b = python_number(a), python_number(b)
     if not (is_number(a) and is_number(b) and 0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"feature measurements must be positive reals, got {a!r} and {b!r}")
+    entropy = _entropy(a, b)
+    return entropy, kernel.evaluate(entropy)
+
+
+def _entropy(a: float, b: float) -> float:
+    """feature_membership's entropy of two measurements that passed its checks, as a memo's have."""
     try:
         total = a + b  # an int beyond a float plus a float overflows
-        h = 0.0
-        for v in (a, b):
-            # p is 0.0 past a ratio of about 1e323 or when a + b overflows;
-            # log2 then raises ValueError
-            p = v / total
-            h -= p * math.log2(p)
+        # a share is 0.0 past a ratio of about 1e323 or when a + b
+        # overflows; log2 then raises ValueError
+        share_a, share_b = a / total, b / total
+        h = 0.0 - share_a * math.log2(share_a) - share_b * math.log2(share_b)
     except (OverflowError, ValueError):
         raise ValueError(f"feature measurements {a!r} and {b!r} have no entropy in floats: "
                          f"their sum overflows or a share rounds to 0") from None
-    entropy = min(h, 1.0)  # each term is non-negative, so only the top can collect float dust
-    return entropy, kernel.evaluate(entropy)
+    return min(h, 1.0)  # each term is non-negative, so only the top can collect float dust
+
+
+def _row(name: str, a: float, b: float, entropy: float, membership: float) -> FeatureRow:
+    """FeatureRow(name, a, b, entropy, membership), past the frozen __init__ (1 us a row)."""
+    row = object.__new__(FeatureRow)
+    object.__setattr__(row, "__dict__", {"name": name, "a": a, "b": b, "entropy": entropy,
+                                         "membership": membership})
+    return row
 
 
 # pairs scored as one block of columns, which bounds the columns'
@@ -270,14 +281,14 @@ def compare(face_a: FaceInput, face_b: FaceInput, config: ScoringConfig | None =
     """
     if config is None:
         config = ScoringConfig()
-    width = max(face_a.image_width, face_b.image_width)
-    height = max(face_a.image_height, face_b.image_height)
-    key, canvas = _key(width, height, config)
-    _prepare(key, canvas, (face_a, face_b))
+    key = _key(max(face_a.image_width, face_b.image_width),
+               max(face_a.image_height, face_b.image_height), config)
+    _prepare(key, (face_a, face_b))
     (values_a, mask_a), (values_b, mask_b) = face_a._prepared[key], face_b._prepared[key]
-    alpha = alpha_from_masks(mask_a, mask_b, config.alpha_mode)
-    rows = tuple(FeatureRow(name, a, b, *feature_membership(a, b, config.kernel))
-                 for name, a, b in zip(_FEATURE_NAMES, values_a, values_b))
+    alpha = alpha_from_counts(*packed_pair_counts(mask_a, mask_b), config.alpha_mode)
+    entropies = list(map(_entropy, values_a, values_b))
+    rows = tuple(map(_row, _FEATURE_NAMES, values_a, values_b, entropies,
+                     map(config.kernel.evaluate, entropies)))
     return MatchReport(a_id=face_a.id, b_id=face_b.id, features=rows, alpha=alpha, k=config.k,
                        alpha_mode=config.alpha_mode, kernel=config.kernel, resolution_scale=key[2])
 
@@ -312,26 +323,26 @@ def _block_indices(faces: Sequence[FaceInput], block: list) -> np.ndarray:
     return np.array([_pair_indices(faces, pair) for pair in block], dtype=np.intp)
 
 
-def _key(width: int, height: int, config: ScoringConfig) -> tuple[tuple[int, int, int], Canvas]:
-    """The memo key (width, height, scale) of a pair's canvas, and the canvas."""
-    canvas = Canvas(width, height)
+def _key(width: int, height: int, config: ScoringConfig) -> tuple[int, int, int]:
+    """The memo key (width, height, scale) of a pair's canvas, whose sides are a face's."""
     scale = config.resolution_scale
-    return (width, height, default_resolution_scale(canvas) if scale is None else scale), canvas
+    return width, height, default_scale_of(width, height) if scale is None else scale
 
 
-def _prepare(key: tuple[int, int, int], canvas: Canvas, faces: Iterable[FaceInput]) -> None:
+def _prepare(key: tuple[int, int, int], faces: Iterable[FaceInput]) -> None:
     """Give each of ``faces`` without one its (values, mask) entry at ``key``, in its memo.
 
     Those faces, each once and in order, are stretched and measured, and
     the raster frame is checked after each, where rasterizing it alone
-    would refuse the frame; then one fill_outlines call fills them all,
-    and only then do they get their entries in ``face._prepared``.
+    would refuse the frame; then one fill_outlines call fills them all on
+    the key's canvas, built only then, and they get their entries.
     """
     # by id, since FaceInput holds a dict and cannot be hashed
     pending = {id(face): face for face in faces if key not in face._prepared}
     if not pending:
         return
     width, height, scale = key
+    canvas = Canvas(width, height)
     measured = []
     for face in pending.values():
         stretched = rescale_face(face, width, height)
@@ -371,9 +382,9 @@ def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig):
     key_slots = np.bincount(slot_codes // n, minlength=len(codes)).tolist()
     keys, entries, start = [], [], 0
     for code, count in zip(codes.tolist(), key_slots):
-        key, canvas = _key(*divmod(code, _SIDES), config)
+        key = _key(*divmod(code, _SIDES), config)
         key_faces = slot_faces[start:start + count]
-        _prepare(key, canvas, key_faces)
+        _prepare(key, key_faces)
         keys.append(key)
         entries += [face._prepared[key] for face in key_faces]
         start += count
@@ -381,28 +392,20 @@ def _prepared(faces: Sequence[FaceInput], block: list, config: ScoringConfig):
     return keys, key_slots, slot_faces, np.array(values), masks, pair_keys, slots.reshape(-1, 2)
 
 
-def _overlaps(key_slots: list[int], masks: Sequence[BinaryMask], pair_keys: np.ndarray,
+def _overlaps(key_slots: list[int], masks: Sequence[PackedMask], pair_keys: np.ndarray,
               slots: np.ndarray) -> np.ndarray:
-    """Each pair's overlap_counts, ``(area_a, area_b, intersection)``, as an (n, 3) array.
+    """Each pair's ``(area_a, area_b, intersection)``, as an (n, 3) array.
 
-    A key's pairs are counted together, by packed_overlap_counts, when
-    they number at least twice its faces. Packing a mask costs about as
-    much as counting one pair alone (5-12 and 6-8 us), and a packed pair
-    costs about 1-1.5 us, so a smaller key, such as the genuine pairs of
-    a manifest, gains nothing. Its pairs are counted one at a time, by
-    overlap_counts.
+    Each key's pairs are counted together, by packed_overlap_counts of
+    its masks' words, as the memo keeps them.
     """
     counts = np.empty((len(slots), 3), dtype=np.int64)
     start = 0
-    for k, pairs in enumerate(np.bincount(pair_keys, minlength=len(key_slots)).tolist()):
-        end = start + key_slots[k]
+    for k, count in enumerate(key_slots):
         at = np.flatnonzero(pair_keys == k)
-        if pairs >= 2 * key_slots[k]:
-            counts[at] = packed_overlap_counts(masks[start:end], slots[at, 0] - start,
-                                               slots[at, 1] - start)
-        else:
-            counts[at] = [overlap_counts(masks[a], masks[b]) for a, b in slots[at].tolist()]
-        start = end
+        counts[at] = packed_overlap_counts(masks[start:start + count], slots[at, 0] - start,
+                                           slots[at, 1] - start)
+        start += count
     return counts
 
 
@@ -482,7 +485,7 @@ def score_pairs(
         for (a, b), key, row_a, row_b, (area_a, area_b, inter), entropy, membership in zip(
                 slots.tolist(), pair_keys.tolist(), values_a, values_b,
                 counts.tolist(), entropies.tolist(), memberships.tolist()):
-            rows = tuple(map(FeatureRow, _FEATURE_NAMES, row_a, row_b, entropy, membership))
+            rows = tuple(map(_row, _FEATURE_NAMES, row_a, row_b, entropy, membership))
             reports.append(MatchReport(
                 a_id=ids[a], b_id=ids[b], features=rows,
                 alpha=alpha_from_counts(area_a, area_b, inter, mode), k=config.k,

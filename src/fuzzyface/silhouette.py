@@ -2,19 +2,19 @@
 
 It knows outlines and canvases, not faces: the pair engine (scoring)
 puts two faces on their shared canvas. Outlines are filled into binary
-masks by even-odd counting at pixel centers, and the overlap score is
-read off the masks' areas and intersection: one pair's by
-overlap_counts, many pairs' on one canvas by packed_overlap_counts.
-The alpha rule has two forms, as each membership kernel has:
-alpha_from_counts for one pair's counts, the reference, and
-alphas_from_counts for a column of them, with the same bits. A
-mask stores only the window of rows and columns its outline spans, plus
-that window's offset; every pixel outside the window is outside the
-outline. One kernel, fill_outlines, fills any number of checked
-outlines on one canvas in a single set of numpy passes, up to one
-np.repeat per window; rasterize checks one outline and calls it, and
-the pair engine calls it once per canvas with the faces that have no
-mask there yet.
+masks by even-odd counting at pixel centers. A mask stores only the
+window of rows and columns its outline spans, plus its offset. One
+kernel, fill_outlines, fills any number of checked outlines on one
+canvas in one set of numpy passes, into PackedMasks: each window's rows
+in 64-pixel words aligned to the frame, and its area. The pair engine
+keeps those; rasterize checks one outline, fills it and unpacks it into
+the public BinaryMask. The overlap score is read off two masks' areas
+and the set bits of the AND of their words: packed_pair_counts for one
+pair (alpha_from_masks packs two BinaryMasks for it), and
+packed_overlap_counts for many pairs on one canvas. The alpha rule has
+two forms, as each membership kernel has: alpha_from_counts for one
+pair's counts, the reference, and alphas_from_counts for a column of
+them, with the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,10 +113,50 @@ class BinaryMask:
     def area(self) -> int:
         return int(np.count_nonzero(self.bits))
 
+    def packed(self) -> PackedMask:
+        """The same mask as a PackedMask, its words laid out as fill_outlines lays them."""
+        cols, lead = self.bits.shape[1], self.offset[1] % _WORD
+        padded = np.pad(self.bits, ((0, 0), (lead, -(lead + cols) % _WORD)))  # whole words
+        words = np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64,
+                                                                                   order="F")
+        words.setflags(write=False)
+        return PackedMask(words, self.offset, cols, self.area)
+
+
+_WORD = 64  # pixels packed into one uint64
+
+
+class PackedMask(NamedTuple):
+    """One outline's mask in the pair engine's memo: its window's rows in 64-pixel words.
+
+    The window, ``cols`` wide at ``offset``, is BinaryMask's. Row r of
+    ``words`` is mask row ``offset[0] + r``; its word w holds the pixels
+    from column ``64 * (offset[1] // 64 + w)`` on, the first in its lowest
+    bit, and bits outside the window are 0. The words are read-only and
+    stored by column. The canvas and scale are those of the memo key.
+    """
+
+    words: np.ndarray
+    offset: tuple[int, int]
+    cols: int
+    area: int
+
+    def unpacked(self, scale: int, frame: tuple[int, int]) -> BinaryMask:
+        """The same mask as a BinaryMask on ``frame`` at ``scale``: its bool window."""
+        lead = self.offset[1] % _WORD
+        pixels = np.unpackbits(np.ascontiguousarray(self.words, dtype="<u8").view(np.uint8),
+                               axis=1, bitorder="little")
+        return BinaryMask(pixels[:, lead:lead + self.cols].astype(bool), scale, self.offset, frame)
+
 
 def default_resolution_scale(canvas: Canvas) -> int:
     """Smallest integer upscale that puts the longer canvas side at RASTER_TARGET."""
-    return max(1, math.ceil(RASTER_TARGET / max(canvas.width, canvas.height)))
+    return default_scale_of(canvas.width, canvas.height)
+
+
+def default_scale_of(width: int, height: int) -> int:
+    """default_resolution_scale of a canvas of these sides, read off the sides alone."""
+    return max(1, math.ceil(RASTER_TARGET / max(width, height)))
 
 
 def rasterize(
@@ -152,7 +193,8 @@ def rasterize(
     if not polygon_is_simple(pts):
         raise ValueError("outline is self-intersecting")
 
-    return fill_outlines([pts], canvas, scale)[0]
+    return fill_outlines([pts], canvas, scale)[0].unpacked(
+        scale, (canvas.height * scale, canvas.width * scale))
 
 
 def check_raster_frame(canvas: Canvas, scale: int) -> None:
@@ -164,23 +206,20 @@ def check_raster_frame(canvas: Canvas, scale: int) -> None:
                          f"{MAX_RASTER_PIXELS} pixels")
 
 
-def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) -> list[BinaryMask]:
-    """The masks of one or more outlines on one canvas and scale, filled together.
+def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) -> list[PackedMask]:
+    """The packed masks of one or more outlines on one canvas and scale, filled together.
 
     Each outline is a float64 (n, 2) vertex array that passed
     rasterize's checks at this scale, and the frame passed
-    check_raster_frame; mask i equals ``rasterize(outlines[i], canvas,
-    scale)`` bit for bit. The outlines are stacked end to end, so each
-    numpy pass (the row search, the crossings and the sort of the flip
-    positions) runs once for all of them. The run-length fill then
-    writes each window into its own read-only array, so a mask that is
-    kept keeps only its own window. No outlines give no masks.
+    check_raster_frame; mask i unpacks to ``rasterize(outlines[i],
+    canvas, scale)`` bit for bit. The outlines are stacked end to end, so
+    each numpy pass (the row search, the crossings and the word fill)
+    runs once for all of them. Each mask keeps only its own window's
+    words. No outlines give no masks.
     """
     if not outlines:
         return []
-    wpx = canvas.width * scale
-    hpx = canvas.height * scale
-    frame = (hpx, wpx)
+    wpx, hpx = canvas.width * scale, canvas.height * scale
     # Each outline closed (its vertex n is its vertex 0 again), stacked from
     # vertex starts[i] on: edge e runs from vertex e to vertex e + 1. The edge
     # from one outline's last vertex to the next one's first is a bridge,
@@ -206,14 +245,11 @@ def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) ->
     at = yc.searchsorted(y)
     lo = np.minimum(at[:-1], at[1:])
     counts = np.maximum(at[:-1], at[1:]) - lo
-    for start in starts[1:]:
-        counts[start - 1] = 0  # a bridge
+    counts[[start - 1 for start in starts[1:]]] = 0  # the bridges
     # An outline is closed, so every row from its lowest vertex's to its
     # highest's is crossed: its crossed rows are [min(at), max(at)).
     row0s = np.minimum.reduceat(at, starts).tolist()
     row1s = np.maximum.reduceat(at, starts).tolist()
-    if row0s == row1s:  # no outline crosses a row
-        return [_empty_mask(scale, frame) for _ in outlines]
     before = counts.cumsum() - counts  # crossings of the edges before edge e
     # crossing k of edge e is on row lo[e] + (k - before[e])
     x1e, y1e = x1.repeat(counts), y1.repeat(counts)
@@ -237,165 +273,117 @@ def fill_outlines(outlines: Sequence[np.ndarray], canvas: Canvas, scale: int) ->
     # has an even number of crossings, so pixels left of an outline's first
     # crossing column or at or right of its last are outside: its window
     # is its crossed rows by those columns. An outline that crosses no row
-    # gets an empty window.
+    # gets an empty window. A window's rows are whole words from the one
+    # that holds its first column, and the windows lie end to end.
     firsts = [*before[starts].tolist(), len(col)]
     filled = [i for i in range(len(outlines)) if firsts[i] < firsts[i + 1]]
     col0s = np.minimum.reduceat(col, [firsts[i] for i in filled]).tolist()
     col1s = np.maximum.reduceat(col, [firsts[i] for i in filled]).tolist()
-    windows = [None] * len(outlines)  # (its runs' first and end index, rows, columns, offset)
-    widths, shifts, window_starts, size = [], [], [], 0
-    for w, (i, col0, col1) in enumerate(zip(filled, col0s, col1s)):
-        rows, cols = row1s[i] - row0s[i], col1 - col0
-        windows[i] = (firsts[i] + 2 * w, firsts[i + 1] + 2 * w + 1, rows, cols,
-                      (first + row0s[i], col0))
-        widths.append(cols)
-        shifts.append(size - row0s[i] * cols - col0)
-        window_starts.append(size)
-        size += rows * cols
+    # (its first word, rows, words per row, offset, columns), empty by default
+    windows = [(0, 0, 0, (0, 0), 0)] * len(outlines)
+    widths, shifts, size = [], [], 0
+    for i, col0, col1 in zip(filled, col0s, col1s):
+        rows, word0 = row1s[i] - row0s[i], col0 // _WORD
+        words = -(-col1 // _WORD) - word0
+        windows[i] = (size, rows, words, (first + row0s[i], col0), col1 - col0)
+        widths.append(words * _WORD)
+        shifts.append((size - row0s[i] * words - word0) * _WORD)
+        size += rows * words
 
-    # Inside/outside flips at each crossing, so each flattened window is
-    # runs of False and True between its sorted crossing positions, and
-    # the windows lie end to end in one run of positions. A crossing at an
-    # outline's last column lands on its next row's first pixel, or the
-    # next window's, which is where the run it ends would stop anyway,
-    # since a row's crossing count is even; two crossings at one position
-    # make an empty run. stops holds 0, the flips, each later window's
-    # first position twice (an empty run, so that a window's runs start
-    # at a stop of their own) and the end. A window's crossing count is
-    # even, so every window's runs start at an even index, with a False
-    # run: window w of the filled ones, from crossing firsts[i] on, has
-    # its runs from index firsts[i] + 2 * w, one more than its crossings.
-    width, shift = np.array([widths, shifts]).repeat(
+    # Every row has an even number of crossings and the rows lie in order,
+    # so sorted, the crossings pair off into each row's inside runs [left,
+    # right). One at a window's last column lands on its next row's first
+    # pixel, or the next window's, where its run would stop anyway. A run's
+    # bits, read as one integer over its row's words, are 2**right -
+    # 2**left: in words modulo 2**64, -2**left in left's word, 2**right in
+    # right's, and a borrow of 1 from each word after left's up to right's.
+    # Runs share no pixel, so each word is the sum of its runs' terms; the
+    # extra word takes a right end at the end of the last window.
+    width, shift = np.array([widths, shifts], dtype=np.int64).repeat(
         [firsts[i + 1] - firsts[i] for i in filled], axis=1)
-    stops = np.empty(len(col) + 2 * len(filled), dtype=np.int64)
-    stops[0], stops[-1] = 0, size
-    flips = stops[1:len(col) + 1]
-    np.multiply(row_idx, width, out=flips)
-    flips += col
-    flips += shift
-    stops[len(col) + 1:-1] = np.repeat(window_starts[1:], 2)
-    stops[1:-1].sort()
-    runs = stops[1:] - stops[:-1]
-    inside = np.zeros(runs.size, dtype=bool)
-    inside[1::2] = True
+    flip = row_idx * width + col + shift
+    flip.sort()
+    left, right = flip[0::2], flip[1::2]
+    left_word, right_word = left >> 6, right >> 6  # shifts and masks for // and % _WORD
+    bits = np.zeros(size + 1, dtype=np.uint64)
+    np.subtract.at(bits, left_word, np.left_shift(1, (left & 63).view(np.uint64)))
+    np.add.at(bits, right_word, np.left_shift(1, (right & 63).view(np.uint64)))
+    spans = right_word - left_word  # each run borrows from words left_word + 1 to right_word
+    bits[np.arange(spans.sum()) - (spans.cumsum() - spans - left_word - 1).repeat(spans)] -= 1
+    # a filled window's runs are its crossings' pairs, one or more
+    areas = dict(zip(filled, np.add.reduceat(right - left, [firsts[i] // 2 for i in filled])
+                     .tolist()))
 
-    # Each window is filled into its own array, by one np.repeat of its
-    # runs, so a mask that is kept keeps only its own window.
     masks = []
-    for window in windows:
-        if window is None:
-            masks.append(_empty_mask(scale, frame))
-        else:
-            run0, run1, rows, cols, offset = window
-            bits = inside[run0:run1].repeat(runs[run0:run1]).reshape(rows, cols)
-            bits.setflags(write=False)
-            masks.append(_window_mask(bits, scale, offset, frame))
+    for i, (start, rows, words, offset, cols) in enumerate(windows):
+        kept = bits[start:start + rows * words].reshape(rows, words).copy(order="F")
+        kept.setflags(write=False)
+        masks.append(PackedMask(kept, offset, cols, areas.get(i, 0)))
     return masks
-
-
-def _window_mask(bits: np.ndarray, scale: int, offset: tuple[int, int],
-                 frame: tuple[int, int]) -> BinaryMask:
-    """The BinaryMask of fields that fit by construction, built without its checks.
-
-    ``bits`` is a read-only 2D bool window that fits ``frame`` at
-    ``offset``, and the scale, offset and frame are plain ints, as
-    BinaryMask.__post_init__ would store them.
-    """
-    mask = object.__new__(BinaryMask)
-    vars(mask).update(bits=bits, scale=scale, offset=offset, frame=frame)
-    return mask
-
-
-def _empty_mask(scale: int, frame: tuple[int, int]) -> BinaryMask:
-    """The mask of an outline that covers no pixel center: an empty window."""
-    return BinaryMask(np.zeros((0, 0), dtype=bool), scale, (0, 0), frame)
-
-
-def _different_canvases(a: BinaryMask, b: BinaryMask) -> ValueError:
-    return ValueError(f"masks are on different canvases: {a.frame} at scale {a.scale} "
-                      f"vs {b.frame} at scale {b.scale}")
 
 
 _ZERO_AREA = "mask has zero area; outline did not cover any pixel center"
 
 
-def overlap_counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
+def packed_pair_counts(a: PackedMask, b: PackedMask) -> tuple[int, int, int]:
     """``(area_a, area_b, intersection)`` of two masks on one canvas and scale, in pixels.
 
-    Only the overlap of the two windows is counted. Masks on different
-    frames or scales, and an empty mask, are refused: they have no
-    overlap score.
+    The intersection is the set bits of the AND of the two windows'
+    overlapping words. An empty mask is refused: it has no overlap score.
     """
-    if a.frame != b.frame or a.scale != b.scale:
-        raise _different_canvases(a, b)
-    area_a = a.area
-    area_b = b.area
-    if area_a == 0 or area_b == 0:
+    if not (a.area and b.area):
         raise ValueError(_ZERO_AREA)
     (ra, ca), (rb, cb) = a.offset, b.offset
-    row0, col0 = max(ra, rb), max(ca, cb)
-    row1 = min(ra + a.bits.shape[0], rb + b.bits.shape[0])
-    col1 = min(ca + a.bits.shape[1], cb + b.bits.shape[1])
-    inter = 0
-    if row0 < row1 and col0 < col1:
-        inter = int(np.count_nonzero(
-            a.bits[row0 - ra:row1 - ra, col0 - ca:col1 - ca]
-            & b.bits[row0 - rb:row1 - rb, col0 - cb:col1 - cb]
-        ))
-    return area_a, area_b, inter
+    ca, cb = ca // _WORD, cb // _WORD  # each window's first word
+    # the overlap of the two windows' words, empty if they miss each other
+    row0, word0 = max(ra, rb), max(ca, cb)
+    row1 = max(row0, min(ra + a.words.shape[0], rb + b.words.shape[0]))
+    word1 = max(word0, min(ca + a.words.shape[1], cb + b.words.shape[1]))
+    inter = np.bitwise_count(a.words[row0 - ra:row1 - ra, word0 - ca:word1 - ca]
+                             & b.words[row0 - rb:row1 - rb, word0 - cb:word1 - cb]).sum()
+    return a.area, b.area, int(inter)
 
 
-_WORD = 64  # pixels packed into one uint64
-# the bytes of a band of the union as bools, and the words one gather
-# takes: with the band's packed words, the two gathers and the popcount,
-# the count's temporaries stay under 1 MiB together
-_BAND_BYTES = 2 ** 18
+# the words of a band of the union, and the words one gather takes: with
+# the two gathers and the popcount, the count's temporaries stay under
+# 1 MiB together
+_BAND_WORDS = 2 ** 15
 _GATHER_WORDS = 2 ** 14
 
 
-def packed_overlap_counts(masks: Sequence[BinaryMask], first, second) -> np.ndarray:
-    """overlap_counts of ``masks[first[p]]`` and ``masks[second[p]]`` for each p: an (n, 3) array.
+def packed_overlap_counts(masks: Sequence[PackedMask], first, second) -> np.ndarray:
+    """packed_pair_counts of ``masks[first[p]]`` and ``masks[second[p]]``, each p: an (n, 3) array.
 
-    The masks, one or more, share one canvas and scale. Each is pasted
-    onto the union of their windows, with its columns padded to 64-pixel
-    words aligned to the frame, and packed into uint64 words; a pair's
-    intersection is the set bits of the AND of its two masks' words,
-    counted for many pairs at once. The counts are exact integers, equal
-    to overlap_counts'. The union is taken in bands of rows, at least
-    one, so that the temporaries stay under 1 MiB whatever the canvas.
+    The masks, one or more, share one canvas and scale. Their words are
+    pasted onto the union of their windows, and a pair's intersection is
+    the set bits of the AND of its two masks' words, counted for many
+    pairs at once: the same integers as packed_pair_counts'. The union is
+    taken in bands of rows, so the temporaries stay under 1 MiB.
     """
-    for mask in masks:
-        if mask.frame != masks[0].frame or mask.scale != masks[0].scale:
-            raise _different_canvases(masks[0], mask)
     areas = np.array([mask.area for mask in masks], dtype=np.int64)
     if not areas.all():
         raise ValueError(_ZERO_AREA)
-    first, second = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
-    # the union's rows, and its columns from col0 on in whole words
+    # the union's rows, and its words from word0 on
     row0 = min(mask.offset[0] for mask in masks)
-    row1 = max(mask.offset[0] + mask.bits.shape[0] for mask in masks)
-    col0 = min(mask.offset[1] for mask in masks) // _WORD * _WORD
-    words = -(-max(mask.offset[1] + mask.bits.shape[1] for mask in masks) // _WORD) - col0 // _WORD
-    band = min(row1 - row0, max(1, _BAND_BYTES // (len(masks) * words * _WORD)))
+    row1 = max(mask.offset[0] + mask.words.shape[0] for mask in masks)
+    word0 = min(mask.offset[1] // _WORD for mask in masks)
+    words = max(mask.offset[1] // _WORD + mask.words.shape[1] for mask in masks) - word0
+    band = min(row1 - row0, max(1, _BAND_WORDS // (len(masks) * words)))
     chunk = max(1, _GATHER_WORDS // (band * words))  # pairs per gather
-    pasted = np.empty(len(masks) * band * words * _WORD, dtype=bool)
     inter = np.zeros(len(first), dtype=np.int64)
     for top in range(row0, row1, band):
         height = min(band, row1 - top)
-        union = pasted[:len(masks) * height * words * _WORD].reshape(len(masks), height, -1)
-        union[...] = False
+        union = np.zeros((len(masks), height, words), dtype=np.uint64)
         for m, mask in enumerate(masks):
-            (row, col), (rows, cols) = mask.offset, mask.bits.shape
-            lo, hi = max(row, top), min(row + rows, top + height)
-            if lo < hi:
-                union[m, lo - top:hi - top, col - col0:col - col0 + cols] = \
-                    mask.bits[lo - row:hi - row]
-        # each row is whole words, so the flat packing keeps them apart
-        span = height * words  # words of each mask in the band
-        packed = np.packbits(union, bitorder="little").view(np.uint64).reshape(len(masks), span)
+            (row, col), (rows, width) = mask.offset, mask.words.shape
+            lo = max(row, top)
+            hi = max(lo, min(row + rows, top + height))  # no rows when the window misses the band
+            word = col // _WORD - word0
+            union[m, lo - top:hi - top, word:word + width] = mask.words[lo - row:hi - row]
+        union = union.reshape(len(masks), height * words)
         for p0 in range(0, len(first), chunk):
-            both = packed[first[p0:p0 + chunk]]
-            both &= packed[second[p0:p0 + chunk]]
+            both = union[first[p0:p0 + chunk]]
+            both &= union[second[p0:p0 + chunk]]
             inter[p0:p0 + chunk] += np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     return np.column_stack((areas[first], areas[second], inter))
 
@@ -433,5 +421,11 @@ def alphas_from_counts(counts: np.ndarray, mode: AlphaMode = AlphaMode.COMPLEMEN
 
 
 def alpha_from_masks(a: BinaryMask, b: BinaryMask, mode: AlphaMode = AlphaMode.COMPLEMENT) -> float:
-    """Overlap score of two masks on one canvas and scale, in [0, 1], from their overlap_counts."""
-    return alpha_from_counts(*overlap_counts(a, b), mode)
+    """Overlap score of two masks on one canvas and scale, in [0, 1], from their packed_pair_counts.
+
+    Masks on different frames or scales are refused, as is an empty one.
+    """
+    if a.frame != b.frame or a.scale != b.scale:
+        raise ValueError(f"masks are on different canvases: {a.frame} at scale {a.scale} "
+                         f"vs {b.frame} at scale {b.scale}")
+    return alpha_from_counts(*packed_pair_counts(a.packed(), b.packed()), mode)

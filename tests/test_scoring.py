@@ -332,12 +332,12 @@ class TestCompare:
         assert report.similarity == pytest.approx(expected, abs=1e-9)
 
     def test_runs_the_scalar_forms(self, monkeypatch):
-        # alpha_from_masks once, then feature_membership per feature, and
-        # no step of the block engine; cold, then warm
+        # packed_pair_counts once, then the scalar entropy per feature, and
+        # no step of the block engine; cold, then warm, where no canvas is built
         faces = unequal_faces()
         expected = scalar_report(*faces, ScoringConfig())
         calls = []
-        for name in ("alpha_from_masks", "feature_membership"):
+        for name in ("Canvas", "packed_pair_counts", "_entropy"):
             original = getattr(fuzzyface.scoring, name)
             monkeypatch.setattr(fuzzyface.scoring, name, lambda *args, name=name,
                                 original=original: calls.append(name) or original(*args))
@@ -345,12 +345,13 @@ class TestCompare:
         def refused(*args):
             raise AssertionError("compare called a step of the block engine")
 
-        for name in ("_prepared", "_columns", "_overlaps", "entropy_membership"):
+        for name in ("_prepared", "_columns", "_overlaps", "entropy_membership",
+                     "packed_overlap_counts"):
             monkeypatch.setattr(fuzzyface.scoring, name, refused)
-        for _ in range(2):
+        for canvas in (["Canvas"], []):
             calls.clear()
             assert compare(*faces) == expected
-            assert calls == ["alpha_from_masks"] + ["feature_membership"] * 6
+            assert calls == canvas + ["packed_pair_counts"] + ["_entropy"] * 6
 
     def test_report_serializes(self):
         report = compare(make_face("a"), make_face("b"))
@@ -603,25 +604,20 @@ class TestScorePairs:
 
 
 def counted_overlaps(monkeypatch) -> list:
-    """The engine's overlap counts from now on: "alone" per pair, ("packed", pairs, masks) per key."""
+    """The engine's overlap counts from now on: ("packed", pairs, masks) per key."""
     calls = []
-    alone, packed = fuzzyface.scoring.overlap_counts, fuzzyface.scoring.packed_overlap_counts
-
-    def counted_alone(a, b):
-        calls.append("alone")
-        return alone(a, b)
+    packed = fuzzyface.scoring.packed_overlap_counts
 
     def counted_packed(masks, first, second):
         calls.append(("packed", len(first), len(masks)))
         return packed(masks, first, second)
 
-    monkeypatch.setattr(fuzzyface.scoring, "overlap_counts", counted_alone)
     monkeypatch.setattr(fuzzyface.scoring, "packed_overlap_counts", counted_packed)
     return calls
 
 
 class TestOverlapCounting:
-    """A key's pairs are counted packed when they number at least twice its faces."""
+    """Each key's pairs are counted together, from its masks' words."""
 
     def test_a_compare_makes_no_engine_count(self, monkeypatch):
         # it counts its one pair through alpha_from_masks, outside the engine
@@ -630,13 +626,13 @@ class TestOverlapCounting:
         compare(make_face("a"), make_face("b"))  # one canvas, two faces
         assert calls == []
 
-    def test_genuine_pairs_are_counted_alone(self, monkeypatch):
+    def test_genuine_pairs_are_counted_together(self, monkeypatch):
         # the CLI calibrate's block: 30 genuine pairs over 30 faces on one canvas
         population = generate_population(PopulationConfig(10, 3, seed=4))
         pairs = [(i, j) for i, j, label in labeled_pairs(population) if label == "genuine"]
         calls = counted_overlaps(monkeypatch)
         pair_scores([labeled.face for labeled in population], pairs)
-        assert calls == ["alone"] * 30
+        assert calls == [("packed", 30, 30)]
 
     def test_all_pairs_of_one_canvas_are_packed(self, monkeypatch):
         faces = dealt_faces(5, [(512, 512)] * 6)
@@ -653,25 +649,30 @@ class TestOverlapCounting:
         assert_scores_equal_compare(**ONE_CANVAS)
         assert calls == [("packed", len(EQUAL_TO_COMPARE_PAIRS), 6)] * 2
 
-    def test_a_block_packs_one_key_and_counts_another_alone(self, monkeypatch):
+    def test_a_block_counts_each_key_together(self, monkeypatch):
         faces = [*dealt_faces(6, [(300, 300)] * 5), make_face("big", width=400, height=420)]
         pairs = [(0, 5)] + [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(5, 5)]
         expected = repr([compare(faces[i], faces[j]) for i, j in pairs])
         calls = counted_overlaps(monkeypatch)
         assert repr(score_pairs(faces, pairs)) == expected
-        # the ten pairs of the 300 px canvas over five faces; the others, on
-        # canvases of one or two faces, alone
-        assert calls == [("packed", 10, 5), "alone", "alone"]
+        # the ten pairs of the 300 px canvas over five faces, then the two of
+        # the 400 x 420 px canvas over two
+        assert calls == [("packed", 10, 5), ("packed", 2, 2)]
 
     def test_packed_temporaries_stay_under_a_mebibyte(self):
-        # eight faces of about 1000 x 950 px on a 4096 px canvas: their masks
-        # hold about 7 MB, which the count takes in bands
+        # sixteen faces of about 1000 x 950 px on a 4096 px canvas: their
+        # words, pasted onto the union of their windows, hold about 2 MiB,
+        # which the count takes in bands
         faces = [rescale_face(labeled.face, 4096, 4096)
-                 for labeled in generate_population(PopulationConfig(4, 2, seed=8))]
-        pair_scores(faces, [(i, i) for i in range(8)])  # the masks, made beforehand
-        masks = sum(face._prepared[4096, 4096, 1][1].bits.nbytes for face in faces)
-        assert masks > 6 * 2 ** 20
-        pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+                 for labeled in generate_population(PopulationConfig(4, 4, seed=8))]
+        pair_scores(faces, [(i, i) for i in range(16)])  # the masks, made beforehand
+        masks = [face._prepared[4096, 4096, 1][1] for face in faces]
+        rows = (max(mask.offset[0] + mask.words.shape[0] for mask in masks)
+                - min(mask.offset[0] for mask in masks))
+        words = (max(mask.offset[1] // 64 + mask.words.shape[1] for mask in masks)
+                 - min(mask.offset[1] // 64 for mask in masks))
+        assert len(masks) * rows * words * 8 > 2 ** 20
+        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
         tracemalloc.start()
         try:
             scores = pair_scores(faces, pairs)
@@ -725,8 +726,21 @@ class TestPreparedMemo:
         assert values == tuple(value for _, value in extract_features(stretched).items)
         # and its mask, as rasterize fills it
         alone = rasterize(stretched.outline, Canvas(200, 150), 3)
-        assert (mask.offset, mask.frame) == (alone.offset, alone.frame)
-        assert np.array_equal(mask.bits, alone.bits)
+        unpacked = mask.unpacked(3, alone.frame)
+        assert (unpacked.offset, unpacked.frame) == (alone.offset, alone.frame)
+        assert np.array_equal(unpacked.bits, alone.bits)
+
+    def test_memo_masks_take_under_a_quarter_of_their_bool_windows(self):
+        # 30 faces on one 512 px canvas, windows about 117 px wide: a word
+        # holds 64 pixels in 8 bytes, where a bool window took a byte a
+        # pixel, but each row pays for the unused bits of its end words, so
+        # the words take about 1/4.7 of the bools here
+        faces = [labeled.face for labeled in generate_population(PopulationConfig(10, 3, seed=0))]
+        pair_scores(faces, [(i, i) for i in range(len(faces))])
+        masks = [face._prepared[512, 512, 1][1] for face in faces]
+        words = sum(mask.words.nbytes for mask in masks)
+        bools = sum(rasterize(face.outline, Canvas(512, 512), 1).bits.nbytes for face in faces)
+        assert 4 * words <= bools
 
     def test_refused_stretch_keeps_no_entry(self):
         face, big = stretch_refused_face(), make_face("big", width=768, height=768)

@@ -4,6 +4,7 @@ Also the canvas normalization that gives the raster layer its canvas,
 scoring.normalize_pair.
 """
 
+import itertools
 import math
 import re
 import warnings
@@ -282,6 +283,7 @@ class TestRasterize:
         copied = rasterize(list(face.outline), Canvas(20, 20), 2)
         assert len(calls) == 2
         stored = silhouette.fill_outlines([face._outline_array], Canvas(20, 20), 2)[0]
+        stored = stored.unpacked(2, (40, 40))
         for mask in (copied, stored):
             assert np.array_equal(from_face.bits, mask.bits)
             assert (from_face.offset, from_face.frame) == (mask.offset, mask.frame)
@@ -386,6 +388,7 @@ class TestRasterize:
         checked = rasterize(face.outline, canvas, scale)
         scale = default_resolution_scale(canvas) if scale is None else scale
         unchecked = silhouette.fill_outlines([face._outline_array], canvas, scale)[0]
+        unchecked = unchecked.unpacked(scale, checked.frame)
         assert checked.bits.dtype == unchecked.bits.dtype == bool
         assert np.array_equal(checked.bits, unchecked.bits)
         assert (checked.offset, checked.frame, checked.scale) == \
@@ -428,27 +431,57 @@ def stack_outline(kind, vertices, seed, width, height):
     return outline if polygon_is_simple(outline) else None
 
 
-def assert_as_checked(mask):
-    """The kernel's mask, built without BinaryMask's checks, equals one built with them."""
-    checked = BinaryMask(mask.bits, mask.scale, mask.offset, mask.frame)
-    assert type(mask.bits) is type(checked.bits) is np.ndarray
-    assert mask.bits.dtype == checked.bits.dtype == bool
-    assert np.array_equal(mask.bits, checked.bits)
-    assert not mask.bits.flags.writeable
-    for name in ("scale", "offset", "frame"):
-        value = getattr(mask, name)
-        assert value == getattr(checked, name)
-        assert type(value) is type(getattr(checked, name))
-    assert all(type(v) is int for v in (mask.scale, *mask.offset, *mask.frame))
-    assert mask.area == checked.area
+def assert_word_format(mask, frame):
+    """A packed mask holds its window's rows in whole words from its first column's, and no more.
+
+    Its fields are plain ints, its words read-only uint64 stored by
+    column, its area their set bits, and its window fits the frame.
+    """
+    (row, col), cols, (rows, width) = mask.offset, mask.cols, mask.words.shape
+    assert all(type(v) is int for v in (row, col, cols, mask.area))
+    assert mask.words.dtype == np.uint64 and not mask.words.flags.writeable
+    assert mask.words.flags.f_contiguous
+    assert row + rows <= frame[0] and col + cols <= frame[1]
+    assert width == -(-(col + cols) // 64) - col // 64
+    assert mask.area == int(np.bitwise_count(mask.words).sum())
 
 
-def own_bytes(mask):
-    """The size of the memory a mask's bits keep alive."""
-    bits = mask.bits
-    while bits.base is not None:
-        bits = bits.base
-    return bits.nbytes
+def own_bytes(array):
+    """The size of the memory an array keeps alive."""
+    while array.base is not None:
+        array = array.base
+    return array.nbytes
+
+
+@st.composite
+def word_stacks(draw):
+    """A canvas, a scale from 1 to 4 and outlines whose windows meet the words in every way.
+
+    Boxes and slanted triangles start at a column that is not a multiple
+    of 64, and may end on the frame's right edge; a sliver between two
+    pixel centers and a box left of the canvas have empty windows.
+    """
+    scale = draw(st.integers(1, 4))
+    width, height = draw(st.integers(2, 160)), draw(st.integers(1, 12))
+    wpx, hpx = width * scale, height * scale
+    outlines = []
+    for kind in draw(st.lists(st.sampled_from(["box", "edge", "triangle", "sliver", "off"]),
+                              min_size=1, max_size=6)):
+        row0 = draw(st.integers(0, hpx - 1))
+        row1 = draw(st.integers(row0 + 1, hpx))
+        col0 = draw(st.integers(0, wpx - 1).filter(lambda col: col % 64))
+        col1 = wpx if kind == "edge" else draw(st.integers(col0 + 1, wpx))
+        x0, x1, y0, y1 = col0 / scale, col1 / scale, row0 / scale, row1 / scale
+        if kind == "triangle":
+            outline = [(x0, y0), (x1, (y0 + y1) / 2), (x0 + (x1 - x0) / 3, y1)]
+        elif kind == "sliver":  # inside one pixel column, between its center and the next
+            outline = [(x0 + 0.6 / scale, y0), (x0 + 0.9 / scale, y0), (x0 + 0.7 / scale, y1)]
+        elif kind == "off":
+            outline = [(-5.0, y0), (-1.0, y0), (-1.0, y1), (-5.0, y1)]
+        else:
+            outline = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        outlines.append(np.array(outline, dtype=float))
+    return Canvas(width, height), scale, outlines
 
 
 class TestFillOutlines:
@@ -473,12 +506,48 @@ class TestFillOutlines:
         masks = silhouette.fill_outlines(outlines, canvas, scale)
         assert len(masks) == len(outlines)
         for outline, mask in zip(outlines, masks):
-            assert_as_checked(mask)
-            assert own_bytes(mask) == mask.bits.nbytes  # not a view of a batch's buffer
             alone = rasterize(outline, canvas, scale)
-            assert mask.bits.shape == alone.bits.shape and np.array_equal(mask.bits, alone.bits)
-            assert (mask.offset, mask.frame, mask.scale) == (alone.offset, alone.frame, scale)
-            assert np.array_equal(pasted(mask), reference_fill(outline, canvas, scale))
+            assert_word_format(mask, alone.frame)
+            assert own_bytes(mask.words) == mask.words.nbytes  # not a view of a batch's buffer
+            unpacked = mask.unpacked(scale, alone.frame)
+            assert unpacked.bits.shape == alone.bits.shape
+            assert np.array_equal(unpacked.bits, alone.bits)
+            assert (unpacked.offset, unpacked.frame, unpacked.scale) == \
+                (alone.offset, alone.frame, scale)
+            assert np.array_equal(pasted(unpacked), reference_fill(outline, canvas, scale))
+
+    @settings(max_examples=80, deadline=None)
+    @given(stack=word_stacks())
+    # windows from columns 1, 63 and 65 to the right edge of a 150 px frame,
+    # where the last word is partly past the frame, and an empty window
+    @example(stack=(Canvas(75, 3), 2, [
+        np.array([(x / 2, 0.0), (75.0, 0.0), (75.0, 1.5), (x / 2, 1.5)]) for x in (1, 63, 65)
+    ] + [np.array([(-5.0, 0.0), (-1.0, 0.0), (-1.0, 3.0)])]))
+    def test_words_unpack_to_rasterize_and_count_as_bools(self, stack):
+        canvas, scale, outlines = stack
+        masks = silhouette.fill_outlines(outlines, canvas, scale)
+        alone = [rasterize(outline, canvas, scale) for outline in outlines]
+        for mask, bools in zip(masks, alone):
+            assert_word_format(mask, bools.frame)
+            # the fill's words are np.packbits' of rasterize's window, and unpack to it
+            repacked = bools.packed()
+            assert_word_format(repacked, bools.frame)
+            assert np.array_equal(repacked.words, mask.words)
+            assert repacked[1:] == mask[1:]
+            unpacked = mask.unpacked(scale, bools.frame)
+            assert unpacked.bits.shape == bools.bits.shape
+            assert np.array_equal(unpacked.bits, bools.bits)
+            assert (unpacked.offset, unpacked.frame, unpacked.scale) == \
+                (bools.offset, bools.frame, bools.scale)
+        # the packed one-pair count of every ordered pair equals the bool
+        # reference; a pair with an empty mask is refused
+        for i, j in itertools.product(range(len(masks)), repeat=2):
+            if alone[i].area and alone[j].area:
+                assert silhouette.packed_pair_counts(masks[i], masks[j]) == \
+                    reference_counts(alone[i], alone[j])
+            else:
+                with pytest.raises(ValueError, match="mask has zero area"):
+                    silhouette.packed_pair_counts(masks[i], masks[j])
 
     def test_masks_own_their_windows(self):
         # a mask the pair engine keeps must not keep the whole batch's buffer alive
@@ -486,13 +555,15 @@ class TestFillOutlines:
         a, empty, b = silhouette.fill_outlines(
             [np.array(square(2.0, 8.0)), np.array(square(30.0, 40.0)), np.array(square(5.0, 15.0))],
             canvas, 2)
-        assert a.bits.shape == (12, 12) and b.bits.shape == (20, 20)
-        assert (empty.bits.shape, empty.offset) == ((0, 0), (0, 0))
+        # 12 and 20 rows of one word: columns 4 to 16, and 10 to 30
+        assert a.words.shape == (12, 1) and b.words.shape == (20, 1)
+        assert (a.offset, a.cols, b.offset, b.cols) == ((4, 4), 12, (10, 10), 20)
+        assert (empty.words.shape, empty.offset, empty.cols, empty.area) == ((0, 0), (0, 0), 0, 0)
         for mask in (a, b):
-            assert own_bytes(mask) == mask.bits.nbytes == mask.bits.size
+            assert own_bytes(mask.words) == mask.words.nbytes == 8 * mask.words.size
         assert a.area == 144 and b.area == 400
         for mask in (a, empty, b):
-            assert_as_checked(mask)  # read-only, among the rest
+            assert_word_format(mask, (40, 40))  # read-only, among the rest
 
     def test_no_outlines_give_no_masks(self):
         # the pair engine's case of a canvas whose faces all have their masks
@@ -701,8 +772,15 @@ def window_mask(rows, cols, row, col, seed):
     return BinaryMask(bits, 1, (row, col), FRAME)
 
 
+def reference_counts(a, b):
+    """``(area_a, area_b, intersection)`` of two BinaryMasks, off their full frames: the oracle."""
+    full_a, full_b = pasted(a), pasted(b)
+    return (int(np.count_nonzero(full_a)), int(np.count_nonzero(full_b)),
+            int(np.count_nonzero(full_a & full_b)))
+
+
 class TestPackedOverlapCounts:
-    """packed_overlap_counts equals overlap_counts, pair by pair, exactly."""
+    """packed_pair_counts and packed_overlap_counts equal the bool reference count, pair by pair."""
 
     @settings(max_examples=60, deadline=None)
     @given(shapes=st.lists(windows, min_size=1, max_size=7), data=st.data(),
@@ -711,37 +789,40 @@ class TestPackedOverlapCounts:
     # a wider one, and one disjoint from all
     @example(shapes=[(1, 1, 0, 63, 0), (1, 1, 0, 64, 0), (3, 140, 2, 0, 1), (1, 1, 3, 65, 3),
                      (2, 2, 8, 200, 2)], data=None, small=False)
-    def test_counts_equal_overlap_counts(self, shapes, data, small):
+    def test_counts_equal_the_bool_reference(self, shapes, data, small):
         # disjoint, nested and one-pixel windows, empty intersections and self
         # pairs; also with bands of one row and gathers of one pair
-        masks = [window_mask(*shape) for shape in shapes]
+        bools = [window_mask(*shape) for shape in shapes]
+        masks = [mask.packed() for mask in bools]
         if data is None:  # the explicit example: every ordered pair
             pairs = [(i, j) for i in range(len(masks)) for j in range(len(masks))]
         else:
             index = st.integers(0, len(masks) - 1)
             pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
         first, second = (np.array(column) for column in zip(*pairs))
-        with (mock.patch.object(silhouette, "_BAND_BYTES", 1 if small else silhouette._BAND_BYTES),
+        with (mock.patch.object(silhouette, "_BAND_WORDS", 1 if small else silhouette._BAND_WORDS),
               mock.patch.object(silhouette, "_GATHER_WORDS",
                                 1 if small else silhouette._GATHER_WORDS)):
             counts = silhouette.packed_overlap_counts(masks, first, second)
-        expected = [silhouette.overlap_counts(masks[i], masks[j]) for i, j in pairs]
+        expected = [reference_counts(bools[i], bools[j]) for i, j in pairs]
         assert counts.tolist() == [list(row) for row in expected]
+        assert [silhouette.packed_pair_counts(masks[i], masks[j]) for i, j in pairs] == expected
         # the pair engine's alphas of these counts are alpha_from_masks', to the bit
         for mode in AlphaMode:
             alphas = silhouette.alphas_from_counts(counts, mode).tolist()
-            assert list(map(repr, alphas)) == [repr(alpha_from_masks(masks[i], masks[j], mode))
+            assert list(map(repr, alphas)) == [repr(alpha_from_masks(bools[i], bools[j], mode))
                                                for i, j in pairs]
 
-    def test_refuses_what_overlap_counts_refuses(self):
-        full = BinaryMask(np.ones((2, 2), dtype=bool), 1, (0, 0), (4, 4))
-        empty = BinaryMask(np.zeros((0, 0), dtype=bool), 1, (0, 0), (4, 4))
-        with pytest.raises(ValueError, match="mask has zero area"):
-            silhouette.packed_overlap_counts([full, empty], [0], [0])
-        for other in (BinaryMask(np.ones((2, 2), dtype=bool), 1, (0, 0), (4, 5)),
-                      BinaryMask(np.ones((2, 2), dtype=bool), 2, (0, 0), (4, 4))):
-            with pytest.raises(ValueError, match="different canvases"):
-                silhouette.packed_overlap_counts([full, other], [0], [1])
+    def test_refuses_an_empty_mask(self):
+        # the masks of one memo key share its canvas and scale, so a packed
+        # mask holds neither; alpha_from_masks refuses BinaryMasks on two
+        # canvases (TestMaskOps)
+        full = BinaryMask(np.ones((2, 2), dtype=bool), 1, (0, 0), (4, 4)).packed()
+        empty = BinaryMask(np.zeros((0, 0), dtype=bool), 1, (0, 0), (4, 4)).packed()
+        for count in (silhouette.packed_pair_counts,
+                      lambda a, b: silhouette.packed_overlap_counts([a, b], [0], [1])):
+            with pytest.raises(ValueError, match="mask has zero area"):
+                count(full, empty)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=20))
